@@ -10,9 +10,22 @@ paper's claim, measured on the service rather than the kernels, is that
 ``d = 2`` collapses the max-load gap, and the floor asserted here is
 simply that the ratio stays below 1 on the pinned trace.
 
+The rows' ``p50_ms`` / ``p99_ms`` come from ``stats()`` after a
+virtual-clock ``replay()``, which decides a staleness window at a time
+and records its amortised per-key time once per placement.  They are
+percentiles of per-window averages (about 10x below the per-request
+latencies of a one-key-per-call replay), not latencies a single request
+saw; ``seconds`` is the replay's wall time.
+
 Determinism is asserted in the same run: replaying the identical trace
 and seed twice must produce the same placement digest (the service's
 determinism contract, checked at bench scale rather than toy scale).
+
+A second test is the window-batching floor: ``replay()`` (one vectorised
+decision per staleness window) must be at least
+:data:`BATCHED_REPLAY_FLOOR` times faster than a per-key ``allocate``
+loop over the same trace and churn, with an equal digest.  It asserts
+and prints; ``BENCH_service.json`` keeps its schema.
 
 Unlike the figure benches this module writes its document directly — the
 session-level ``conftest`` flush belongs to the ensemble-engine floors —
@@ -20,6 +33,7 @@ so running ``pytest benchmarks/bench_service.py`` alone refreshes it.
 ``REPRO_BENCH_QUICK=1`` trims the trace for the CI budget.
 """
 
+import dataclasses
 import os
 import time
 from pathlib import Path
@@ -45,6 +59,12 @@ PEERS = 16
 REFRESH_EVERY = 64
 CHURN_EVENTS = 4
 
+#: ``replay()`` over the per-key ``allocate`` loop on the full-size pinned
+#: trace (quick mode too: a shorter one is dominated by per-call set-up),
+#: best of :data:`FLOOR_REPEATS` timings each.
+BATCHED_REPLAY_FLOOR = 4.0
+FLOOR_REPEATS = 5
+
 SPEC = TraceSpec(
     requests=REQUESTS,
     users=100_000,
@@ -55,15 +75,20 @@ SPEC = TraceSpec(
     diurnal_period=60.0,
     seed=BENCH_SEED,
 )
+FLOOR_SPEC = dataclasses.replace(SPEC, requests=20_000)
 
 
-def _replay(trace, schedule, d):
-    service = AllocationService(
+def _service(d):
+    return AllocationService(
         [f"peer-{i}" for i in range(PEERS)],
         d=d,
         refresh_every=REFRESH_EVERY,
         seed=BENCH_SEED,
     )
+
+
+def _replay(trace, schedule, d):
+    service = _service(d)
     start = time.perf_counter()
     report = service.replay(trace, schedule)
     seconds = time.perf_counter() - start
@@ -155,3 +180,43 @@ def test_service_replay_records_bench(tmp_path):
             f"p50={row['p50_ms']:.3f}ms p99={row['p99_ms']:.3f}ms "
             f"({row['seconds']:.2f}s)"
         )
+
+
+def _per_key(trace, schedule, d):
+    """The trace through one ``allocate`` call per key, churn fired before
+    the first arrival at or after its time (``replay``'s rule)."""
+    service = _service(d)
+    schedule = sorted(schedule, key=lambda a: a.time)
+    start = time.perf_counter()
+    c = 0
+    for t, key in zip(trace.times.tolist(), trace.keys()):
+        while c < len(schedule) and schedule[c].time <= t:
+            service.apply_churn(schedule[c])
+            c += 1
+        service.allocate(key)
+    for action in schedule[c:]:
+        service.apply_churn(action)
+    return service, time.perf_counter() - start
+
+
+def test_batched_replay_floor():
+    trace = generate_trace(FLOOR_SPEC)
+    schedule = generate_churn_schedule(
+        CHURN_EVENTS, trace.duration, seed=BENCH_SEED
+    )
+    # Alternate the two so a drift in machine speed hits both alike.
+    batched, per_key = [], []
+    for _ in range(FLOOR_REPEATS):
+        batched.append(_replay(trace, schedule, 2))
+        per_key.append(_per_key(trace, schedule, 2))
+    digest = batched[0][1].placement_digest
+    assert all(r.placement_digest == digest for _, r, _ in batched)
+    assert all(svc.placement_digest() == digest for svc, _ in per_key)
+    assert per_key[0][0].stats()["load"]["per_peer"] == batched[0][1].final_loads
+    best_batched = min(seconds for _, _, seconds in batched)
+    best_per_key = min(seconds for _, seconds in per_key)
+    ratio = best_per_key / best_batched
+    print(f"\nreplay() {trace.count / best_batched:,.0f}/s vs per-key allocate "
+          f"{trace.count / best_per_key:,.0f}/s: {ratio:.1f}x "
+          f"(floor {BATCHED_REPLAY_FLOOR}x)")
+    assert ratio >= BATCHED_REPLAY_FLOOR

@@ -2,7 +2,9 @@
 # Routine check pipeline (also: `make check`).
 #
 # Runs, in order:
-#   1. the tier-1 test suite (ROADMAP's verify command);
+#   1. the tier-1 test suite (ROADMAP's verify command), then the
+#      checkpointer save/clear stress test looped 50 times (a concurrent
+#      Checkpointer.clear must never crash a writer);
 #   2. the quick-mode benchmarks for the ensemble engine: the 5x (fig02)
 #      and 3x (fig18) engine floors at R = 64, plus the wavefront-kernel
 #      floors on the fig01-scaled n=10^4 configuration (R=16/R=64 over the
@@ -24,7 +26,9 @@
 #   6. the allocation-service replay bench (quick mode): one fixed
 #      open-loop trace at d=1 and d=2, d=2 must beat the d=1 baseline,
 #      emitting BENCH_service.json (schema repro.bench_service/1),
-#      validated right after;
+#      validated right after; plus the window-batching floor: replay()
+#      at least 4x faster than a per-key allocate loop on the pinned
+#      trace, with an equal digest;
 #   7. the allocation-service smoke: a tiny trace with one mid-stream
 #      churn event driven over the live TCP endpoint — the wire run's
 #      placement digest must equal the in-process reference bit for bit,
@@ -63,6 +67,21 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo "== checkpointer save/clear stress (50 loops, each must be clean) =="
+python - <<'PY'
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, "tests/io")
+from test_store import save_clear_stress
+
+for _ in range(50):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_clear_stress(Path(tmp))
+print("checkpointer stress: 50 clean loops")
+PY
 
 echo "== quick benchmarks (ensemble engine + wavefront kernel + fabric floors) =="
 REPRO_BENCH_QUICK=1 python -m pytest benchmarks/bench_ensemble.py \

@@ -454,6 +454,7 @@ def _cmd_replay(args) -> int:
 
 def _cmd_serve(args) -> int:
     import asyncio
+    import signal
 
     from .service import AllocationService, FaultPlan, WalError, WriteAheadLog, run_server
 
@@ -503,11 +504,21 @@ def _cmd_serve(args) -> int:
               f"alloc/stats/churn/ping, one JSON object per line",
               flush=True)
 
+    async def serve():
+        # SIGTERM (a supervisor's stop) and SIGINT both end the serve loop
+        # the same way: the WAL is flushed and closed below, exit status 0.
+        loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(sig, task.cancel)
+        try:
+            await run_server(service, args.host, args.port, ready=announce,
+                             faults=faults)
+        except asyncio.CancelledError:
+            print("\nshutting down", flush=True)
+
     try:
-        asyncio.run(run_server(
-            service, args.host, args.port, ready=announce, faults=faults))
-    except KeyboardInterrupt:
-        print("\nshutting down")
+        asyncio.run(serve())
     finally:
         service.close_wal()
     return 0

@@ -25,7 +25,7 @@ from ..sampling.rngutils import make_rng, spawn_seed_sequences
 from .ensemble import EnsembleResult, resolve_ensemble_seeds
 from .simulation import SimulationResult
 
-__all__ = ["simulate_batched", "simulate_batched_ensemble"]
+__all__ = ["simulate_batched", "simulate_batched_ensemble", "stale_choice"]
 
 
 def simulate_batched(
@@ -68,25 +68,7 @@ def simulate_batched(
         tie_u = rng.random(k).tolist()
         frozen = counts.copy()
         for j in range(k):
-            row = choices[j]
-            best = [row[0]]
-            best_num = frozen[row[0]] + 1
-            best_den = caps[row[0]]
-            for b in row[1:]:
-                num = frozen[b] + 1
-                den = caps[b]
-                lhs = num * best_den
-                rhs = best_num * den
-                if lhs < rhs:
-                    best = [b]
-                    best_num = num
-                    best_den = den
-                elif lhs == rhs and b not in best:
-                    best.append(b)
-            if len(best) > 1:
-                cmax = max(caps[b] for b in best)
-                best = [b for b in best if caps[b] == cmax]
-            chosen = best[0] if len(best) == 1 else best[int(tie_u[j] * len(best))]
+            chosen = stale_choice(choices[j], frozen, caps, tie_u[j])
             counts[chosen] += 1
         thrown += k
 
@@ -98,6 +80,38 @@ def simulate_batched(
         probability=model.name,
         tie_break="max_capacity",
     )
+
+
+def stale_choice(row, loads, caps, tie_u: float):
+    """One ball's decision against frozen *loads*; returns the chosen bin.
+
+    The scalar form of Algorithm 1: minimise ``(load + 1) / capacity``
+    over the candidate bins *row* by exact integer cross-multiplication,
+    keep the first occurrence of each tied bin, filter ties to the maximum
+    capacity, then pick uniformly with the position-aligned draw *tie_u*
+    (consumed whether or not a tie occurs).  *row* holds bin indices into
+    *loads* and *caps* (lists, for speed).  :func:`simulate_batched` and
+    the service's placer both decide through it, and
+    :func:`_resolve_stale_batch` is its lockstep form.
+    """
+    best = [row[0]]
+    best_num = loads[row[0]] + 1
+    best_den = caps[row[0]]
+    for b in row[1:]:
+        num = loads[b] + 1
+        den = caps[b]
+        lhs = num * best_den
+        rhs = best_num * den
+        if lhs < rhs:
+            best = [b]
+            best_num = num
+            best_den = den
+        elif lhs == rhs and b not in best:
+            best.append(b)
+    if len(best) > 1:
+        cmax = max(caps[b] for b in best)
+        best = [b for b in best if caps[b] == cmax]
+    return best[0] if len(best) == 1 else best[int(tie_u * len(best))]
 
 
 def _resolve_stale_batch(counts, caps, choices, tie_u):

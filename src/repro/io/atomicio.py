@@ -40,12 +40,12 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
     left untouched (its previous content, if any, survives).
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_dirs(path.parent)
     tmp = path.with_name(
         f"{path.name}.tmp-{os.getpid()}-{next(_tmp_counter)}"
     )
     try:
-        with open(tmp, mode, **open_kwargs) as fh:
+        with _open_in_place(tmp, mode, **open_kwargs) as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
@@ -54,10 +54,26 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
         tmp.unlink(missing_ok=True)
 
 
-#: Bounded attempts for the final rename when the parent directory is being
-#: removed concurrently (``Checkpointer.clear`` races a late ``slot.save``
-#: from another process — the fabric's steady state).
+#: Bounded attempts for the temp-file open and the final rename when the
+#: parent directory is being removed concurrently (``Checkpointer.clear``
+#: races a late ``slot.save`` from another process — the fabric's steady
+#: state).
 _REPLACE_ATTEMPTS = 5
+
+
+def _open_in_place(tmp: Path, mode: str, **open_kwargs):
+    """``open`` of the temp file that survives a concurrently vanishing
+    parent directory: the same race as :func:`_replace_into_place`, one
+    step earlier (the rmtree lands between the mkdir and the open).  No
+    temp file exists yet, so there is nothing for the clear to have
+    won — re-create the parent and retry, bounded."""
+    for attempt in range(_REPLACE_ATTEMPTS):
+        try:
+            return open(tmp, mode, **open_kwargs)
+        except FileNotFoundError:
+            if attempt == _REPLACE_ATTEMPTS - 1:
+                raise
+            _make_dirs(tmp.parent)
 
 
 def _replace_into_place(tmp: Path, path: Path) -> None:
@@ -84,4 +100,21 @@ def _replace_into_place(tmp: Path, path: Path) -> None:
                 return
             if attempt == _REPLACE_ATTEMPTS - 1:
                 raise
-            path.parent.mkdir(parents=True, exist_ok=True)
+            _make_dirs(path.parent)
+
+
+def _make_dirs(directory: Path) -> None:
+    """``mkdir -p`` that survives a concurrent create-then-remove.
+
+    With ``exist_ok``, pathlib answers a ``FileExistsError`` by checking
+    that the directory is there — and raises when a concurrent rmtree
+    removed it in between.  That race is retried, bounded; a path that
+    exists as a file still fails.
+    """
+    for attempt in range(_REPLACE_ATTEMPTS):
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            return
+        except FileExistsError:
+            if attempt == _REPLACE_ATTEMPTS - 1:
+                raise

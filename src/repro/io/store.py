@@ -189,15 +189,22 @@ class Checkpointer:
         # index -> existing path (legacy 4-digit names included), discovered
         # by numeric parse so slot 10000 never sorts into the wrong place.
         self._existing: dict[int, Path] = {}
-        if self.directory.is_dir():
-            for p in self.directory.glob("slot*.pkl"):
-                m = _SLOT_NAME_RE.fullmatch(p.name)
-                if m is None:
-                    continue
-                index = int(m.group(1))
-                canonical = len(m.group(1)) == _SLOT_DIGITS
-                if canonical or index not in self._existing:
-                    self._existing[index] = p
+        for p in self._slot_files():
+            m = _SLOT_NAME_RE.fullmatch(p.name)
+            if m is None:
+                continue
+            index = int(m.group(1))
+            canonical = len(m.group(1)) == _SLOT_DIGITS
+            if canonical or index not in self._existing:
+                self._existing[index] = p
+
+    def _slot_files(self) -> list[Path]:
+        """The slot files present now; none when the directory is missing,
+        including when a concurrent :meth:`clear` removes it mid-scan."""
+        try:
+            return list(self.directory.glob("slot*.pkl"))
+        except FileNotFoundError:
+            return []
 
     def slot(self) -> CheckpointSlot:
         """Claim the next slot (numbered in deterministic call order).
@@ -220,7 +227,7 @@ class Checkpointer:
 
     def has_state(self) -> bool:
         """Whether any checkpoint file exists for this run."""
-        return self.directory.is_dir() and any(self.directory.glob("slot*.pkl"))
+        return bool(self._slot_files())
 
     def clear(self) -> None:
         """Drop all checkpoints (called once the final result is stored)."""

@@ -6,8 +6,11 @@ summary (max load, mean load, max/mean — the quantity the paper bounds),
 a per-peer load histogram, staleness telemetry, and churn counters.
 
 Latencies are wall-clock and therefore *excluded* from the determinism
-contract (the placement digest covers decisions only); under the virtual
-clock of deterministic replay they are recorded as zeros.
+contract (the placement digest covers decisions only).  Placements decided
+together in one staleness window (virtual-clock replay, recovery) each
+record the window's amortised per-key time via
+:meth:`LatencyRecorder.record_many`, so percentiles over such a run are
+percentiles of window averages.
 """
 
 from __future__ import annotations
@@ -37,6 +40,16 @@ class LatencyRecorder:
         """Add one latency sample (seconds)."""
         self._buf[self._count % self._capacity] = seconds
         self._count += 1
+
+    def record_many(self, seconds: float, count: int) -> None:
+        """Add *count* samples of the same latency (one per placement of a
+        batch decided together)."""
+        start = self._count % self._capacity
+        if start + count <= self._capacity:
+            self._buf[start:start + count] = seconds
+        else:
+            self._buf[(start + np.arange(count)) % self._capacity] = seconds
+        self._count += count
 
     @property
     def count(self) -> int:

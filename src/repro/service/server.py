@@ -15,6 +15,23 @@ sha256 ``placement_digest`` — and identical final per-peer counts,
 regardless of replay pacing or how many times the stats endpoint is
 scraped.  Wall-clock latencies are observability only and are excluded.
 
+Window batching: :meth:`AllocationService.allocate_many` is the one
+placement pipeline — :meth:`~AllocationService.allocate` is a batch of
+one.  It splits its keys at view refreshes and decides each staleness
+window in one step (see :mod:`~.views`): vectorised hashing and one ring
+lookup per :data:`HASH_CHUNK` keys, one tie-stream draw of the window's
+length, then the window's WAL records, counter increments, digest update
+and latency samples.  Below :data:`~.views.BATCH_CROSSOVER` keys the same
+pipeline runs the scalar path, so a single ``alloc`` from the TCP front
+end costs no NumPy call.  The virtual-clock :meth:`replay` and
+:meth:`recover` feed it whole stretches between churn events; a paced
+replay (``pace > 0``) is the wall-clock mode and places one key per call.
+A batched window records one latency sample per placement, all equal to
+the window's wall time (its share of the chunk's hashing included)
+divided by its length: after a virtual-clock replay or a recovery the
+``stats()`` p50/p99 are percentiles of these per-window averages, not of
+latencies any single request saw.
+
 Crash-recovery clause: with a :class:`~.wal.WriteAheadLog` attached, every
 placement and resolved churn event is logged *before* the state mutates,
 and :meth:`AllocationService.recover` rebuilds the exact service — per-peer
@@ -37,12 +54,14 @@ import signal
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..p2p.dht import DHT
 from ..sampling.rngutils import make_rng, spawn_seed_sequences
 from .faults import FaultController, FaultPlan
 from .metrics import LatencyRecorder, service_stats
 from .traces import ChurnAction, Trace
-from .views import DChoicePlacer, StaleLoadView
+from .views import BATCH_CROSSOVER, DChoicePlacer, StaleLoadView
 from .wal import WalError, WriteAheadLog
 
 __all__ = [
@@ -58,6 +77,10 @@ WAL_FORMAT = "repro.service.wal/1"
 
 #: Default bound on one request line at the server (bytes, sans newline).
 MAX_LINE_BYTES = 65536
+
+#: Keys hashed per vectorised step of :meth:`AllocationService.allocate_many`;
+#: bounds its scratch memory whatever the batch size.
+HASH_CHUNK = 4096
 
 
 class ServiceError(Exception):
@@ -226,7 +249,8 @@ class AllocationService:
         Scans the log, quarantines any torn tail (truncate-and-continue),
         reconstructs the service from the meta record, and replays every
         logged placement and churn event through the normal
-        :meth:`allocate` / :meth:`apply_churn` paths — advancing the RNG
+        placement pipeline / :meth:`apply_churn` paths (each run of
+        consecutive placements as one batch) — advancing the RNG
         streams, counters, digest, and dedup table exactly as the original
         process did.  Each replayed decision is checked against the logged
         outcome; a mismatch means the log and this build disagree and
@@ -261,31 +285,47 @@ class AllocationService:
         return service
 
     def _replay_wal_records(self, records) -> None:
-        """Re-run logged events through the live code paths (WAL detached)."""
+        """Re-run logged events through the live code paths (WAL detached);
+        each run of consecutive placements is placed as one batch."""
         assert self._wal is None
-        for i, rec in enumerate(records, start=1):
+        i = 0
+        while i < len(records):
+            rec = records[i]
             kind = rec.get("t")
             if kind == "alloc":
-                pid = self.allocate(rec["k"], client=rec.get("c"), seq=rec.get("s"))
-                if pid != rec.get("p"):
-                    raise WalError(
-                        f"record {i}: replayed placement {pid!r} != logged "
-                        f"{rec.get('p')!r} — the log does not match this "
-                        "build's decision pipeline"
-                    )
-            elif kind == "churn":
+                # A log holds no dedup hits or stale seqs (neither is
+                # logged), so a run goes straight to placement; _commit
+                # rebuilds the dedup table from it.
+                end = i
+                while end < len(records) and records[end].get("t") == "alloc":
+                    end += 1
+                run = records[i:end]
+                pids = self._place_run([r["k"] for r in run],
+                                       [r.get("c") for r in run],
+                                       [r.get("s") for r in run])
+                for j, (r, pid) in enumerate(zip(run, pids), start=i + 1):
+                    if pid != r.get("p"):
+                        raise WalError(
+                            f"record {j}: replayed placement {pid!r} != logged "
+                            f"{r.get('p')!r} — the log does not match this "
+                            "build's decision pipeline"
+                        )
+                i = end
+                continue
+            if kind == "churn":
                 action = ChurnAction(time=0.0, kind=rec["kind"], peer_id=rec.get("sched"))
                 resolved = self.apply_churn(
                     action, client=rec.get("c"), seq=rec.get("s")
                 )
                 if (resolved["kind"], resolved["peer_id"]) != (rec.get("res"), rec.get("peer")):
                     raise WalError(
-                        f"record {i}: replayed churn "
+                        f"record {i + 1}: replayed churn "
                         f"{(resolved['kind'], resolved['peer_id'])!r} != logged "
                         f"{(rec.get('res'), rec.get('peer'))!r}"
                     )
             else:
-                raise WalError(f"record {i}: unknown record type {kind!r}")
+                raise WalError(f"record {i + 1}: unknown record type {kind!r}")
+            i += 1
 
     # -- idempotency -----------------------------------------------------------
 
@@ -332,31 +372,109 @@ class AllocationService:
         With a ``(client, seq)`` pair the placement is idempotent: a
         duplicate sequence id returns the originally chosen peer without
         placing again (or consuming the tie stream), and the decision is
-        WAL-logged before any state mutates.
+        WAL-logged before any state mutates.  The placement itself is
+        :meth:`allocate_many`'s pipeline with a batch of one.
         """
         cached = self._dedup_lookup(client, seq)
         if cached is not None:
             return cached["peer"]
+        return self._place_run([key], (client,), (seq,))[0]
+
+    def allocate_many(self, keys, clients=None, seqs=None) -> list[str]:
+        """Place *keys* in order; returns the chosen peer ids.
+
+        The same as calling :meth:`allocate` per key — same decisions, tie
+        and dedup semantics, WAL records, digest, counters and one latency
+        sample per placement — but each staleness window is decided in
+        one step (see :mod:`~.views`).  ``clients`` and ``seqs``, when
+        given, are per-key ``(client, seq)`` pairs (``None`` entries place
+        without idempotency).  A batch carries each client at most once,
+        so every pair is checked against the dedup table before anything
+        is placed: a duplicate is answered from the table without
+        consuming the tie stream, and a stale sequence id raises
+        :class:`StaleSequenceError` with nothing placed.  A key the hash
+        rejects (``TypeError``) fails the whole :data:`HASH_CHUNK` it is
+        hashed with, before any key of that chunk is placed.
+        """
+        keys = list(keys)
+        if clients is None and seqs is None:
+            return self._place_run(keys, None, None)
+        n = len(keys)
+        clients = [None] * n if clients is None else list(clients)
+        seqs = [None] * n if seqs is None else list(seqs)
+        if not len(clients) == len(seqs) == n:
+            raise ValueError("keys, clients and seqs must have equal lengths")
+        named = [str(c) for c, s in zip(clients, seqs) if c is not None and s is not None]
+        if len(set(named)) < len(named):
+            raise ValueError("a batch carries each client at most once; "
+                             "send a client's later requests in a later batch")
+        cached = [self._dedup_lookup(c, s) for c, s in zip(clients, seqs)]
+        fresh = [i for i, hit in enumerate(cached) if hit is None]
+        placed = iter(self._place_run([keys[i] for i in fresh],
+                                      [clients[i] for i in fresh],
+                                      [seqs[i] for i in fresh]))
+        return [next(placed) if hit is None else hit["peer"] for hit in cached]
+
+    def _place_run(self, keys, clients, seqs) -> list[str]:
+        """Place keys none of which is a dedup hit, window by window."""
+        if not keys:
+            return []
         if self._dht.n_peers < 1:
             raise ServiceError("no peers available to place on")
-        t0 = time.perf_counter()
-        tie_u = float(self._tie_rng.random())
-        pid = self._placer.place(key, self._view, tie_u)
-        self._wal_append({
-            "t": "alloc",
-            "c": None if client is None else str(client),
-            "s": None if seq is None else int(seq),
-            "k": key,
-            "p": pid,
-        })
-        self._loads[pid] += 1
-        self._view.tick()
-        self._digest.update(pid.encode("utf-8"))
-        self._digest.update(b"\n")
-        self.requests += 1
-        self._latency.record(time.perf_counter() - t0)
-        self._remember(client, seq, {"peer": pid})
-        return pid
+        if len(keys) < BATCH_CROSSOVER:
+            out = []
+            for j, key in enumerate(keys):
+                t0 = time.perf_counter()
+                tie_u = float(self._tie_rng.random())
+                pid = self._placer.place(key, self._view, tie_u)
+                self._commit([key], clients and clients[j:j + 1],
+                             seqs and seqs[j:j + 1], [pid])
+                self._latency.record(time.perf_counter() - t0)
+                out.append(pid)
+            return out
+        out = []
+        for lo in range(0, len(keys), HASH_CHUNK):
+            hi = min(lo + HASH_CHUNK, len(keys))
+            t0 = time.perf_counter()
+            owners = self._placer.owners(keys[lo:hi])
+            hash_share = (time.perf_counter() - t0) / (hi - lo)
+            j = lo
+            while j < hi:
+                t0 = time.perf_counter()
+                end = min(hi, j + self._view.remaining)
+                tie_u = self._tie_rng.random(end - j)
+                pids = self._placer.decide(owners[j - lo:end - lo], self._view, tie_u)
+                self._commit(keys[j:end], clients and clients[j:end],
+                             seqs and seqs[j:end], pids)
+                self._latency.record_many(
+                    (time.perf_counter() - t0) / (end - j) + hash_share, end - j)
+                out += pids
+                j = end
+        return out
+
+    def _commit(self, keys, clients, seqs, pids) -> None:
+        """Log, then apply, the placements of one window (``clients`` /
+        ``seqs`` are ``None`` or per-key lists)."""
+        if self._wal is not None:
+            for j, (key, pid) in enumerate(zip(keys, pids)):
+                client = clients[j] if clients else None
+                seq = seqs[j] if seqs else None
+                self._wal.append({
+                    "t": "alloc",
+                    "c": None if client is None else str(client),
+                    "s": None if seq is None else int(seq),
+                    "k": key,
+                    "p": pid,
+                })
+        loads = self._loads
+        for pid in pids:
+            loads[pid] += 1
+        self._view.advance(len(pids))
+        self._digest.update(("\n".join(pids) + "\n").encode("utf-8"))
+        self.requests += len(pids)
+        if clients:
+            for client, seq, pid in zip(clients, seqs, pids):
+                self._remember(client, seq, {"peer": pid})
 
     def placement_digest(self) -> str:
         """Running sha256 over the chosen-peer sequence so far."""
@@ -440,7 +558,13 @@ class AllocationService:
     # -- observability ---------------------------------------------------------
 
     def stats(self) -> dict:
-        """The `/metrics`-style stats dict (JSON-ready)."""
+        """The `/metrics`-style stats dict (JSON-ready).
+
+        ``latency`` holds one sample per placement; placements decided in
+        a batched window share that window's amortised per-key time (see
+        the module docstring), so its percentiles are per-request only
+        for keys placed one at a time.
+        """
         wal_info = None
         if self._wal is not None:
             wal_info = {
@@ -484,30 +608,46 @@ class AllocationService:
         ``pace`` throttles wall-clock replay to ``pace`` times real time
         (``0`` = as fast as possible, the virtual-clock deterministic
         mode).  The placement sequence and final counts are invariant to
-        ``pace`` — only the latency telemetry differs.
+        ``pace`` — only the latency telemetry differs.  The virtual clock
+        feeds each stretch between churn events to :meth:`allocate_many`
+        a few thousand keys at a time; a paced replay is wall-clock
+        driven, so it places one key per call, as a live client would.
         """
         if pace < 0:
             raise ValueError(f"pace must be non-negative, got {pace}")
         schedule = sorted(churn_schedule, key=lambda a: a.time)
         placements: list[str] = [] if keep_placements else None
         t_start = time.perf_counter()
-        c = 0
-        keys = trace.keys()
-        for j in range(trace.count):
-            t_arrival = float(trace.times[j])
-            while c < len(schedule) and schedule[c].time <= t_arrival:
-                self.apply_churn(schedule[c])
-                c += 1
-            if pace > 0:
+        if pace > 0:
+            keys = trace.keys()
+            c = 0
+            for j in range(trace.count):
+                t_arrival = float(trace.times[j])
+                while c < len(schedule) and schedule[c].time <= t_arrival:
+                    self.apply_churn(schedule[c])
+                    c += 1
                 lag = t_arrival / pace - (time.perf_counter() - t_start)
                 if lag > 0:
                     time.sleep(lag)
-            pid = self.allocate(next(keys))
-            if placements is not None:
-                placements.append(pid)
-        while c < len(schedule):
-            self.apply_churn(schedule[c])
-            c += 1
+                pid = self.allocate(next(keys))
+                if placements is not None:
+                    placements.append(pid)
+            for action in schedule[c:]:
+                self.apply_churn(action)
+        else:
+            # Arrival times are non-decreasing, so the request each action
+            # fires before is a binary search.
+            fire_at = np.searchsorted(trace.times, [a.time for a in schedule],
+                                      side="left").tolist()
+            done = 0
+            for action, at in zip([*schedule, None], fire_at + [trace.count]):
+                for lo in range(done, at, HASH_CHUNK):
+                    pids = self.allocate_many(trace.keys(lo, min(at, lo + HASH_CHUNK)))
+                    if placements is not None:
+                        placements.extend(pids)
+                done = at
+                if action is not None:
+                    self.apply_churn(action)
         wall = time.perf_counter() - t_start
 
         loads = dict(self._loads)
@@ -696,6 +836,11 @@ async def _serve_connection(
                 return
             writer.write(_encode(reply))
             await writer.drain()
+    except asyncio.CancelledError:
+        # Server shutdown: end the handler quietly.  A handler task that
+        # ends cancelled makes asyncio's stream callback log a spurious
+        # CancelledError traceback (Python 3.11).
+        pass
     finally:
         writer.close()
         try:

@@ -100,9 +100,20 @@ class Trace:
         """Simulated seconds spanned by the arrivals (0 when empty)."""
         return float(self.times[-1]) if self.times.size else 0.0
 
-    def keys(self):
-        """Request keys in arrival order (object-id addressed)."""
-        return (f"obj-{int(o)}" for o in self.objects)
+    def keys(self, start: int = 0, stop: int | None = None):
+        """Request keys in arrival order (object-id addressed), optionally
+        only those of requests ``start`` up to ``stop``.
+
+        Requests for the same object yield the same ``str`` object, so a
+        materialised key list costs memory per distinct object rather than
+        per request (a Zipf trace repeats its hot objects many times).
+        """
+        names: dict[int, str] = {}
+        objects = self.objects[start:stop]
+        for lo in range(0, objects.size, 4096):
+            chunk = objects[lo:lo + 4096].tolist()
+            names.update((o, f"obj-{o}") for o in set(chunk).difference(names))
+            yield from map(names.__getitem__, chunk)
 
     def digest(self) -> str:
         """sha256 over the trace arrays — the determinism pin."""

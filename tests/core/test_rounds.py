@@ -118,3 +118,27 @@ class TestBatchedEnsemble:
             simulate_batched_ensemble(bins, seeds=[1, 2], seed_mode="blocked")
         with pytest.raises(ValueError, match="contradicts"):
             simulate_batched_ensemble(bins, repetitions=3, seeds=[1, 2])
+
+
+class TestDecisionKernels:
+    """``stale_choice`` (the scalar loop) and ``_resolve_stale_batch`` (its
+    lockstep form) make the same decision for every ball."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_lockstep_kernel_equals_scalar_loop(self, d):
+        from repro.core.rounds import _resolve_stale_batch, stale_choice
+
+        rng = np.random.default_rng(d)
+        n, R, k = 6, 3, 200
+        # Few bins, small loads and capacities: many exact ties and
+        # duplicated candidates, so every branch of the tie pipeline runs.
+        counts = rng.integers(0, 4, (R, n))
+        caps = rng.integers(1, 4, n)
+        choices = rng.integers(0, n, (R, k, d))
+        tie_u = rng.random((R, k))
+        got = _resolve_stale_batch(counts, caps, choices, tie_u)
+        for r in range(R):
+            loads, cap_list = counts[r].tolist(), caps.tolist()
+            expected = [stale_choice(row, loads, cap_list, u)
+                        for row, u in zip(choices[r].tolist(), tie_u[r].tolist())]
+            assert got[r].tolist() == expected

@@ -10,6 +10,7 @@ filesystems).
 
 import json
 import os
+import shutil
 import threading
 from unittest import mock
 
@@ -165,4 +166,73 @@ class TestVanishingParent:
                 with atomic_write(target) as fh:
                     fh.write("never lands")
         assert len(calls) == _REPLACE_ATTEMPTS  # bounded, not a spin
+        assert not target.exists()
+
+    def test_parent_swept_before_the_temp_open(self, tmp_path):
+        """The same race one step earlier: the rmtree lands between the
+        mkdir and the temp file's open.  Pre-fix the open's
+        ``FileNotFoundError`` escaped; now the parent is re-created and
+        the open retried."""
+        target = tmp_path / "ns" / "out.txt"
+        real_open = open
+        calls = []
+
+        def sweeping_open(file, *args, **kwargs):
+            calls.append(file)
+            if len(calls) == 1:
+                shutil.rmtree(target.parent)  # the concurrent clear
+            return real_open(file, *args, **kwargs)
+
+        with mock.patch("repro.io.atomicio.open", side_effect=sweeping_open,
+                        create=True):
+            with atomic_write(target) as fh:
+                fh.write("landed")
+        assert len(calls) == 2
+        assert target.read_text() == "landed"
+        assert list(target.parent.iterdir()) == [target]
+
+    def test_parent_created_and_swept_during_the_mkdir(self, tmp_path):
+        """``mkdir(exist_ok=True)`` raises ``FileExistsError`` when another
+        process creates the directory and a third removes it before
+        pathlib's own is-it-a-directory check; that race is retried."""
+        from pathlib import Path
+
+        target = tmp_path / "ns" / "out.txt"
+        real_mkdir = Path.mkdir
+        calls = []
+
+        def racing_mkdir(self, *args, **kwargs):
+            calls.append(self)
+            if len(calls) == 1:
+                raise FileExistsError(str(self))
+            return real_mkdir(self, *args, **kwargs)
+
+        with mock.patch.object(Path, "mkdir", racing_mkdir):
+            with atomic_write(target) as fh:
+                fh.write("landed")
+        assert len(calls) == 2
+        assert target.read_text() == "landed"
+
+    def test_parent_that_is_a_file_still_fails(self, tmp_path):
+        (tmp_path / "ns").write_text("not a directory")
+        with pytest.raises(FileExistsError):
+            with atomic_write(tmp_path / "ns" / "out.txt") as fh:
+                fh.write("never lands")
+
+    def test_open_against_a_delete_loop_fails_loudly(self, tmp_path):
+        from repro.io.atomicio import _REPLACE_ATTEMPTS
+
+        target = tmp_path / "ns" / "out.txt"
+        calls = []
+
+        def always_missing(file, *args, **kwargs):
+            calls.append(file)
+            raise FileNotFoundError(file)
+
+        with mock.patch("repro.io.atomicio.open", side_effect=always_missing,
+                        create=True):
+            with pytest.raises(FileNotFoundError):
+                with atomic_write(target) as fh:
+                    fh.write("never lands")
+        assert len(calls) == _REPLACE_ATTEMPTS
         assert not target.exists()

@@ -318,30 +318,56 @@ class TestQuarantine:
 
 
 class TestCheckpointerConcurrency:
+    def test_directory_swept_mid_scan_reads_as_empty(self, tmp_path):
+        """A concurrent ``clear`` can remove the directory while the slot
+        scan lists it; that is an empty namespace, not a crash."""
+        from pathlib import Path
+        from unittest import mock
+
+        from repro.io.store import Checkpointer
+
+        directory = tmp_path / "ckpt"
+        Checkpointer(directory).slot().save(StreamingScalar().update([1.0]), 1,
+                                            "f" * 64)
+
+        def swept(self, pattern):
+            raise FileNotFoundError(str(self))
+
+        with mock.patch.object(Path, "glob", swept):
+            ckpt = Checkpointer(directory)
+            assert ckpt.slot_indices() == []
+            assert not ckpt.has_state()
+
     def test_multiprocess_save_clear_stress(self, tmp_path):
         """Writers hammering ``slot.save`` while another process rmtrees the
         namespace (``Checkpointer.clear``) — the fabric's steady state.
-        Pre-fix, a writer whose parent directory vanished between the mkdir
-        and the ``os.replace`` crashed with ``FileNotFoundError``; post-fix
-        every process exits clean and the namespace stays usable."""
-        import multiprocessing
+        Pre-fix, a writer whose parent directory vanished around the mkdir,
+        the ``open``, the ``os.replace`` or the slot scan crashed; post-fix
+        every process exits clean and the namespace stays usable.
+        ``scripts/ci.sh`` loops :func:`save_clear_stress` 50 times."""
+        save_clear_stress(tmp_path)
 
-        ctx = multiprocessing.get_context("fork")
-        directory = tmp_path / "ckpt"
-        rounds = 60
-        procs = [
-            ctx.Process(target=_stress_writer, args=(directory, rounds))
-            for _ in range(3)
-        ] + [ctx.Process(target=_stress_clearer, args=(directory, rounds))]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join(timeout=60)
-        exit_codes = [p.exitcode for p in procs]
-        assert exit_codes == [0, 0, 0, 0]
-        # the namespace survived the storm: a fresh save/load round-trips
-        slot = ResultStore(tmp_path / "s2").checkpointer("d" * 64).slot()
-        reducer = StreamingScalar().update([4.0])
-        slot.save(reducer, 1, "g" * 64)
-        loaded = slot.load("g" * 64)
-        assert loaded is not None and loaded[0] == reducer
+
+def save_clear_stress(root, rounds=60):
+    """One storm of the checkpointer stress test under *root*: three
+    writer processes and one clearer, then a save/load round trip."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    directory = root / "ckpt"
+    procs = [
+        ctx.Process(target=_stress_writer, args=(directory, rounds))
+        for _ in range(3)
+    ] + [ctx.Process(target=_stress_clearer, args=(directory, rounds))]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=60)
+    exit_codes = [p.exitcode for p in procs]
+    assert exit_codes == [0, 0, 0, 0]
+    # the namespace survived the storm: a fresh save/load round-trips
+    slot = ResultStore(root / "s2").checkpointer("d" * 64).slot()
+    reducer = StreamingScalar().update([4.0])
+    slot.save(reducer, 1, "g" * 64)
+    loaded = slot.load("g" * 64)
+    assert loaded is not None and loaded[0] == reducer

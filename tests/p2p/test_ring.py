@@ -65,6 +65,21 @@ class TestLookup:
         ring = ConsistentHashRing.random(10, seed=5)
         assert ring.lookup_key("file-42") == ring.lookup_key("file-42")
 
+    def test_scalar_lookup_equals_batch_lookup(self):
+        """The bisect scalar path and the searchsorted batch path agree on
+        random points, exact virtual positions (ties go to that position's
+        owner), out-of-range points and the wrap past the last position."""
+        ring = ConsistentHashRing.random(25, virtual_nodes=3, seed=6)
+        pos = ring.positions
+        points = np.concatenate([
+            np.random.default_rng(0).random(2000),
+            pos, np.nextafter(pos, 1.0), np.nextafter(pos, 0.0),
+            [0.0, 1.0, -0.25, 1.75, -1e-300, pos[-1] + 1e-12],
+        ])
+        scalar = [ring.lookup(float(p)) for p in points]
+        assert scalar == ring.lookup_batch(points).tolist()
+        assert all(type(i) is int for i in scalar)
+
 
 class TestArcs:
     def test_lengths_sum_to_one(self):

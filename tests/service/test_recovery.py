@@ -1,7 +1,16 @@
 """Crash-recovery tests: recover-at-k == uninterrupted, bit for bit."""
 
+import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.service import (
     AllocationService,
     ChurnAction,
@@ -249,3 +258,53 @@ class TestChurnFloorRecords:
         control.apply_churn(ChurnAction(time=0.0, kind="join"))
         assert (recovered.apply_churn(ChurnAction(time=0.0, kind="leave"))
                 == control.apply_churn(ChurnAction(time=0.0, kind="leave")))
+
+
+class TestStopSignals:
+    """``repro serve`` treats SIGTERM like SIGINT: the WAL is flushed and
+    closed, the exit status is 0, no traceback is printed, and every
+    acknowledged placement is recoverable."""
+
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT],
+                             ids=["SIGTERM", "SIGINT"])
+    def test_acknowledged_allocs_survive_a_stop_signal(self, tmp_path, sig):
+        path = tmp_path / "svc.wal"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--peers", str(len(PEERS)), "--seed", str(SEED), "--wal", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+        try:
+            banner = proc.stdout.readline()
+            host, port = banner.split(" on ")[1].split()[0].rsplit(":", 1)
+            peers = []
+            with socket.create_connection((host, int(port)), timeout=30) as sock:
+                stream = sock.makefile("rwb")
+                for seq, key in enumerate(KEYS, start=1):
+                    stream.write(json.dumps({"op": "alloc", "key": key,
+                                             "client": "c", "seq": seq}).encode()
+                                 + b"\n")
+                    stream.flush()
+                    reply = json.loads(stream.readline())
+                    assert reply["ok"], reply
+                    peers.append(reply["peer"])
+                proc.send_signal(sig)
+                _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err, err
+
+        recovered = AllocationService.recover(path)
+        recovered.close_wal()
+        reference = AllocationService(PEERS, d=2, refresh_every=64, seed=SEED)
+        assert [reference.allocate(k, client="c", seq=s)
+                for s, k in enumerate(KEYS, start=1)] == peers
+        assert recovered.recovered_records == len(KEYS)
+        assert recovered.placement_digest() == reference.placement_digest()
+        assert (recovered.stats()["load"]["per_peer"]
+                == reference.stats()["load"]["per_peer"])
