@@ -87,16 +87,17 @@ def main() -> None:
           f"{adaptive['replication_budget']} budgeted replications "
           f"(early stop: {adaptive['early_stopped']})")
 
-    # Kernel backends: dispatch order is compiled > wavefront > per-ball,
-    # and no choice ever changes a number (the tiers are bit-identical).
-    # REPRO_BACKEND=auto (default) uses the numba-jitted compiled tier
-    # exactly when numba is installed (`pip install -e ".[compiled]"`);
-    # REPRO_BACKEND=numpy/compiled — or forced_backend(...) — pins a tier.
-    from repro.core import HAVE_NUMBA, forced_backend
+    # Kernel policy: one KernelPolicy(backend, wavefront, threads) picks
+    # the tier — compiled > wavefront > per-ball — and no choice ever
+    # changes a number (the tiers are bit-identical).  REPRO_BACKEND=auto
+    # (default) uses the numba-jitted compiled tier exactly when numba is
+    # installed (`pip install -e ".[compiled]"`); REPRO_BACKEND=numpy/
+    # compiled — or forced_policy(backend=...) — pins a tier.
+    from repro.core import HAVE_NUMBA, forced_policy
 
-    with forced_backend("numpy"):
+    with forced_policy(backend="numpy"):
         ref = simulate(bins, seed=2026)
-    with forced_backend("compiled"):  # jitted with numba, else interpreter
+    with forced_policy(backend="compiled"):  # jitted with numba, else interpreter
         comp = simulate(bins, seed=2026)
     assert (ref.counts == comp.counts).all(), "backends must be bit-identical"
     print(f"\nbackends agree bit-for-bit (numba available: {HAVE_NUMBA})")
@@ -105,17 +106,16 @@ def main() -> None:
     # replications only — each thread owns whole replication rows, so no
     # thread budget can change a number either.  REPRO_THREADS=auto
     # (default) resolves to min(cores, R) once a run clears the work-size
-    # floor; an explicit N pins the budget (1 = the serial kernels), and
+    # floor; an explicit N pins the budget (1 = the serial compile), and
     # pool/fabric workers stay at 1 thread unless the driver forces more,
     # so workers x threads never oversubscribes the machine.  The CLI
     # spelling is `repro run fig01 --engine ensemble --threads 4`.
-    from repro.core import forced_threads, simulate_ensemble
+    from repro.core import simulate_ensemble
 
-    with forced_backend("compiled"):
-        with forced_threads(1):
-            serial_ens = simulate_ensemble(bins, repetitions=8, seed=2026)
-        with forced_threads(4):  # prange under numba, plain range without
-            threaded = simulate_ensemble(bins, repetitions=8, seed=2026)
+    with forced_policy(backend="compiled", threads=1):
+        serial_ens = simulate_ensemble(bins, repetitions=8, seed=2026)
+    with forced_policy(backend="compiled", threads=4):  # prange under numba
+        threaded = simulate_ensemble(bins, repetitions=8, seed=2026)
     assert (serial_ens.counts == threaded.counts).all(), (
         "thread budgets must be bit-identical"
     )

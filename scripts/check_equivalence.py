@@ -4,26 +4,26 @@
 Runs, from :mod:`repro.core.equivalence`:
 
 * the randomised three-way kernel sweep (ensemble vs fast vs reference);
-* the randomised wavefront kernel sweep (conflict-free wave commits vs
-  the per-ball ensemble kernel, bit-exact incl. heights) and the
-  wavefront driver on/off identity sweep;
-* the randomised compiled-backend kernel sweep (jitted — or, without
-  numba, interpreter-fallback — loops vs the per-ball ensemble kernel)
-  and the backend compiled/numpy driver identity sweep;
+* the randomised lockstep kernel sweeps: the wavefront and the compiled
+  kernels (jitted, or without numba the same source through the
+  interpreter) each against the per-ball ensemble kernel, bit-exact incl.
+  heights;
 * the spawn-mode driver parity sweeps (plain, stale-view batched, weighted
   balls, ring allocation — each lockstep driver vs its scalar counterpart);
+* the dispatch-identity matrix: along each selected kernel-policy axis,
+  randomised driver runs and every registered experiment on both engines
+  must be bit-identical for every value of the axis;
 * the per-experiment cross-engine matrix (every registered experiment on
   both engines, optionally at a ``--rep-factor`` multiple of the pinned
-  repetition counts), each entry also run with the wavefront forced on
-  and off, and with the backend forced to compiled and to numpy, under a
-  bit-identity requirement.
+  repetition counts, within its pinned tolerance).
 
-``--backend MODE`` pins ``REPRO_BACKEND`` for the whole run, so CI can
-repeat the sweep once per available backend (see ``scripts/ci.sh``).
-``--threads`` additionally requires compiled-tier thread identity (forced
-1 vs 2 vs 7 threads, both engines) for every experiment in the matrix.
-``--fabric N`` additionally runs every experiment over an N-worker sweep
-fabric and requires bit-identity against the local serial run.
+The matrix always covers the ``wavefront`` (on/off) and ``backend``
+(compiled/numpy) axes; ``--threads`` adds the ``threads`` axis (compiled
+tier forced to 1 vs 2 vs 7 threads).  ``--backend MODE`` pins the ambient
+backend for the whole run, so CI can repeat the sweep once per available
+backend (see ``scripts/ci.sh``).  ``--fabric N`` additionally runs every
+experiment over an N-worker sweep fabric and requires bit-identity
+against the local serial run.
 
 Exit code 0 means every replication of every draw was bit-identical across
 engines and every experiment's figures agreed within its pinned tolerance.
@@ -48,25 +48,26 @@ try:
 except ModuleNotFoundError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.core.compiled import BACKEND_MODES, HAVE_NUMBA, set_backend
 from repro.core.equivalence import (
+    DISPATCH_AXES,
     EXPERIMENT_CASES,
     SweepBudget,
-    check_backend_driver_identity,
     check_batched_parity,
-    check_compiled_kernel_equivalence,
+    check_dispatch_identity,
+    check_driver_dispatch_identity,
     check_driver_parity,
-    check_experiment_backend_identity,
     check_experiment_equivalence,
-    check_experiment_wavefront_identity,
     check_fabric_serial_identity,
     check_kernel_equivalence,
+    check_lockstep_kernel_equivalence,
     check_ring_parity,
-    check_thread_identity,
-    check_wavefront_driver_identity,
-    check_wavefront_kernel_equivalence,
     check_weighted_parity,
 )
+from repro.core.policy import CHOICES, HAVE_NUMBA, set_policy
+
+#: Master-seed salts, so each sweep draws its own instances.
+_KERNEL_SALTS = {"wavefront": 0xAFE1, "compiled": 0xC0DE}
+_DRIVER_SALTS = {"wavefront": 0x0FF0, "backend": 0xBACC, "threads": 0x7EAD}
 
 
 def main(argv=None) -> int:
@@ -89,43 +90,40 @@ def main(argv=None) -> int:
                         help="also require fabric == serial bit-identity for "
                              "every experiment, over N broker-leased workers "
                              "(default: off; implies the experiment matrix)")
-    parser.add_argument("--backend", choices=BACKEND_MODES, default=None,
-                        help="pin REPRO_BACKEND for the whole run (default: "
-                             "leave the ambient dispatch in force)")
+    parser.add_argument("--backend", choices=CHOICES["backend"], default=None,
+                        help="pin the ambient backend for the whole run "
+                             "(default: leave REPRO_BACKEND in force)")
     parser.add_argument("--threads", action="store_true",
-                        help="also require compiled-tier thread identity "
-                             "(forced 1 vs 2 vs 7 threads, both engines) for "
-                             "every experiment in the matrix")
+                        help="add the threads axis (compiled tier forced to "
+                             "1 vs 2 vs 7 threads) to the dispatch matrix")
     args = parser.parse_args(argv)
 
     budget = SweepBudget(draws=args.draws, max_m=args.max_m, max_r=args.max_r)
+    axes = ["wavefront", "backend"] + (["threads"] if args.threads else [])
     started = time.perf_counter()
     if args.backend:
         # The script owns its process, so a plain process-wide override is
         # enough — identity checks still force both sides as they need to.
-        set_backend(args.backend)
+        set_policy(backend=args.backend)
         jit = "numba" if HAVE_NUMBA else "interpreter fallback"
         print(f"backend pinned:     {args.backend} ({jit})")
     try:
         kernel = check_kernel_equivalence(args.seed, budget)
         print(f"kernel equivalence: {kernel} draws OK "
               f"(ensemble == fast == reference, counts + heights)")
-        wavefront = check_wavefront_kernel_equivalence(args.seed ^ 0xAFE1, budget)
-        print(f"wavefront kernel:   {wavefront} draws OK "
-              f"(run_batch_wavefront == run_batch_ensemble, counts + heights)")
-        compiled = check_compiled_kernel_equivalence(args.seed ^ 0xC0DE, budget)
-        print(f"compiled kernel:    {compiled} draws OK "
-              f"(run_batch_compiled == run_batch_ensemble, counts + heights)")
-        wf_driver = check_wavefront_driver_identity(
-            args.seed ^ 0x0FF0, trials=args.driver_trials
-        )
-        print(f"wavefront drivers:  {wf_driver} trials OK "
-              f"(forced on == forced off, both engines, snapshots + heights)")
-        be_driver = check_backend_driver_identity(
-            args.seed ^ 0xBACC, trials=args.driver_trials
-        )
-        print(f"backend drivers:    {be_driver} trials OK "
-              f"(compiled == numpy, both engines, snapshots + heights)")
+        for name, salt in _KERNEL_SALTS.items():
+            draws = check_lockstep_kernel_equivalence(name, args.seed ^ salt, budget)
+            print(f"{name + ' kernel:':20s}{draws} draws OK "
+                  f"(run_batch_{name} == run_batch_ensemble, counts + heights)")
+        for axis in axes:
+            values = DISPATCH_AXES[axis]
+            trials = check_driver_dispatch_identity(
+                axis, values, args.seed ^ _DRIVER_SALTS[axis],
+                trials=args.driver_trials,
+            )
+            print(f"{axis + ' drivers:':20s}{trials} trials OK "
+                  f"({' == '.join(map(str, values))}, both engines, "
+                  f"snapshots + heights)")
         driver = check_driver_parity(args.seed ^ 0xD41E, trials=args.driver_trials)
         print(f"driver parity:      {driver} trials OK "
               f"(simulate_ensemble row r == simulate(seed=child_r))")
@@ -149,22 +147,19 @@ def main(argv=None) -> int:
                     experiment_id, rep_factor=args.rep_factor
                 )
                 tol = EXPERIMENT_CASES[experiment_id].tol
-                engines = check_experiment_wavefront_identity(experiment_id)
-                backends = check_experiment_backend_identity(experiment_id)
-                thread_note = ""
-                if args.threads:
-                    comparisons = check_thread_identity(experiment_id)
-                    thread_note = (f"; threads 1==2==7 "
-                                   f"({comparisons} comparisons)")
+                notes = []
+                for axis in axes:
+                    values = DISPATCH_AXES[axis]
+                    comparisons = check_dispatch_identity(experiment_id, axis, values)
+                    notes.append(f"{axis} {'=='.join(map(str, values))} "
+                                 f"({comparisons} comparisons)")
                 fab_note = ""
                 if fabric is not None:
                     check_fabric_serial_identity(experiment_id, fabric=fabric)
                     fab_note = f"; fabric=={args.fabric}-worker serial"
                 print(f"experiment matrix:  {experiment_id:16s} OK "
                       f"(worst series deviation {worst:.4f} <= tol {tol}; "
-                      f"wavefront on==off on {engines} engines; "
-                      f"compiled==numpy on {backends} engines"
-                      f"{thread_note}{fab_note})")
+                      f"{'; '.join(notes)}{fab_note})")
     except AssertionError as exc:
         print(f"EQUIVALENCE FAILURE: {exc}", file=sys.stderr)
         return 1

@@ -42,17 +42,17 @@
 #      and per-peer counts must be bit-identical to the uninterrupted
 #      in-process replay (and to an offline `AllocationService.recover`);
 #   9. a reduced-budget cross-engine equivalence sweep, run once per
-#      *available* backend (numpy always; compiled additionally when numba
-#      is importable — without numba the numpy pass already executes the
-#      compiled tier's interpreter fallback in its backend checks) —
-#      kernel three-way bit-exactness, the wavefront and compiled kernel /
-#      driver bit-identity sweeps, the four driver parity sweeps, and the
-#      full per-experiment engine matrix with the wavefront forced on/off
-#      and the backend forced compiled/numpy per experiment; where numba
-#      is present the compiled pass repeats once under REPRO_THREADS=4
-#      with --threads (forced 1 vs 2 vs 7 thread identity per experiment),
-#      so the prange kernels are exercised under a real thread pool
-#      routinely, not just through the numba-less prange=range fallback.
+#      *available* backend pinned as the ambient one (numpy always;
+#      compiled additionally when numba is importable — without numba the
+#      backend axis already runs the compiled source through the
+#      interpreter): kernel three-way bit-exactness, the wavefront and
+#      compiled lockstep kernel sweeps, the four driver parity sweeps, and
+#      the dispatch-identity matrix — randomised driver runs and every
+#      registered experiment on both engines, bit-identical along the
+#      wavefront (on/off) and backend (compiled/numpy) axes of the kernel
+#      policy.  Where numba is present the compiled pass repeats once under
+#      REPRO_THREADS=4 with --threads, adding the threads axis (1 vs 2 vs 7)
+#      so the prange compile runs under a real thread pool routinely.
 #
 # The reduced budgets keep the whole pipeline at ~1 minute so the
 # equivalence sweep is exercised routinely instead of only by hand; run

@@ -58,7 +58,7 @@ import argparse
 import sys
 
 from .analysis.stats import load_stats, per_class_max_loads
-from .core.compiled import set_threads
+from .core.policy import set_policy
 from .core.simulation import simulate
 from .experiments.base import list_experiments
 from .experiments.runner import run_experiment
@@ -750,7 +750,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "threads", None) is not None:
         try:
-            set_threads(args.threads)
+            set_policy(threads=args.threads)
         except ValueError as exc:
             parser.error(str(exc))
     handlers = {

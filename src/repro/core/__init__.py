@@ -6,21 +6,7 @@ from .baselines import (
     one_choice,
     standard_greedy,
 )
-from .compiled import (
-    BACKEND_MODES,
-    HAVE_NUMBA,
-    THREADS_ENV_VAR,
-    forced_backend,
-    forced_threads,
-    get_backend,
-    get_threads,
-    resolve_threads,
-    run_batch_compiled,
-    set_backend,
-    set_threads,
-    use_compiled,
-    worker_thread_budget,
-)
+from .compiled import run_batch_compiled
 from .dynamics import DynamicsResult, simulate_insert_delete
 from .ensemble import (
     EnsembleResult,
@@ -48,16 +34,18 @@ from .migration import (
     migration_cost_from_scratch,
     rebalance_waterfill,
 )
+from .policy import (
+    HAVE_NUMBA,
+    KernelPolicy,
+    current_policy,
+    forced_policy,
+    set_policy,
+    use_wavefront,
+)
 from .protocol import TIE_BREAKS, allocate_ball, select_bin
 from .rounds import simulate_batched, simulate_batched_ensemble
 from .simulation import SimulationResult, Snapshot, simulate
-from .wavefront import (
-    WAVEFRONT_MODES,
-    WavefrontStats,
-    WavefrontWorkspace,
-    run_batch_wavefront,
-    use_wavefront,
-)
+from .wavefront import WavefrontStats, WavefrontWorkspace, run_batch_wavefront
 from .weighted import (
     WeightedEnsembleResult,
     WeightedResult,
@@ -77,20 +65,12 @@ __all__ = [
     "use_wavefront",
     "WavefrontStats",
     "WavefrontWorkspace",
-    "WAVEFRONT_MODES",
     "run_batch_compiled",
-    "use_compiled",
-    "get_backend",
-    "set_backend",
-    "forced_backend",
-    "BACKEND_MODES",
     "HAVE_NUMBA",
-    "get_threads",
-    "set_threads",
-    "forced_threads",
-    "resolve_threads",
-    "worker_thread_budget",
-    "THREADS_ENV_VAR",
+    "KernelPolicy",
+    "current_policy",
+    "set_policy",
+    "forced_policy",
     "select_bin",
     "allocate_ball",
     "TIE_BREAKS",

@@ -1,15 +1,9 @@
-"""Compiled kernel backend: the third engine tier, below the NumPy kernels.
+"""Compiled kernel backend: the tier below the NumPy kernels.
 
-PR 5 measured the ceiling of NumPy-call-granularity execution: at ``R = 64``
-the per-ball lockstep kernel is ~40% memory-bound and the Python dispatch
-loop costs ~0.2 µs per ball, so neither wider vectorisation nor deeper
-wavefront tiling buys much more (ROADMAP "Wavefront kernels").  The
-remaining headroom lives *below* NumPy: one compiled loop over the pre-drawn
-``(R, k, d)`` choice batch touches each count exactly once, with no
-per-ball Python frames and no temporary arrays at all.  This module
-provides that tier — Numba-jitted when :mod:`numba` is importable, the same
-functions as plain Python otherwise — for the per-ball reference kernel and
-the three lockstep specialisations the wavefront kernels cover:
+One loop over the pre-drawn ``(R, k, d)`` choice batch touches each count
+exactly once, with no per-ball Python frames and no temporary arrays.
+This module holds that loop for the three lockstep specialisations the
+NumPy kernels also cover:
 
 * **d=2 uniform** — equal capacities, the pure count comparison;
 * **d=2 general** — heterogeneous capacities, shared ``(n,)`` or
@@ -17,81 +11,44 @@ the three lockstep specialisations the wavefront kernels cover:
 * **general d** — the tournament/tie-set reduction of
   :func:`repro.core.fast.run_batch`'s general loop.
 
-Why there is no compiled *wavefront*: the wavefront decomposition exists to
-amortise per-ball **call overhead** across conflict-free tiles.  A compiled
-loop has no per-ball call overhead, so the conflict-free tiling degenerates
-to the plain sequential commit order — which is exactly what the kernels
-below execute.  They therefore realise the same decision sequence as both
-the per-ball kernels and the wavefront kernels, and are held to the same
-bit-identity bar (:func:`repro.core.equivalence.check_compiled_kernel_equivalence`,
-:func:`repro.core.equivalence.check_experiment_backend_identity`).
+Each kernel source is compiled twice: once serially through :func:`_jit`
+and once through :func:`_jit_parallel`, whose ``prange`` spreads whole
+replication rows over threads.  Numba treats ``prange`` as ``range``
+unless ``parallel=True`` is set, and without Numba both compiles are the
+same Python function, so no thread count can change a number.  Without
+Numba the module stays importable and runs the sources through the
+interpreter: identical arithmetic, interpreter speed.  ``auto`` selects
+this tier only when Numba is present, so a Numba-less install never
+slows down; the equivalence suite still forces it at tiny scale, pinning
+the fallback to the same bit-identity contract.  Compilation is cached on
+disk (``numba.njit(cache=True)``), so the jit cost is paid once per
+machine, not once per process.
 
-Graceful fallback
------------------
-When Numba is absent the module stays fully importable and the kernels run
-as ordinary Python functions — identical arithmetic, interpreter speed.
-``"auto"`` dispatch (see below) only selects the compiled tier when Numba
-is actually present, so a Numba-less installation never slows down; the
-tests still force ``"compiled"`` at tiny scale to pin the fallback kernels
-to the same bit-identity contract the jitted ones must meet.  Compilation
-is cached on disk (``numba.njit(cache=True)``), so the one-time jit cost is
-paid once per machine, not once per process — which is how ``make check``
-keeps compiled warmup out of its timed sections.
+There is no compiled *wavefront*: the wavefront amortises per-ball call
+overhead across conflict-free tiles, and a compiled loop has none, so its
+tiling would degenerate to the sequential commit order these loops
+already execute.
 
-Dispatch knob
--------------
-``REPRO_BACKEND`` (environment) or :func:`set_backend` /
-:func:`forced_backend` select ``"auto"`` (default: compiled iff Numba is
-available), ``"numpy"`` (always the NumPy tier: wavefront/per-ball
-dispatch as before this tier existed) or ``"compiled"`` (always these
-kernels, jitted or not).  The drivers resolve the backend *before* the
-wavefront heuristic — dispatch order is compiled > wavefront > per-ball —
-and the equivalence suite runs every experiment under
-``forced_backend("compiled")`` and ``forced_backend("numpy")`` on both
-engines and asserts bit-identity, mirroring the ``REPRO_WAVEFRONT``
-pattern of :mod:`repro.core.wavefront`.
-
-Replication-parallel execution
-------------------------------
-Every Monte-Carlo replication is an independent row of the ``(R, n)``
-counts matrix, so the compiled tier also ships ``numba.prange`` variants
-of all three specialisations that parallelise over the ``R`` axis *only*:
-each thread owns whole replication rows (counts, heights), there is zero
-cross-row communication, and the per-row arithmetic is byte-for-byte the
-serial kernels' — **no thread count can ever change a number**.  The
-serial kernels remain the numba-less same-source fallback (without numba
-``prange`` is plain ``range``, so the parallel variants run serially
-through the interpreter with identical arithmetic).
-
-``REPRO_THREADS`` (environment) or :func:`set_threads` /
-:func:`forced_threads` pick the per-process thread budget: ``"auto"``
-(default) resolves to ``min(cpu_count, R)`` with a work-size floor
-(:data:`PARALLEL_MIN_WORK`) so tiny batches stay serial; an explicit
-``N >= 1`` forces that budget at every scale (``N = 1`` pins the serial
-kernels).  The drivers (:func:`repro.core.simulation.simulate`,
-:func:`repro.core.ensemble.simulate_ensemble`) resolve the budget once
-per run alongside ``REPRO_BACKEND``.  Fleet safety: worker pools
-(:func:`repro.runtime.executor.run_tasks`) and fabric-spawned workers
-(:mod:`repro.runtime.fabric.launcher`) pin their children to
-:func:`worker_thread_budget` — ``1`` unless the parent explicitly chose a
-budget — so ``workers × threads`` never oversubscribes the cores.
+Which tier runs, and on how many threads, is the kernel policy's call
+(:mod:`repro.core.policy`: ``REPRO_BACKEND``, ``REPRO_THREADS``).  The
+getters below are read-only views of it, kept for the benchmark's
+environment stamp.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 import numpy as np
 
-from .fast import _MODES
+from .policy import HAVE_NUMBA, current_policy
 from .wavefront import validate_lockstep_batch
 
-try:  # pragma: no cover - exercised only where numba is installed
+if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
+    import types
+
     import numba as _numba
     from numba import prange
-
-    HAVE_NUMBA = True
 
     def _jit(func):
         """Disk-cached nopython jit; ``fastmath`` stays off — the contract
@@ -100,23 +57,21 @@ try:  # pragma: no cover - exercised only where numba is installed
         return _numba.njit(cache=True, fastmath=False)(func)
 
     def _jit_parallel(func):
-        """Disk-cached nopython jit with ``prange`` threading over the
-        replication axis; ``fastmath`` stays off for the same bit-identity
-        reason as :func:`_jit` (rows never share state, so threading alone
-        cannot reassociate anything either)."""
-        return _numba.njit(cache=True, fastmath=False, parallel=True)(func)
+        """:func:`_jit` with ``prange`` threading over the replication
+        axis.  Compiles a renamed copy of *func*: numba's disk cache keys
+        entries by qualified name and signature, not by ``parallel``, so
+        the two compiles of one source need distinct names."""
+        twin = types.FunctionType(
+            func.__code__, func.__globals__, func.__name__ + "_parallel"
+        )
+        twin.__qualname__ = func.__qualname__ + "_parallel"
+        return _numba.njit(cache=True, fastmath=False, parallel=True)(twin)
 
-except ImportError:  # pragma: no cover - the only path on numba-less CI
-    HAVE_NUMBA = False
-
-    #: Without numba the parallel kernel source runs serially — ``prange``
-    #: degenerates to ``range``, so both kernel families are the identical
-    #: plain-Python arithmetic and the thread knob cannot change a number.
+else:  # pragma: no cover - the only path on numba-less CI
     prange = range
 
     def _jit(func):
-        """Numba absent: run the kernel bodies as plain Python (identical
-        arithmetic — the fallback the equivalence suite pins)."""
+        """Numba absent: run the kernel source as plain Python."""
         return func
 
     _jit_parallel = _jit
@@ -124,193 +79,33 @@ except ImportError:  # pragma: no cover - the only path on numba-less CI
 
 __all__ = [
     "HAVE_NUMBA",
-    "BACKEND_MODES",
-    "BACKEND_ENV_VAR",
-    "THREADS_ENV_VAR",
-    "PARALLEL_MIN_WORK",
     "get_backend",
-    "set_backend",
-    "forced_backend",
     "use_compiled",
     "get_threads",
-    "set_threads",
-    "forced_threads",
-    "resolve_threads",
     "worker_thread_budget",
-    "cpu_budget",
     "warmup",
     "run_batch_compiled",
 ]
 
-#: Recognised backend modes.
-BACKEND_MODES = ("auto", "numpy", "compiled")
-
-#: Environment knob, mirroring ``REPRO_WAVEFRONT``.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-_backend_override: str | None = None
-
 
 def get_backend() -> str:
-    """Current backend mode: the :func:`set_backend` override if set, else
-    ``$REPRO_BACKEND``, else ``"auto"``."""
-    if _backend_override is not None:
-        return _backend_override
-    mode = os.environ.get(BACKEND_ENV_VAR, "auto")
-    return mode if mode in BACKEND_MODES else "auto"
+    """The backend setting of the current kernel policy."""
+    return current_policy().backend
 
 
-def set_backend(mode: str | None) -> None:
-    """Set (or with ``None`` clear) the process-wide backend override."""
-    global _backend_override
-    if mode is not None and mode not in BACKEND_MODES:
-        raise ValueError(
-            f"unknown backend {mode!r}; expected one of {BACKEND_MODES}"
-        )
-    _backend_override = mode
-
-
-@contextmanager
-def forced_backend(mode: str):
-    """Pin the backend for a block (used by the equivalence suite to run
-    identical workloads on the compiled and the NumPy tier)."""
-    previous = _backend_override
-    set_backend(mode)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
-def use_compiled(mode: str | None = None) -> bool:
-    """Backend dispatch predicate for the engine drivers.
-
-    ``"compiled"`` forces these kernels (jitted when Numba is present,
-    plain Python otherwise — correctness never depends on the jit);
-    ``"numpy"`` forces the NumPy tier; ``"auto"`` selects the compiled
-    tier exactly when Numba is importable.  No size heuristic is needed:
-    with compilation disk-cached, the compiled loop wins from the first
-    chunk at every scale the engines run.
-    """
-    mode = get_backend() if mode is None else mode
-    if mode == "compiled":
-        return True
-    if mode == "numpy":
-        return False
-    return HAVE_NUMBA
-
-
-# --------------------------------------------------------------------------
-# Thread budget.  Mirrors the backend knob exactly: env var, module
-# override, context manager — resolved once per run by the drivers, never
-# inside the chunk loop.
-# --------------------------------------------------------------------------
-
-#: Environment knob for the per-process thread budget, mirroring
-#: ``REPRO_BACKEND``.
-THREADS_ENV_VAR = "REPRO_THREADS"
-
-#: ``"auto"`` work-size floor, in total batch elements (``R * k``): below
-#: this the thread-pool fork/join overhead exceeds the loop itself, so
-#: tiny batches stay on the serial kernels.  Explicit budgets bypass it.
-PARALLEL_MIN_WORK = 1 << 16
-
-_threads_override: str | int | None = None
-
-
-def _parse_threads(value, source: str):
-    """Normalise a threads setting to ``"auto"`` or a positive int."""
-    if value == "auto":
-        return "auto"
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"invalid thread budget {value!r} from {source}; "
-            f"expected 'auto' or a positive integer"
-        ) from None
-    if n < 1:
-        raise ValueError(
-            f"invalid thread budget {value!r} from {source}; "
-            f"expected 'auto' or a positive integer"
-        )
-    return n
+def use_compiled() -> bool:
+    """Whether the current kernel policy runs the compiled tier."""
+    return current_policy().compiled
 
 
 def get_threads() -> str | int:
-    """Current thread budget: the :func:`set_threads` override if set, else
-    ``$REPRO_THREADS``, else ``"auto"``.  Returns ``"auto"`` or a positive
-    int; an unparseable environment value falls back to ``"auto"`` (the
-    knob degrades, it never crashes a run)."""
-    if _threads_override is not None:
-        return _threads_override
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return "auto"
-    try:
-        return _parse_threads(raw, THREADS_ENV_VAR)
-    except ValueError:
-        return "auto"
-
-
-def set_threads(value: str | int | None) -> None:
-    """Set (or with ``None`` clear) the process-wide thread-budget override.
-
-    Accepts ``"auto"`` or a positive integer (``1`` pins the serial
-    kernels at every scale).
-    """
-    global _threads_override
-    if value is not None:
-        value = _parse_threads(value, "set_threads")
-    _threads_override = value
-
-
-@contextmanager
-def forced_threads(value: str | int):
-    """Pin the thread budget for a block (used by the equivalence suite to
-    run identical workloads under 1 vs 2 vs 7 threads)."""
-    previous = _threads_override
-    set_threads(value)
-    try:
-        yield
-    finally:
-        set_threads(previous)
-
-
-def cpu_budget() -> int:
-    """Core count the ``"auto"`` budget is allowed to fill (monkeypatched
-    by tests that simulate multi-core boxes on single-core CI)."""
-    return os.cpu_count() or 1
-
-
-def resolve_threads(repetitions: int, work: int | None = None) -> int:
-    """Resolve the knob to a concrete per-run thread count.
-
-    An explicit budget is returned unchanged (clamping to the machine
-    happens at kernel-entry via ``numba.set_num_threads``; ``prange``
-    handles ``threads > R`` natively by leaving threads idle).  ``"auto"``
-    resolves to ``min(cpu_budget(), repetitions)``, except that batches
-    below :data:`PARALLEL_MIN_WORK` total elements (*work*, typically
-    ``R * k``) stay serial — the fork/join overhead would dominate.
-    """
-    setting = get_threads()
-    if setting != "auto":
-        return setting
-    if work is not None and work < PARALLEL_MIN_WORK:
-        return 1
-    return max(1, min(cpu_budget(), repetitions))
+    """The thread setting of the current kernel policy."""
+    return current_policy().threads
 
 
 def worker_thread_budget() -> str:
-    """Thread budget (as an env-var string) for a child worker process.
-
-    ``"1"`` under ``"auto"`` — a pool/fabric parent already parallelises
-    across workers, so letting each child auto-expand would oversubscribe
-    ``workers × cores`` — and the explicit value when the caller forced
-    one (the overridable escape hatch for few-worker/many-core fleets).
-    """
-    setting = get_threads()
-    return "1" if setting == "auto" else str(setting)
+    """``REPRO_THREADS`` for a pool or fabric child of this process."""
+    return current_policy().worker_threads
 
 
 @contextmanager
@@ -330,11 +125,15 @@ def _thread_count(n: int):
 
 
 # --------------------------------------------------------------------------
-# Kernels.  Plain loops in numba-compatible form; ``_jit`` is the identity
-# without numba.  All arithmetic mirrors repro.core.fast exactly: int64
-# loads, exact cross-multiplication, tie coin ``tie_u < 0.5``, heights as
-# the int64/int64 -> float64 division of the post-commit count — the same
-# IEEE operations the NumPy kernels perform, hence bit-identical.
+# Kernels.  Plain loops in numba-compatible form, each compiled twice below.
+# All arithmetic mirrors repro.core.fast exactly: int64 loads, exact
+# cross-multiplication, tie coin ``tie_u < 0.5``, heights as the
+# int64/int64 -> float64 division of the post-commit count — the same IEEE
+# operations the NumPy kernels perform, hence bit-identical.  The row loop
+# is a ``prange``: each iteration owns one replication's counts, heights
+# and tie-set scratch and never touches another row, so the commit order
+# within a replication (the only order the contract defines) is the same
+# under any thread count.
 # --------------------------------------------------------------------------
 
 
@@ -345,7 +144,7 @@ def _kernel_d2_uniform(counts, cha, chb, tie_u, heights, record, capacity):
     capacities are equal, so the mode does not enter.
     """
     R, k = cha.shape
-    for r in range(R):
+    for r in prange(R):
         row = counts[r]
         for j in range(k):
             a = cha[r, j]
@@ -369,7 +168,7 @@ def _kernel_d2_general(counts, caps2, cha, chb, tie_u, mode, heights, record):
     ``(R, n)`` rows), mirroring ``fast._run_batch_d2`` branch for branch."""
     R, k = cha.shape
     crows = caps2.shape[0]
-    for r in range(R):
+    for r in prange(R):
         row = counts[r]
         crow = caps2[r % crows]
         for j in range(k):
@@ -410,156 +209,7 @@ def _kernel_d2_general(counts, caps2, cha, chb, tie_u, mode, heights, record):
 
 def _kernel_general(counts, caps2, choices, tie_u, mode, heights, record):
     """General ``d`` (and ``d = 1``): the tournament + first-occurrence tie
-    set of ``fast._run_batch_general``, on a fixed-size scratch array."""
-    R = counts.shape[0]
-    k = choices.shape[1]
-    d = choices.shape[2]
-    crows = caps2.shape[0]
-    best = np.empty(d, np.int64)
-    for r in range(R):
-        row = counts[r]
-        crow = caps2[r % crows]
-        for j in range(k):
-            first = choices[r, j, 0]
-            best[0] = first
-            nb = 1
-            best_num = row[first] + 1
-            best_den = crow[first]
-            for i in range(1, d):
-                c = choices[r, j, i]
-                num = row[c] + 1
-                den = crow[c]
-                lhs = num * best_den
-                rhs = best_num * den
-                if lhs < rhs:
-                    best[0] = c
-                    nb = 1
-                    best_num = num
-                    best_den = den
-                elif lhs == rhs:
-                    dup = False
-                    for t in range(nb):
-                        if best[t] == c:
-                            dup = True
-                            break
-                    if not dup:
-                        best[nb] = c
-                        nb += 1
-            if nb > 1:
-                if mode == 0:
-                    cbest = crow[best[0]]
-                    for t in range(1, nb):
-                        if crow[best[t]] > cbest:
-                            cbest = crow[best[t]]
-                    w = 0
-                    for t in range(nb):
-                        if crow[best[t]] == cbest:
-                            best[w] = best[t]
-                            w += 1
-                    nb = w
-                elif mode == 2:
-                    cbest = crow[best[0]]
-                    for t in range(1, nb):
-                        if crow[best[t]] < cbest:
-                            cbest = crow[best[t]]
-                    w = 0
-                    for t in range(nb):
-                        if crow[best[t]] == cbest:
-                            best[w] = best[t]
-                            w += 1
-                    nb = w
-            if nb == 1:
-                chosen = best[0]
-            else:
-                chosen = best[int(tie_u[r, j] * nb)]
-            row[chosen] += 1
-            if record:
-                heights[r, j] = row[chosen] / crow[chosen]
-    return counts
-
-
-# --------------------------------------------------------------------------
-# Replication-parallel variants.  Byte-for-byte the serial loop bodies with
-# ``prange`` over the R axis — every thread owns whole rows of counts and
-# heights, reads only its own ``caps2`` row, and never touches another
-# row's state, so the commit sequence *within* each replication (the only
-# ordering the contract defines) is untouched and no thread count can
-# change a number.  The one structural difference: ``_kernel_general_par``
-# allocates its tie-set scratch inside the r-loop so each thread gets a
-# private copy (numba privatises prange-body allocations; the serial
-# kernel hoists it purely as an allocation saving).
-# --------------------------------------------------------------------------
-
-
-def _kernel_d2_uniform_par(counts, cha, chb, tie_u, heights, record, capacity):
-    """Parallel twin of :func:`_kernel_d2_uniform` (rows over ``prange``)."""
-    R, k = cha.shape
-    for r in prange(R):
-        row = counts[r]
-        for j in range(k):
-            a = cha[r, j]
-            b = chb[r, j]
-            na = row[a]
-            nb = row[b]
-            if nb < na:
-                chosen = b
-            elif na < nb:
-                chosen = a
-            else:
-                chosen = a if tie_u[r, j] < 0.5 else b
-            row[chosen] += 1
-            if record:
-                heights[r, j] = row[chosen] / capacity
-    return counts
-
-
-def _kernel_d2_general_par(counts, caps2, cha, chb, tie_u, mode, heights,
-                           record):
-    """Parallel twin of :func:`_kernel_d2_general` (rows over ``prange``)."""
-    R, k = cha.shape
-    crows = caps2.shape[0]
-    for r in prange(R):
-        row = counts[r]
-        crow = caps2[r % crows]
-        for j in range(k):
-            a = cha[r, j]
-            b = chb[r, j]
-            if a == b:
-                chosen = a
-            else:
-                ca = crow[a]
-                cb = crow[b]
-                la = (row[a] + 1) * cb
-                lb = (row[b] + 1) * ca
-                if la < lb:
-                    chosen = a
-                elif lb < la:
-                    chosen = b
-                elif mode == 0:  # prefer larger capacity
-                    if ca > cb:
-                        chosen = a
-                    elif cb > ca:
-                        chosen = b
-                    else:
-                        chosen = a if tie_u[r, j] < 0.5 else b
-                elif mode == 2:  # prefer smaller capacity (ablation)
-                    if ca < cb:
-                        chosen = a
-                    elif cb < ca:
-                        chosen = b
-                    else:
-                        chosen = a if tie_u[r, j] < 0.5 else b
-                else:  # uniform among the tied pair
-                    chosen = a if tie_u[r, j] < 0.5 else b
-            row[chosen] += 1
-            if record:
-                heights[r, j] = row[chosen] / crow[chosen]
-    return counts
-
-
-def _kernel_general_par(counts, caps2, choices, tie_u, mode, heights, record):
-    """Parallel twin of :func:`_kernel_general`; the tie-set scratch is
-    per-row so threads never share it."""
+    set of ``fast._run_batch_general``, on a per-row scratch array."""
     R = counts.shape[0]
     k = choices.shape[1]
     d = choices.shape[2]
@@ -627,12 +277,15 @@ def _kernel_general_par(counts, caps2, choices, tie_u, mode, heights, record):
     return counts
 
 
-_kernel_d2_uniform = _jit(_kernel_d2_uniform)
-_kernel_d2_general = _jit(_kernel_d2_general)
-_kernel_general = _jit(_kernel_general)
-_kernel_d2_uniform_par = _jit_parallel(_kernel_d2_uniform_par)
-_kernel_d2_general_par = _jit_parallel(_kernel_d2_general_par)
-_kernel_general_par = _jit_parallel(_kernel_general_par)
+_SOURCES = {
+    "d2_uniform": _kernel_d2_uniform,
+    "d2_general": _kernel_d2_general,
+    "general": _kernel_general,
+}
+
+#: The serial and the ``prange``-threaded compile of every source.
+_SERIAL = {name: _jit(src) for name, src in _SOURCES.items()}
+_PARALLEL = {name: _jit_parallel(src) for name, src in _SOURCES.items()}
 
 #: Height placeholder handed to the kernels when no recording was asked
 #: for; keeps every call signature identical so numba compiles each kernel
@@ -645,7 +298,7 @@ def warmup(d_values=(1, 2, 3)) -> bool:
 
     Benchmarks and CI call this outside their timed sections so the jit
     cost (first machine: ~seconds; cached: ~milliseconds) never pollutes a
-    floor measurement.  Covers both kernel families — ``threads=2`` also
+    floor measurement.  Covers both compiles — ``threads=2`` also
     spins up numba's thread pool, whose first-use cost would otherwise
     land in the first timed parallel section.  Returns :data:`HAVE_NUMBA`
     — without numba this is a cheap no-op pass through the Python
@@ -673,7 +326,6 @@ def run_batch_compiled(
     *,
     tie_break: str = "max_capacity",
     heights: np.ndarray | None = None,
-    workspace=None,
     threads: int | None = None,
 ) -> np.ndarray:
     """Allocate one batch of balls with the compiled tier.
@@ -684,20 +336,16 @@ def run_batch_compiled(
     same validation (shared via
     :func:`repro.core.wavefront.validate_lockstep_batch`), ``counts`` is
     the ``(R, n)`` int64 state mutated in place — dispatching to one of
-    the three compiled specialisations (d=2 uniform, d=2 general incl.
-    ``(R, n)`` capacity matrices, general d).  Bit-identical to the NumPy
-    kernels for every replication, heights included; *workspace* is
-    accepted for driver-call symmetry and ignored (the compiled loops
-    need no temporaries).
+    the three specialisations (d=2 uniform, d=2 general incl. ``(R, n)``
+    capacity matrices, general d).  Bit-identical to the NumPy kernels
+    for every replication, heights included.
 
-    *threads* picks the kernel family: ``> 1`` runs the ``prange``
-    variants under a thread budget scoped to this call, ``1`` (or
-    ``None``-resolved-to-1) the serial kernels.  ``None`` resolves the
-    ``REPRO_THREADS`` knob per batch via :func:`resolve_threads`; the
-    drivers resolve once per run and pass the result explicitly.  Either
-    family, any budget: bit-identical.
+    *threads* picks the compile: ``> 1`` runs the ``prange`` one under a
+    thread budget scoped to this call, ``1`` the serial one.  ``None``
+    asks the current policy for this batch's budget; the drivers resolve
+    it once per run and pass it explicitly.  Either compile, any budget:
+    bit-identical.
     """
-    del workspace
     mode, counts, caps, tie_uniforms = validate_lockstep_batch(
         counts, capacities, choices, tie_uniforms, tie_break, heights
     )
@@ -710,8 +358,8 @@ def run_batch_compiled(
     if tie_uniforms.dtype != np.float64:
         tie_uniforms = tie_uniforms.astype(np.float64)
     if threads is None:
-        threads = resolve_threads(R, R * k)
-    parallel = threads > 1
+        threads = current_policy().thread_budget(R, R * k)
+    kernels = _PARALLEL if threads > 1 else _SERIAL
     caps2 = caps if caps.ndim == 2 else caps[None, :]
     record = heights is not None
     h = heights if record else _NO_HEIGHTS
@@ -720,19 +368,12 @@ def run_batch_compiled(
             cha = np.ascontiguousarray(choices[:, :, 0])
             chb = np.ascontiguousarray(choices[:, :, 1])
             if caps.ndim == 1 and bool((caps == caps[0]).all()):
-                kern = _kernel_d2_uniform_par if parallel else _kernel_d2_uniform
-                kern(counts, cha, chb, tie_uniforms, h, record, int(caps[0]))
+                kernels["d2_uniform"](counts, cha, chb, tie_uniforms, h,
+                                      record, int(caps[0]))
             else:
-                kern = _kernel_d2_general_par if parallel else _kernel_d2_general
-                kern(counts, caps2, cha, chb, tie_uniforms, np.int64(mode),
-                     h, record)
-            return counts
-        kern = _kernel_general_par if parallel else _kernel_general
-        kern(counts, caps2, choices, tie_uniforms, np.int64(mode), h, record)
+                kernels["d2_general"](counts, caps2, cha, chb, tie_uniforms,
+                                      np.int64(mode), h, record)
+        else:
+            kernels["general"](counts, caps2, choices, tie_uniforms,
+                               np.int64(mode), h, record)
     return counts
-
-
-# _MODES is imported for documentation symmetry with the sibling kernels
-# (validate_lockstep_batch resolves tie modes through it); keep the name
-# referenced so linters see the contract.
-assert set(_MODES) == {"max_capacity", "uniform", "min_capacity"}

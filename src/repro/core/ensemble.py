@@ -35,23 +35,21 @@ The same engine/contract pair exists for the protocol variants:
 :func:`repro.core.weighted.simulate_weighted_ensemble` (weighted balls) and
 :func:`repro.p2p.workload.allocate_requests_ensemble` (ring allocation).
 
-Backend and wavefront dispatch
-------------------------------
+Kernel dispatch
+---------------
 Three kernel tiers implement the identical decision sequence, and
-:func:`simulate_ensemble` picks among them in priority order **compiled >
-wavefront > per-ball**.  When the compiled backend is in force
-(``REPRO_BACKEND`` / :func:`repro.core.compiled.forced_backend`; ``auto``
-selects it exactly when Numba is available) whole chunks go to
-:func:`repro.core.compiled.run_batch_compiled`.  Otherwise, when the
-expected conflict rate is low enough (many effective bins per lockstep
-lane), chunks go to the conflict-free wavefront kernels of
-:mod:`repro.core.wavefront` instead of the per-ball loops below —
-committing independent balls in vectorised waves.  All tiers are
-*bit-identical* (every kernel consumes the same pre-drawn choices and tie
-uniforms, so dispatch can never change a number; the equivalence suite
-forces each path and compares exactly).  The wavefront decision keys on
-``n_eff / (R * d * d)`` with a realised-free-fraction runtime fallback;
-``REPRO_WAVEFRONT`` / :func:`repro.core.wavefront.forced` override it.
+:func:`simulate_ensemble` asks :func:`repro.core.policy.dispatch` once
+per run which one takes its chunks, in priority order **compiled >
+wavefront > per-ball**: :func:`repro.core.compiled.run_batch_compiled`
+when the compiled backend is in force (``REPRO_BACKEND``; ``auto``
+selects it exactly when Numba is available), else the conflict-free
+wavefront kernels of :mod:`repro.core.wavefront` when the expected
+conflict rate is low enough (``n_eff / (R * d * d)``, with a
+realised-free-fraction runtime fallback; ``REPRO_WAVEFRONT``), else the
+per-ball loops below.  All tiers are *bit-identical* — every kernel
+consumes the same pre-drawn choices and tie uniforms, so dispatch can
+never change a number; the equivalence suite forces each path and
+compares exactly.
 
 Shared parameters per block
 ---------------------------
@@ -94,17 +92,14 @@ import numpy as np
 from ..bins.arrays import BinArray
 from ..sampling.distributions import probability_model
 from ..sampling.rngutils import make_rng, spawn_seed_sequences
-from .compiled import resolve_threads, run_batch_compiled, use_compiled
+from .compiled import run_batch_compiled
+from .policy import RUNTIME_MIN_FREE_FRACTION, current_policy, dispatch, effective_bins
 from .simulation import DEFAULT_CHUNK_SIZE, _normalise_snapshot_points
 from .wavefront import (
-    RUNTIME_MIN_FREE_FRACTION,
     WavefrontStats,
     WavefrontWorkspace,
     d2_tie_pref,
-    effective_bins,
-    get_mode,
     run_batch_wavefront,
-    use_wavefront,
     validate_lockstep_batch,
 )
 
@@ -534,26 +529,20 @@ def simulate_ensemble(
         take_snapshot(0)
         pending.pop(0)
 
-    # Backend + wavefront dispatch, in priority order compiled > wavefront
-    # > per-ball: the compiled tier (REPRO_BACKEND) takes whole chunks when
-    # in force; otherwise the conflict-free wavefront kernels enter when
-    # the expected first-wave fraction is high enough (auto mode keys on
-    # the collision-equivalent bin count of the selection distribution),
-    # with a fall back to the per-ball kernels for the rest of the run if
-    # the realised fraction disappoints.  Every path consumes the identical
+    # The kernel policy picks the tier once per run: compiled, the
+    # conflict-free wavefront (keyed on the collision-equivalent bin count
+    # of the selection distribution, with a fall back to the per-ball
+    # kernels for the rest of the run if the realised free fraction
+    # disappoints), or per-ball.  Every tier consumes the identical
     # pre-drawn randomness, so no dispatch decision can change the results.
+    # The kernels are called through this module's globals, where a tracer
+    # can wrap them.
     workspace = WavefrontWorkspace()
     wf_stats = WavefrontStats()
-    wf_auto = get_mode() == "auto"
     p = getattr(sampler, "probabilities", None)
     n_eff = effective_bins(p) if p is not None else float(n)
-    use_comp = use_compiled()
-    use_wf = False if use_comp else use_wavefront(n_eff, R, d)
-    # Thread budget resolved once per run, like the backend: REPRO_THREADS
-    # "auto" = min(cores, R) once the whole run clears the work-size floor
-    # (per-chunk resolution would flip kernels mid-run — harmless for the
-    # numbers, noisy for the profile).
-    comp_threads = resolve_threads(R, R * m) if use_comp else 1
+    policy = current_policy()
+    tier, threads = dispatch(policy, n_eff, R, d, R * m)
 
     kernel_block = max(1, _KERNEL_TARGET // max(R, 1))
     while thrown < m:
@@ -569,7 +558,7 @@ def simulate_ensemble(
             choices = sampler.sample((R, batch, d), block_rng)
             tie_u = block_rng.random((R, batch))
         chunk_heights = None if heights is None else heights[:, thrown : thrown + batch]
-        if use_comp:
+        if tier == "compiled":
             run_batch_compiled(
                 counts,
                 caps_arr,
@@ -577,9 +566,9 @@ def simulate_ensemble(
                 tie_u,
                 tie_break=tie_break,
                 heights=chunk_heights,
-                threads=comp_threads,
+                threads=threads,
             )
-        elif use_wf:
+        elif tier == "wavefront":
             run_batch_wavefront(
                 counts,
                 caps_arr,
@@ -591,8 +580,9 @@ def simulate_ensemble(
                 workspace=workspace,
                 stats=wf_stats,
             )
-            if wf_auto and wf_stats.free_fraction < RUNTIME_MIN_FREE_FRACTION:
-                use_wf = False
+            if (policy.wavefront == "auto"
+                    and wf_stats.free_fraction < RUNTIME_MIN_FREE_FRACTION):
+                tier = "per_ball"
         else:
             # Sub-batch the kernel (not the sampling!) so temporaries stay
             # bounded; RNG consumption is untouched by this split.

@@ -12,22 +12,28 @@ same counts, ball for ball.  The protocol variants (stale-view batches,
 weighted balls, ring allocation) carry the same contract between their
 scalar and lockstep drivers.
 
-This module has two layers:
+This module has three layers:
 
 * randomised *bit-exactness* sweeps over the kernels and spawn-mode drivers
-  (:func:`check_kernel_equivalence`, :func:`check_driver_parity`,
-  :func:`check_batched_parity`, :func:`check_weighted_parity`,
-  :func:`check_ring_parity`);
+  (:func:`check_kernel_equivalence`, :func:`check_lockstep_kernel_equivalence`,
+  :func:`check_driver_parity`, :func:`check_batched_parity`,
+  :func:`check_weighted_parity`, :func:`check_ring_parity`);
+* the *dispatch-identity matrix*: each kernel-policy axis
+  (:data:`DISPATCH_AXES` — wavefront on/off, backend compiled/numpy,
+  compiled threads 1/2/7) forced through every value, on randomised driver
+  runs (:func:`check_driver_dispatch_identity`) and on every registered
+  experiment on both engines (:func:`check_dispatch_identity`), with
+  bit-identical results required;
 * a *per-experiment* cross-engine matrix (:data:`EXPERIMENT_CASES`,
   :func:`check_experiment_equivalence`): every registered experiment runs on
   both engines at a pinned tiny configuration and the resulting figures must
   agree within a per-case tolerance.  Blocked-mode ensemble runs are
   statistically identical rather than stream-matched, so the figure-level
   comparison is a bounded-deviation check — deterministic for fixed seeds —
-  while the bit-level guarantees live in the sweeps above.
+  while the bit-level guarantees live in the layers above.
 
-It backs both the pytest suite (``tests/core/test_ensemble.py``) and the
-larger-budget smoke script (``scripts/check_equivalence.py``).
+It backs the pytest suites (``tests/core/test_{ensemble,wavefront,compiled}.py``)
+and the larger-budget smoke script (``scripts/check_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -38,22 +44,22 @@ import numpy as np
 
 from ..bins.arrays import BinArray
 from ..sampling.rngutils import spawn_seed_sequences
-from .compiled import forced_backend, forced_threads, run_batch_compiled
+from .compiled import run_batch_compiled
 from .ensemble import run_batch_ensemble, simulate_ensemble
 from .fast import run_batch
+from .policy import forced_policy
 from .protocol import TIE_BREAKS, reference_run
 from .rounds import simulate_batched, simulate_batched_ensemble
 from .simulation import simulate
-from .wavefront import forced, run_batch_wavefront
+from .wavefront import run_batch_wavefront
 from .weighted import simulate_weighted, simulate_weighted_ensemble
 
 __all__ = [
     "SweepBudget",
     "check_kernel_equivalence",
-    "check_wavefront_kernel_equivalence",
-    "check_compiled_kernel_equivalence",
-    "check_wavefront_driver_identity",
-    "check_backend_driver_identity",
+    "check_lockstep_kernel_equivalence",
+    "DISPATCH_AXES",
+    "check_driver_dispatch_identity",
     "check_driver_parity",
     "check_batched_parity",
     "check_weighted_parity",
@@ -61,9 +67,7 @@ __all__ = [
     "ExperimentCase",
     "EXPERIMENT_CASES",
     "check_experiment_equivalence",
-    "check_experiment_wavefront_identity",
-    "check_experiment_backend_identity",
-    "check_thread_identity",
+    "check_dispatch_identity",
     "check_fabric_serial_identity",
 ]
 
@@ -142,19 +146,28 @@ def check_kernel_equivalence(master_seed: int, budget: SweepBudget = SweepBudget
     return budget.draws
 
 
-def check_wavefront_kernel_equivalence(
-    master_seed: int, budget: SweepBudget = SweepBudget()
-) -> int:
-    """Randomised bit-exactness sweep of the wavefront kernel.
+#: The lockstep kernels held to the per-ball ensemble kernel.
+_LOCKSTEP_KERNELS = {"wavefront": run_batch_wavefront, "compiled": run_batch_compiled}
 
-    For each draw, :func:`~repro.core.wavefront.run_batch_wavefront` must
+
+def check_lockstep_kernel_equivalence(
+    kernel: str, master_seed: int, budget: SweepBudget = SweepBudget()
+) -> int:
+    """Randomised bit-exactness sweep of one lockstep kernel.
+
+    For each draw, the *kernel* (``"wavefront"`` or ``"compiled"``) must
     reproduce :func:`~repro.core.ensemble.run_batch_ensemble` exactly —
     counts and heights, every replication — under a rotation of tie-break
-    modes, capacity profiles (shared and per-replication), and tile widths
-    including the degenerate ``1`` and the whole-batch width, so the tile
-    boundaries, the deferred waves, and the tail-tile padding are all
-    exercised.  Returns the number of draws checked.
+    modes and capacity profiles (shared and per-replication), so every
+    specialisation is exercised.  Each draw also rotates the kernel's own
+    shape knob: wavefront tile widths including the degenerate ``1`` and
+    the whole batch (tile boundaries, deferred waves, tail padding), and
+    compiled thread budgets (the ambient one, the serial compile and the
+    ``prange`` compile).  Without Numba the compiled kernels run their
+    source through the interpreter, so the fallback carries the identical
+    guarantee.  Returns the number of draws checked.
     """
+    run = _LOCKSTEP_KERNELS[kernel]
     rng = np.random.default_rng(master_seed)
     for trial in range(budget.draws):
         n = int(rng.integers(2, budget.max_n + 1))
@@ -174,74 +187,52 @@ def check_wavefront_kernel_equivalence(
         run_batch_ensemble(
             base, caps, choices, tie_u, tie_break=tie_break, heights=base_h
         )
-        tiles = (None, 1, int(rng.integers(2, 8)), max(1, m))
-        tile = tiles[trial % len(tiles)]
-        wf = np.zeros((R, n), dtype=np.int64)
-        wf_h = np.empty((R, m), dtype=np.float64)
-        run_batch_wavefront(
-            wf, caps, choices, tie_u, tie_break=tie_break, heights=wf_h,
-            tile=tile,
-        )
-        label = f"trial={trial} n={n} m={m} d={d} R={R} tie={tie_break} tile={tile}"
-        assert np.array_equal(base, wf), f"{label}: counts"
-        np.testing.assert_array_equal(wf_h, base_h, err_msg=f"{label}: heights")
-    return budget.draws
-
-
-def check_compiled_kernel_equivalence(
-    master_seed: int, budget: SweepBudget = SweepBudget()
-) -> int:
-    """Randomised bit-exactness sweep of the compiled-backend kernels.
-
-    For each draw, :func:`~repro.core.compiled.run_batch_compiled` must
-    reproduce :func:`~repro.core.ensemble.run_batch_ensemble` exactly —
-    counts and heights, every replication — under a rotation of tie-break
-    modes and capacity profiles (shared and per-replication), so all three
-    compiled specialisations (``d = 2`` uniform, ``d = 2`` general,
-    general ``d``) are exercised.  Without Numba the sweep runs the same
-    kernel source through the interpreter, so the fallback path carries the
-    identical guarantee.  Returns the number of draws checked.
-    """
-    rng = np.random.default_rng(master_seed)
-    for trial in range(budget.draws):
-        n = int(rng.integers(2, budget.max_n + 1))
-        m = int(rng.integers(0, budget.max_m + 1))
-        d = int(rng.integers(1, budget.max_d + 1))
-        R = int(rng.integers(1, budget.max_r + 1))
-        if trial % 4 == 3:
-            caps = rng.integers(1, 9, size=(R, n)).astype(np.int64)
+        width = int(rng.integers(2, 8))
+        if kernel == "wavefront":
+            knob = {"tile": (None, 1, width, max(1, m))[trial % 4]}
         else:
-            caps = _random_capacities(rng, n)
-        tie_break = TIE_BREAKS[trial % len(TIE_BREAKS)]
-        choices = rng.integers(0, n, size=(R, m, d))
-        tie_u = rng.random((R, m))
-
-        base = np.zeros((R, n), dtype=np.int64)
-        base_h = np.empty((R, m), dtype=np.float64)
-        run_batch_ensemble(
-            base, caps, choices, tie_u, tie_break=tie_break, heights=base_h
-        )
-        comp = np.zeros((R, n), dtype=np.int64)
-        comp_h = np.empty((R, m), dtype=np.float64)
-        run_batch_compiled(
-            comp, caps, choices, tie_u, tie_break=tie_break, heights=comp_h
-        )
-        label = f"trial={trial} n={n} m={m} d={d} R={R} tie={tie_break}"
-        assert np.array_equal(base, comp), f"{label}: counts"
-        np.testing.assert_array_equal(comp_h, base_h, err_msg=f"{label}: heights")
+            knob = {"threads": (None, 1, width)[trial % 3]}
+        out = np.zeros((R, n), dtype=np.int64)
+        out_h = np.empty((R, m), dtype=np.float64)
+        run(out, caps, choices, tie_u, tie_break=tie_break, heights=out_h, **knob)
+        label = (f"{kernel} trial={trial} n={n} m={m} d={d} R={R} "
+                 f"tie={tie_break} {knob}")
+        assert np.array_equal(base, out), f"{label}: counts"
+        np.testing.assert_array_equal(out_h, base_h, err_msg=f"{label}: heights")
     return budget.draws
 
 
-def check_wavefront_driver_identity(master_seed: int, trials: int = 6) -> int:
-    """Driver-level wavefront on/off bit-identity sweep.
+#: Every kernel-policy axis with the values the dispatch-identity matrix
+#: forces; the first value is the baseline the others must reproduce.
+DISPATCH_AXES = {
+    "wavefront": ("on", "off"),
+    "backend": ("compiled", "numpy"),
+    "threads": (1, 2, 7),
+}
+
+
+def _axis_policy(axis: str, value) -> dict:
+    """Policy fields that force *axis* to *value*.  Threads only exist on
+    the compiled tier, so the threads axis also forces that backend."""
+    fields = {axis: value}
+    if axis == "threads":
+        fields["backend"] = "compiled"
+    return fields
+
+
+def check_driver_dispatch_identity(
+    axis: str, values, master_seed: int, trials: int = 6
+) -> int:
+    """Driver-level bit-identity sweep along one kernel-policy axis.
 
     Each trial runs :func:`~repro.core.ensemble.simulate_ensemble` (both
-    seed modes) and :func:`~repro.core.simulation.simulate` under
-    ``forced("on")`` and ``forced("off")`` on the same configuration —
-    cycling all three tie-break modes — and asserts identical counts,
-    heights, and snapshots.  This is the guarantee the adaptive dispatch
-    relies on: the kernels consume identical pre-drawn randomness, so the
-    dispatch decision can never leak into the numbers.
+    seed modes) and :func:`~repro.core.simulation.simulate` with the
+    *axis* forced to each of *values* on the same configuration — cycling
+    all three tie-break modes — and requires every value to reproduce the
+    first one's counts, heights and snapshots exactly.  This is the
+    guarantee dispatch relies on: every tier consumes identical pre-drawn
+    randomness, so no policy setting can leak into the numbers.  Returns
+    the number of trials checked.
     """
     rng = np.random.default_rng(master_seed)
     for trial in range(trials):
@@ -254,112 +245,41 @@ def check_wavefront_driver_identity(master_seed: int, trials: int = 6) -> int:
         seed_mode = ("spawn", "blocked")[trial % 2]
         master = int(rng.integers(0, 2**31))
         snap = sorted({0, m // 3, m})
-        label = f"trial={trial} n={n} m={m} d={d} R={R} tie={tie_break} {seed_mode}"
 
-        results = []
-        for mode in ("on", "off"):
-            with forced(mode):
-                results.append(
+        runs = []
+        for value in values:
+            with forced_policy(**_axis_policy(axis, value)):
+                runs.append((
                     simulate_ensemble(
                         bins, repetitions=R, m=m, d=d, seed=master,
                         tie_break=tie_break, seed_mode=seed_mode,
                         track_heights=True, snapshot_at=snap,
-                    )
-                )
-        on, off = results
-        assert np.array_equal(on.counts, off.counts), f"{label}: ensemble counts"
-        np.testing.assert_array_equal(
-            on.heights, off.heights, err_msg=f"{label}: ensemble heights"
-        )
-        assert len(on.snapshots) == len(off.snapshots), label
-        for a, b in zip(on.snapshots, off.snapshots):
-            np.testing.assert_array_equal(
-                a.max_loads, b.max_loads, err_msg=f"{label}: snapshot"
-            )
-
-        scalars = []
-        for mode in ("on", "off"):
-            with forced(mode):
-                scalars.append(
+                    ),
                     simulate(
                         bins, m=m, d=d, seed=master, tie_break=tie_break,
                         track_heights=True, snapshot_at=snap,
-                    )
-                )
-        s_on, s_off = scalars
-        assert np.array_equal(s_on.counts, s_off.counts), f"{label}: scalar counts"
-        np.testing.assert_array_equal(
-            s_on.heights, s_off.heights, err_msg=f"{label}: scalar heights"
-        )
-        assert [s.max_load for s in s_on.snapshots] == [
-            s.max_load for s in s_off.snapshots
-        ], f"{label}: scalar snapshots"
-    return trials
-
-
-def check_backend_driver_identity(master_seed: int, trials: int = 6) -> int:
-    """Driver-level compiled/NumPy backend bit-identity sweep.
-
-    Each trial runs :func:`~repro.core.ensemble.simulate_ensemble` (both
-    seed modes) and :func:`~repro.core.simulation.simulate` under
-    ``forced_backend("compiled")`` and ``forced_backend("numpy")`` on the
-    same configuration — cycling all three tie-break modes — and asserts
-    identical counts, heights, and snapshots.  Like the wavefront check,
-    this is the guarantee the ``REPRO_BACKEND`` dispatch relies on: every
-    tier consumes identical pre-drawn randomness, so backend selection can
-    never leak into the numbers.
-    """
-    rng = np.random.default_rng(master_seed)
-    for trial in range(trials):
-        n = int(rng.integers(2, 16))
-        m = int(rng.integers(1, 250))
-        d = int(rng.integers(1, 4))
-        R = int(rng.integers(1, 5))
-        bins = BinArray(_random_capacities(rng, n))
-        tie_break = TIE_BREAKS[trial % len(TIE_BREAKS)]
-        seed_mode = ("spawn", "blocked")[trial % 2]
-        master = int(rng.integers(0, 2**31))
-        snap = sorted({0, m // 3, m})
-        label = f"trial={trial} n={n} m={m} d={d} R={R} tie={tie_break} {seed_mode}"
-
-        results = []
-        for backend in ("compiled", "numpy"):
-            with forced_backend(backend):
-                results.append(
-                    simulate_ensemble(
-                        bins, repetitions=R, m=m, d=d, seed=master,
-                        tie_break=tie_break, seed_mode=seed_mode,
-                        track_heights=True, snapshot_at=snap,
-                    )
-                )
-        comp, base = results
-        assert np.array_equal(comp.counts, base.counts), f"{label}: ensemble counts"
-        np.testing.assert_array_equal(
-            comp.heights, base.heights, err_msg=f"{label}: ensemble heights"
-        )
-        assert len(comp.snapshots) == len(base.snapshots), label
-        for a, b in zip(comp.snapshots, base.snapshots):
+                    ),
+                ))
+        base_ens, base_sc = runs[0]
+        for value, (ens, sc) in zip(values[1:], runs[1:]):
+            label = (f"trial={trial} n={n} m={m} d={d} R={R} tie={tie_break} "
+                     f"{seed_mode} {axis} {value} vs {values[0]}")
+            assert np.array_equal(ens.counts, base_ens.counts), f"{label}: ensemble counts"
             np.testing.assert_array_equal(
-                a.max_loads, b.max_loads, err_msg=f"{label}: snapshot"
+                ens.heights, base_ens.heights, err_msg=f"{label}: ensemble heights"
             )
-
-        scalars = []
-        for backend in ("compiled", "numpy"):
-            with forced_backend(backend):
-                scalars.append(
-                    simulate(
-                        bins, m=m, d=d, seed=master, tie_break=tie_break,
-                        track_heights=True, snapshot_at=snap,
-                    )
+            assert len(ens.snapshots) == len(base_ens.snapshots), label
+            for a, b in zip(ens.snapshots, base_ens.snapshots):
+                np.testing.assert_array_equal(
+                    a.max_loads, b.max_loads, err_msg=f"{label}: snapshot"
                 )
-        s_comp, s_base = scalars
-        assert np.array_equal(s_comp.counts, s_base.counts), f"{label}: scalar counts"
-        np.testing.assert_array_equal(
-            s_comp.heights, s_base.heights, err_msg=f"{label}: scalar heights"
-        )
-        assert [s.max_load for s in s_comp.snapshots] == [
-            s.max_load for s in s_base.snapshots
-        ], f"{label}: scalar snapshots"
+            assert np.array_equal(sc.counts, base_sc.counts), f"{label}: scalar counts"
+            np.testing.assert_array_equal(
+                sc.heights, base_sc.heights, err_msg=f"{label}: scalar heights"
+            )
+            assert [s.max_load for s in sc.snapshots] == [
+                s.max_load for s in base_sc.snapshots
+            ], f"{label}: scalar snapshots"
     return trials
 
 
@@ -506,10 +426,11 @@ class ExperimentCase:
     tolerances must absorb the few-draw parameter variance at every factor.
     ``x_rtol`` loosens the x-grid comparison for figures whose x axis is
     itself a random quantity (fig08/09's realised total capacity).
-    ``wavefront_kwargs``, when set, replaces ``kwargs`` for the wavefront
-    on/off identity check only — used to shrink workloads (fig05's
-    ``m = 1000 C``) that are pathological with the wavefront *forced* on
-    at a tiny ``n`` (the auto dispatch would never enter them).
+    ``wavefront_kwargs``, when set, replaces ``kwargs`` for the bit-identity
+    checks (the dispatch matrix and fabric == serial) — used to shrink
+    workloads (fig05's ``m = 1000 C``) that are pathological with the
+    wavefront *forced* on at a tiny ``n`` (the auto dispatch would never
+    enter them) or with the compiled source run through the interpreter.
     """
 
     kwargs: dict = field(default_factory=dict)
@@ -582,6 +503,33 @@ EXPERIMENT_CASES: dict[str, ExperimentCase] = {
 }
 
 
+def _case(experiment_id: str) -> ExperimentCase:
+    """The pinned case of a registered experiment, or a guiding error."""
+    try:
+        return EXPERIMENT_CASES[experiment_id]
+    except KeyError:
+        raise KeyError(
+            f"experiment {experiment_id!r} has no cross-engine case: add it to "
+            f"EXPERIMENT_CASES (and an ensemble path to the experiment) — "
+            f"every registered experiment must support both engines"
+        ) from None
+
+
+def _assert_same_series(result, base, label: str) -> None:
+    """Require two experiment results to agree bit for bit: the x grid,
+    the series names, and every series value (a NaN matches a NaN)."""
+    np.testing.assert_array_equal(
+        result.x_values, base.x_values, err_msg=f"{label}: x grid"
+    )
+    assert set(result.series) == set(base.series), f"{label}: series names"
+    for name in result.series:
+        a, b = result.series[name], base.series[name]
+        both_nan = np.isnan(a) & np.isnan(b)
+        assert np.array_equal(a[~both_nan], b[~both_nan]), (
+            f"{label}: series {name!r} is not bit-identical"
+        )
+
+
 def check_experiment_equivalence(
     experiment_id: str, *, rep_factor: int = 1
 ) -> float:
@@ -597,14 +545,7 @@ def check_experiment_equivalence(
     """
     from ..experiments import run_experiment
 
-    try:
-        case = EXPERIMENT_CASES[experiment_id]
-    except KeyError:
-        raise KeyError(
-            f"experiment {experiment_id!r} has no cross-engine case: add it to "
-            f"EXPERIMENT_CASES (and an ensemble path to the experiment) — "
-            f"every registered experiment must support both engines"
-        ) from None
+    case = _case(experiment_id)
     if rep_factor < 1:
         raise ValueError(f"rep_factor must be >= 1, got {rep_factor}")
     kwargs = dict(case.kwargs)
@@ -642,52 +583,42 @@ def check_experiment_equivalence(
     return worst
 
 
-def check_experiment_wavefront_identity(experiment_id: str) -> int:
-    """Run one experiment with the wavefront forced on and forced off, on
-    both engines, and require *bit-identical* figures.
+def check_dispatch_identity(experiment_id: str, axis: str, values) -> int:
+    """Run one experiment with a kernel-policy *axis* forced to each of
+    *values*, on both engines, and require every value to reproduce the
+    first one's figures *bit-identically*.
 
     Unlike the cross-engine comparison (bounded deviation between
-    independent streams), this is an exact check: the wavefront kernels
-    consume the same pre-drawn randomness as the per-ball loops, so every
-    series must match to the last bit no matter which path the dispatch
-    picks.  Uses the pinned :data:`EXPERIMENT_CASES` configuration;
-    returns the number of engines checked.
+    independent streams), this is exact: every tier consumes the same
+    pre-drawn randomness, so no wavefront mode, backend or thread budget
+    may change a series value — heights and snapshot series included,
+    since the cases' series are computed from them.  The threads axis runs
+    under the compiled backend, the only tier with threads (without Numba
+    ``prange`` is ``range``, same arithmetic).  Uses the pinned
+    :data:`EXPERIMENT_CASES` configuration at the trimmed
+    ``wavefront_kwargs`` scale when present.  Returns the number of
+    comparisons: ``2 * (len(values) - 1)``.
     """
     from ..experiments import run_experiment
 
-    try:
-        case = EXPERIMENT_CASES[experiment_id]
-    except KeyError:
-        raise KeyError(
-            f"experiment {experiment_id!r} has no cross-engine case: add it to "
-            f"EXPERIMENT_CASES (and an ensemble path to the experiment) — "
-            f"every registered experiment must support both engines"
-        ) from None
+    case = _case(experiment_id)
     kwargs = case.wavefront_kwargs if case.wavefront_kwargs is not None else case.kwargs
     checked = 0
     for engine in ("scalar", "ensemble"):
-        results = []
-        for mode in ("on", "off"):
-            with forced(mode):
-                results.append(
-                    run_experiment(
-                        experiment_id, seed=case.seed, engine=engine,
-                        **kwargs,
-                    )
+        base = None
+        for value in values:
+            with forced_policy(**_axis_policy(axis, value)):
+                result = run_experiment(
+                    experiment_id, seed=case.seed, engine=engine, **kwargs
                 )
-        on, off = results
-        label = f"{experiment_id} [{engine}] wavefront on vs off"
-        np.testing.assert_array_equal(
-            on.x_values, off.x_values, err_msg=f"{label}: x grid"
-        )
-        assert set(on.series) == set(off.series), f"{label}: series names"
-        for name in on.series:
-            a, b = on.series[name], off.series[name]
-            both_nan = np.isnan(a) & np.isnan(b)
-            assert np.array_equal(a[~both_nan], b[~both_nan]), (
-                f"{label}: series {name!r} is not bit-identical"
+            if base is None:
+                base = result
+                continue
+            _assert_same_series(
+                result, base,
+                f"{experiment_id} [{engine}] {axis} {value} vs {values[0]}",
             )
-        checked += 1
+            checked += 1
     return checked
 
 
@@ -713,14 +644,7 @@ def check_fabric_serial_identity(
     from ..experiments import run_experiment
     from ..runtime.fabric import FabricSession
 
-    try:
-        case = EXPERIMENT_CASES[experiment_id]
-    except KeyError:
-        raise KeyError(
-            f"experiment {experiment_id!r} has no cross-engine case: add it to "
-            f"EXPERIMENT_CASES (and an ensemble path to the experiment) — "
-            f"every registered experiment must support both engines"
-        ) from None
+    case = _case(experiment_id)
     kwargs = case.wavefront_kwargs if case.wavefront_kwargs is not None else case.kwargs
     serial = run_experiment(
         experiment_id, seed=case.seed, engine="ensemble", **kwargs
@@ -734,135 +658,7 @@ def check_fabric_serial_identity(
     finally:
         if fabric is None:
             session.close()
-    label = f"{experiment_id} [ensemble] fabric vs serial"
-    np.testing.assert_array_equal(
-        serial.x_values, fabbed.x_values, err_msg=f"{label}: x grid"
+    _assert_same_series(
+        fabbed, serial, f"{experiment_id} [ensemble] fabric vs serial"
     )
-    assert set(serial.series) == set(fabbed.series), f"{label}: series names"
-    for name in serial.series:
-        a, b = serial.series[name], fabbed.series[name]
-        both_nan = np.isnan(a) & np.isnan(b)
-        assert np.array_equal(a[~both_nan], b[~both_nan]), (
-            f"{label}: series {name!r} is not bit-identical"
-        )
     return 2
-
-
-def check_experiment_backend_identity(experiment_id: str) -> int:
-    """Run one experiment under the compiled backend and the NumPy backend,
-    on both engines, and require *bit-identical* figures.
-
-    Exact by the same argument as the wavefront check: the compiled kernels
-    consume the same pre-drawn randomness as every other tier, so the
-    ``REPRO_BACKEND`` choice must never change a series value.  Without
-    Numba the compiled tier runs its interpreter fallback, so the check
-    remains meaningful (same source, different executor).  Uses the pinned
-    :data:`EXPERIMENT_CASES` configuration — the trimmed
-    ``wavefront_kwargs`` scale when present, since the interpreter fallback
-    shares the wavefront's aversion to oversized forced workloads.
-    Returns the number of engines checked.
-    """
-    from ..experiments import run_experiment
-
-    try:
-        case = EXPERIMENT_CASES[experiment_id]
-    except KeyError:
-        raise KeyError(
-            f"experiment {experiment_id!r} has no cross-engine case: add it to "
-            f"EXPERIMENT_CASES (and an ensemble path to the experiment) — "
-            f"every registered experiment must support both engines"
-        ) from None
-    kwargs = case.wavefront_kwargs if case.wavefront_kwargs is not None else case.kwargs
-    checked = 0
-    for engine in ("scalar", "ensemble"):
-        results = []
-        for backend in ("compiled", "numpy"):
-            with forced_backend(backend):
-                results.append(
-                    run_experiment(
-                        experiment_id, seed=case.seed, engine=engine,
-                        **kwargs,
-                    )
-                )
-        comp, base = results
-        label = f"{experiment_id} [{engine}] backend compiled vs numpy"
-        np.testing.assert_array_equal(
-            comp.x_values, base.x_values, err_msg=f"{label}: x grid"
-        )
-        assert set(comp.series) == set(base.series), f"{label}: series names"
-        for name in comp.series:
-            a, b = comp.series[name], base.series[name]
-            both_nan = np.isnan(a) & np.isnan(b)
-            assert np.array_equal(a[~both_nan], b[~both_nan]), (
-                f"{label}: series {name!r} is not bit-identical"
-            )
-        checked += 1
-    return checked
-
-
-def check_thread_identity(
-    experiment_id: str, thread_counts=(1, 2, 7)
-) -> int:
-    """Run one experiment under forced compiled-tier thread budgets and
-    require every budget to reproduce the 1-thread figures *bit-identically*,
-    on both engines.
-
-    The threads axis of the backend matrix: the ``prange`` variants own
-    whole replication rows with zero cross-row communication, so forcing
-    1 vs 2 vs 7 threads (the default includes a budget above most test
-    ``R``, exercising idle threads) must never change a series value —
-    heights and snapshot series included, since the cases' series are
-    computed from them.  Runs under ``forced_backend("compiled")`` (the
-    only tier with a thread axis; without Numba ``prange`` is ``range``
-    and the parallel family runs serially through the interpreter, same
-    arithmetic).  Uses the pinned :data:`EXPERIMENT_CASES` configuration
-    at the trimmed ``wavefront_kwargs`` scale when present, like the
-    backend check.  Returns the number of (engine, thread-count)
-    comparisons performed.
-    """
-    from ..experiments import run_experiment
-
-    try:
-        case = EXPERIMENT_CASES[experiment_id]
-    except KeyError:
-        raise KeyError(
-            f"experiment {experiment_id!r} has no cross-engine case: add it to "
-            f"EXPERIMENT_CASES (and an ensemble path to the experiment) — "
-            f"every registered experiment must support both engines"
-        ) from None
-    kwargs = case.wavefront_kwargs if case.wavefront_kwargs is not None else case.kwargs
-    thread_counts = tuple(thread_counts)
-    if not thread_counts or thread_counts[0] != 1:
-        raise ValueError(
-            f"thread_counts must start with the serial baseline 1, "
-            f"got {thread_counts!r}"
-        )
-    checked = 0
-    with forced_backend("compiled"):
-        for engine in ("scalar", "ensemble"):
-            base = None
-            for threads in thread_counts:
-                with forced_threads(threads):
-                    result = run_experiment(
-                        experiment_id, seed=case.seed, engine=engine,
-                        **kwargs,
-                    )
-                if base is None:
-                    base = result
-                    continue
-                label = (f"{experiment_id} [{engine}] threads "
-                         f"{threads} vs 1")
-                np.testing.assert_array_equal(
-                    result.x_values, base.x_values, err_msg=f"{label}: x grid"
-                )
-                assert set(result.series) == set(base.series), (
-                    f"{label}: series names"
-                )
-                for name in result.series:
-                    a, b = result.series[name], base.series[name]
-                    both_nan = np.isnan(a) & np.isnan(b)
-                    assert np.array_equal(a[~both_nan], b[~both_nan]), (
-                        f"{label}: series {name!r} is not bit-identical"
-                    )
-                checked += 1
-    return checked

@@ -20,17 +20,10 @@ import numpy as np
 from ..bins.arrays import BinArray
 from ..sampling.distributions import probability_model
 from ..sampling.rngutils import make_rng
-from .compiled import resolve_threads, run_batch_compiled, use_compiled
+from .compiled import run_batch_compiled
 from .fast import run_batch
-from .wavefront import (
-    RUNTIME_MIN_FREE_FRACTION,
-    WavefrontStats,
-    WavefrontWorkspace,
-    effective_bins,
-    get_mode,
-    run_batch_wavefront,
-    use_wavefront,
-)
+from .policy import RUNTIME_MIN_FREE_FRACTION, current_policy, dispatch, effective_bins
+from .wavefront import WavefrontStats, WavefrontWorkspace, run_batch_wavefront
 
 __all__ = ["Snapshot", "SimulationResult", "simulate"]
 
@@ -218,25 +211,17 @@ def simulate(
     total_capacity = bins.total_capacity
     caps_arr = bins.capacities
 
-    # Backend + wavefront dispatch for the scalar engine: a single run is
-    # the R = 1 ensemble.  Dispatch order is compiled > wavefront >
-    # per-ball: the compiled tier (REPRO_BACKEND) takes whole chunks when
-    # in force, else the conflict-free wavefront kernels replace the Python
-    # per-ball loop whenever the expected first-wave fraction is high
-    # enough.  All paths consume the identical pre-drawn randomness, so no
-    # decision (nor the mid-run fallback below) can change the results.
+    # A single run is the R = 1 ensemble: the kernel policy picks the
+    # compiled tier, the wavefront or the per-ball list loop.  Every tier
+    # consumes the identical pre-drawn randomness, so neither that choice
+    # nor the mid-run fallback below can change the results.
     p = getattr(sampler, "probabilities", None)
     n_eff = effective_bins(p) if p is not None else float(bins.n)
-    wf_auto = get_mode() == "auto"
-    use_comp = use_compiled()
-    use_wf = False if use_comp else use_wavefront(n_eff, 1, d)
-    # A scalar run is the R = 1 ensemble: "auto" always resolves to 1
-    # thread (nothing to split over prange), but an explicit REPRO_THREADS
-    # budget is honored so the knob behaves identically on both drivers.
-    comp_threads = resolve_threads(1, m) if use_comp else 1
+    policy = current_policy()
+    tier, threads = dispatch(policy, n_eff, 1, d, m)
     wf_stats = WavefrontStats()
     workspace = WavefrontWorkspace()
-    if use_comp or use_wf:
+    if tier != "per_ball":
         counts_arr: np.ndarray | None = np.zeros((1, bins.n), dtype=np.int64)
         counts: list[int] | None = None
         heights_arr = np.empty((1, m), dtype=np.float64) if track_heights else None
@@ -269,7 +254,7 @@ def simulate(
         batch = min(chunk_size, upper - thrown)
         choices = sampler.sample((batch, d), rng)
         tie_u = rng.random(batch)
-        if counts_arr is not None and use_comp:
+        if counts_arr is not None and tier == "compiled":
             run_batch_compiled(
                 counts_arr,
                 caps_arr,
@@ -279,7 +264,7 @@ def simulate(
                 heights=None
                 if heights_arr is None
                 else heights_arr[:, thrown : thrown + batch],
-                threads=comp_threads,
+                threads=threads,
             )
         elif counts_arr is not None:
             run_batch_wavefront(
@@ -295,7 +280,8 @@ def simulate(
                 workspace=workspace,
                 stats=wf_stats,
             )
-            if wf_auto and wf_stats.free_fraction < RUNTIME_MIN_FREE_FRACTION:
+            if (policy.wavefront == "auto"
+                    and wf_stats.free_fraction < RUNTIME_MIN_FREE_FRACTION):
                 # The realised conflict rate defeats the wavefront: hand the
                 # rest of the run to the per-ball loop, bit-identically.
                 counts = counts_arr[0].tolist()

@@ -59,82 +59,32 @@ The deferred fraction of a tile of width ``W`` is roughly
 ``d^2 * W * sum(p_i^2) / 2`` per replication (the birthday rate of the
 selection distribution ``p``), which is why the tile width is chosen
 ``~ sqrt(n_eff / R) / d`` and why the scheme only pays off when
-``n_eff / (R * d * d)`` is large — see :func:`expected_free_fraction` and
-:func:`use_wavefront`, the dispatch key used by the engine drivers.
-
-Dispatch knob
--------------
-``REPRO_WAVEFRONT`` (environment) or :func:`set_mode` / :func:`forced`
-select ``"auto"`` (default: drivers dispatch on the heuristic plus a
-realised-free-fraction runtime guard), ``"on"`` (always) or ``"off"``
-(never).  The equivalence suite runs every experiment under
-``forced("on")`` and ``forced("off")`` and asserts bit-identity.
-
-These kernels are the top of the *NumPy* tier only: when the compiled
-backend (:mod:`repro.core.compiled`, ``REPRO_BACKEND``) is in force the
-drivers bypass the wavefront dispatch entirely — a compiled loop has no
-per-ball call overhead to amortise, so the conflict-free tiling
-degenerates to the plain sequential commit order there.  Dispatch order
-is compiled > wavefront > per-ball, every tier bit-identical.
+``n_eff / (R * d * d)`` is large — see the cost model in
+:mod:`repro.core.policy`, whose :func:`~repro.core.policy.dispatch`
+decides when the engine drivers run these kernels (``REPRO_WAVEFRONT``
+``auto``/``on``/``off``).  They are the top of the *NumPy* tier only: a
+compiled loop has no per-ball call overhead to amortise, so under the
+compiled backend the conflict-free tiling would degenerate to the plain
+sequential commit order, and dispatch skips it.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fast import _MODES
+from .policy import current_policy, tile_width
 
 __all__ = [
-    "WAVEFRONT_MODES",
     "get_mode",
-    "set_mode",
-    "forced",
-    "effective_bins",
-    "expected_free_fraction",
-    "tile_width",
-    "use_wavefront",
     "WavefrontStats",
     "WavefrontWorkspace",
     "validate_lockstep_batch",
     "d2_tie_pref",
     "run_batch_wavefront",
 ]
-
-#: Recognised dispatch modes.
-WAVEFRONT_MODES = ("auto", "on", "off")
-
-_mode_override: str | None = None
-
-#: ``use_wavefront("auto")`` requires at least this expected free fraction
-#: at the heuristic tile width; below it, deferred waves dominate and the
-#: per-ball kernels win.
-MIN_FREE_FRACTION = 0.5
-
-#: ...and at least this ``n_eff / (R * d * d)`` ratio (the issue's
-#: dispatch key).  The free fraction is per replication — it cannot see
-#: the lockstep width — but the per-ball kernels amortise their fixed
-#: call overhead over ``R`` lanes, so wide ensembles shrink the
-#: wavefront's edge; measured on the fig01-scaled configuration the
-#: crossover sits near ``n_eff / (R * d^2) ~ 20``.
-MIN_BINS_PER_LANE = 25.0
-
-#: Runtime guard threshold: a driver that observes a realised free
-#: fraction below this after a chunk falls back to the per-ball kernels
-#: for the rest of the run (auto mode only — forcing "on" stays on).
-RUNTIME_MIN_FREE_FRACTION = 0.4
-
-#: Tile-width scale: ``W ~ TILE_SCALE * sqrt(n_eff / R) / d`` balances
-#: per-tile call overhead (pushes W up) against the deferred fraction
-#: ``~ d^2 * W / (2 * n_eff)`` (pushes W down).  Calibrated on the
-#: fig01-scaled benchmark configuration.
-TILE_SCALE = 16.0
-
-_MIN_TILE = 16
-_MAX_TILE = 4096
 
 #: Wave-splitting budget: conflict chains deeper than this (only seen on
 #: degenerate instances with very few effective bins, i.e. with the
@@ -144,96 +94,8 @@ _MAX_EVENT_ROUNDS = 8
 
 
 def get_mode() -> str:
-    """Current dispatch mode: the :func:`set_mode` override if set, else
-    ``$REPRO_WAVEFRONT``, else ``"auto"``."""
-    if _mode_override is not None:
-        return _mode_override
-    mode = os.environ.get("REPRO_WAVEFRONT", "auto")
-    return mode if mode in WAVEFRONT_MODES else "auto"
-
-
-def set_mode(mode: str | None) -> None:
-    """Set (or with ``None`` clear) the process-wide dispatch override."""
-    global _mode_override
-    if mode is not None and mode not in WAVEFRONT_MODES:
-        raise ValueError(
-            f"unknown wavefront mode {mode!r}; expected one of {WAVEFRONT_MODES}"
-        )
-    _mode_override = mode
-
-
-@contextmanager
-def forced(mode: str):
-    """Pin the dispatch mode for a block (used by the equivalence suite to
-    run identical workloads with the wavefront forced on and off)."""
-    previous = _mode_override
-    set_mode(mode)
-    try:
-        yield
-    finally:
-        set_mode(previous)
-
-
-def effective_bins(probabilities) -> float:
-    """``1 / sum(p_i^2)`` — bin count of the collision-equivalent uniform
-    distribution.  Two independent draws from ``p`` land in the same bin
-    with probability ``sum(p_i^2)``; the dispatch heuristic and tile width
-    use this instead of the raw ``n`` so skewed selection distributions
-    (power-``t``, threshold) are costed correctly."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    s = float((p * p).sum())
-    return 1.0 / s if s > 0.0 else float(p.size)
-
-
-def expected_free_fraction(
-    n_eff: float, repetitions: int, d: int, width: int
-) -> float:
-    """Expected fraction of a tile's balls that commit in the first wave.
-
-    Ball ``j`` of a tile is deferred when one of its ``d`` candidates
-    repeats one of the ``j * d`` candidates drawn earlier in the tile
-    (same replication), each pair colliding with probability
-    ``1 / n_eff``; averaging the linearised ``1 - j * d^2 / n_eff`` over
-    ``j < width`` gives the estimate below.  The engine is ragged (per
-    replication), so ``repetitions`` does not enter the fraction — it is
-    accepted for signature symmetry with :func:`use_wavefront`.
-    """
-    del repetitions
-    return max(0.0, 1.0 - d * d * width / (2.0 * n_eff))
-
-
-def tile_width(n_eff: float, repetitions: int, d: int) -> int:
-    """Tile width ``~ TILE_SCALE * sqrt(n_eff / R) / d``, clamped to
-    ``[16, 4096]`` and rounded down to a power of two (detection keys
-    reserve ``log2(W)`` bits for the ball index)."""
-    w = TILE_SCALE * (n_eff / max(1, repetitions)) ** 0.5 / max(1, d)
-    w = min(_MAX_TILE, max(_MIN_TILE, int(w)))
-    return 1 << (w.bit_length() - 1)
-
-
-def use_wavefront(
-    n_eff: float, repetitions: int, d: int, *, mode: str | None = None
-) -> bool:
-    """Dispatch predicate for the engine drivers.
-
-    ``"on"``/``"off"`` force the decision; ``"auto"`` requires both a
-    high expected free fraction at the heuristic tile width (most balls
-    must commit in the first wave) and the ``n_eff / (R * d * d)`` ratio
-    above :data:`MIN_BINS_PER_LANE` (wide ensembles already amortise the
-    per-ball kernels' call overhead over their ``R`` lanes).
-    """
-    mode = get_mode() if mode is None else mode
-    if mode == "on":
-        return True
-    if mode == "off":
-        return False
-    if n_eff / (max(1, repetitions) * d * d) < MIN_BINS_PER_LANE:
-        return False
-    width = tile_width(n_eff, repetitions, d)
-    return (
-        expected_free_fraction(n_eff, repetitions, d, width)
-        >= MIN_FREE_FRACTION
-    )
+    """The wavefront setting of the current kernel policy."""
+    return current_policy().wavefront
 
 
 @dataclass

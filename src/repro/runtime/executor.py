@@ -58,7 +58,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from ..core.compiled import THREADS_ENV_VAR, set_threads, worker_thread_budget
+from ..core.policy import ENV_VARS, current_policy, set_policy
 from ..sampling.rngutils import spawn_seed_sequences
 from .progress import make_reporter
 
@@ -174,13 +174,13 @@ def _pool_initializer(thread_budget: str) -> None:
     ``REPRO_THREADS`` resolves to ``"auto"`` would expand to the whole
     machine and the fleet would run ``workers × cores`` threads.  Each
     worker therefore starts with the parent's
-    :func:`~repro.core.compiled.worker_thread_budget` — ``"1"`` under
+    :attr:`~repro.core.policy.KernelPolicy.worker_threads` — ``"1"`` under
     ``"auto"``, the explicit value when the caller forced one — written to
-    its environment, and any fork-inherited in-process override cleared so
-    the env value is what :func:`~repro.core.compiled.get_threads` sees.
+    its environment, and any fork-inherited thread override cleared so the
+    env value is what the worker's kernel policy sees.
     """
-    set_threads(None)
-    os.environ[THREADS_ENV_VAR] = thread_budget
+    set_policy(threads=None)
+    os.environ[ENV_VARS["threads"]] = thread_budget
 
 
 def _resolve_blocks(repetitions: int, block_size: int | None) -> list[tuple[int, int]]:
@@ -637,7 +637,7 @@ def _run_adaptive_blocks(
         with multiprocessing.Pool(
             pool_size,
             initializer=_pool_initializer,
-            initargs=(worker_thread_budget(),),
+            initargs=(current_policy().worker_threads,),
         ) as pool:
             idx = 0
             while idx < len(pending) and not stopped:
@@ -726,7 +726,7 @@ def run_tasks(
         with multiprocessing.Pool(
             pool_size,
             initializer=_pool_initializer,
-            initargs=(worker_thread_budget(),),
+            initargs=(current_policy().worker_threads,),
         ) as pool:
             iterator = pool.imap(_invoke_captured, payloads, chunksize=max(chunksize, 1))
             for i, step in enumerate(steps):

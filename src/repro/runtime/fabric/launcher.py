@@ -6,7 +6,7 @@ the driver process) and N worker subprocesses.  While a session is
 :func:`~repro.runtime.executor.run_ensemble_reduced` routes every
 fixed-budget block batch through :meth:`FabricSession.run_blocks` instead
 of its local serial/pool paths — no experiment signature changes, the
-dispatch is ambient, exactly like ``forced_backend``.
+dispatch is ambient, exactly like ``forced_policy``.
 
 Bit-identity argument (the fabric clause of the seed contract): block
 boundaries and child seeds are pure functions of ``(seed, repetitions,
@@ -34,7 +34,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from ...core.compiled import THREADS_ENV_VAR, worker_thread_budget
+from ...core.policy import ENV_VARS, current_policy
 from ...io.atomicio import atomic_write
 from ...io.store import CheckpointSlot, ResultStore, resolve_store
 from ..progress import make_reporter
@@ -43,7 +43,7 @@ from .protocol import park_fingerprint, park_path, spec_path, work_token
 
 __all__ = ["FabricSession", "current_fabric"]
 
-#: Activation stack (module-level, like ``forced_backend``'s): the executor
+#: Activation stack (module-level, like ``forced_policy``'s): the executor
 #: asks :func:`current_fabric` before every fixed-budget reduced run.
 _ACTIVE: list["FabricSession"] = []
 
@@ -94,7 +94,7 @@ class FabricSession:
         """Start *count* worker subprocesses; return their pids.
 
         Each worker is pinned to the driver's
-        :func:`~repro.core.compiled.worker_thread_budget` — ``1`` compiled
+        :attr:`~repro.core.policy.KernelPolicy.worker_threads` — ``1`` compiled
         thread unless the driver explicitly forced a budget — so a fleet
         of N workers on one machine never runs ``N × cores`` threads (the
         same oversubscription guard the executor's pool initializer
@@ -102,7 +102,7 @@ class FabricSession:
         """
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p or os.getcwd() for p in sys.path)
-        env[THREADS_ENV_VAR] = worker_thread_budget()
+        env[ENV_VARS["threads"]] = current_policy().worker_threads
         host, port = self.broker.address
         pids = []
         for _ in range(count):

@@ -38,3 +38,27 @@ def two_class_1000():
     from repro.bins import two_class_bins
 
     return two_class_bins(50, 50, 1, 10)
+
+
+@pytest.fixture
+def matches_per_ball():
+    """Assert that a lockstep kernel reproduces the per-ball ensemble kernel
+    on one batch, counts and (when *heights*) heights; extra keywords go to
+    the kernel only."""
+    from repro.core.ensemble import run_batch_ensemble
+
+    def check(run, caps, choices, tie_u, tie_break="max_capacity",
+              heights=True, **knobs):
+        (R, m), n = tie_u.shape, np.shape(caps)[-1]
+        out = []
+        for kernel, extra in ((run_batch_ensemble, {}), (run, knobs)):
+            counts = np.zeros((R, n), dtype=np.int64)
+            h = np.empty((R, m)) if heights else None
+            kernel(counts, caps, choices, tie_u, tie_break=tie_break,
+                   heights=h, **extra)
+            out.append((counts, h))
+        (base, base_h), (got, got_h) = out
+        np.testing.assert_array_equal(got, base, err_msg=f"{knobs}")
+        np.testing.assert_array_equal(got_h, base_h, err_msg=f"{knobs}")
+
+    return check

@@ -36,12 +36,13 @@ from repro.core.equivalence import (
     check_batched_parity,
     check_driver_parity,
     check_kernel_equivalence,
+    check_dispatch_identity,
     check_experiment_equivalence,
-    check_experiment_wavefront_identity,
     check_ring_parity,
     check_weighted_parity,
 )
 from repro.core.fast import run_batch
+from repro.core.policy import forced_policy
 from repro.sampling.rngutils import spawn_seed_sequences
 
 
@@ -206,7 +207,7 @@ class TestWavefrontExperimentIdentity:
 
     @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENT_CASES))
     def test_forced_on_equals_forced_off(self, experiment_id):
-        assert check_experiment_wavefront_identity(experiment_id) == 2
+        assert check_dispatch_identity(experiment_id, "wavefront", ("on", "off")) == 2
 
 
 class TestKernelSubBatching:
@@ -217,17 +218,16 @@ class TestKernelSubBatching:
     @pytest.mark.parametrize("target", [1, 3, 7, 50])
     def test_kernel_block_boundaries(self, target, monkeypatch):
         import repro.core.ensemble as ens
-        import repro.core.wavefront as wf
 
         bins = BinArray([1, 2, 3, 4, 2, 1, 5])
         kwargs = dict(repetitions=3, m=83, d=2, seed=99, seed_mode="blocked",
                       track_heights=True, snapshot_at=[0, 40, 83])
         # Force the per-ball path so the sub-batch loop actually runs, and
         # compare degenerate kernel_block values against the default.
-        monkeypatch.setattr(wf, "_mode_override", "off")
-        reference = simulate_ensemble(bins, **kwargs)
-        monkeypatch.setattr(ens, "_KERNEL_TARGET", target)
-        split = simulate_ensemble(bins, **kwargs)
+        with forced_policy(wavefront="off"):
+            reference = simulate_ensemble(bins, **kwargs)
+            monkeypatch.setattr(ens, "_KERNEL_TARGET", target)
+            split = simulate_ensemble(bins, **kwargs)
         np.testing.assert_array_equal(split.counts, reference.counts)
         np.testing.assert_array_equal(split.heights, reference.heights)
         assert len(split.snapshots) == len(reference.snapshots)

@@ -5,8 +5,8 @@ The contract under test (see :mod:`repro.core.wavefront`):
 ``run_batch_ensemble`` — identical counts *and* heights for every
 replication, every tie-break mode, shared or per-replication capacities,
 any tile width — and the engine drivers may therefore dispatch between
-the two paths freely (``forced("on")`` / ``forced("off")`` runs must be
-bit-identical end to end).
+the two paths freely (``forced_policy(wavefront="on")`` / ``"off"`` runs
+must be bit-identical end to end).
 """
 
 import numpy as np
@@ -16,24 +16,25 @@ from repro.bins import BinArray
 from repro.core.ensemble import run_batch_ensemble, simulate_ensemble
 from repro.core.equivalence import (
     SweepBudget,
-    check_wavefront_driver_identity,
-    check_wavefront_kernel_equivalence,
+    check_driver_dispatch_identity,
+    check_lockstep_kernel_equivalence,
 )
 from repro.core.fast import run_batch
-from repro.core.simulation import simulate
-from repro.core.wavefront import (
+from repro.core.policy import (
+    CHOICES,
     MIN_BINS_PER_LANE,
-    WAVEFRONT_MODES,
-    WavefrontStats,
-    WavefrontWorkspace,
     effective_bins,
     expected_free_fraction,
-    forced,
-    get_mode,
-    run_batch_wavefront,
-    set_mode,
+    forced_policy,
     tile_width,
     use_wavefront,
+)
+from repro.core.simulation import simulate
+from repro.core.wavefront import (
+    WavefrontStats,
+    WavefrontWorkspace,
+    get_mode,
+    run_batch_wavefront,
 )
 from repro.core.protocol import TIE_BREAKS
 
@@ -43,24 +44,18 @@ class TestKernelBitIdentity:
         """~120 randomised draws: wavefront == per-ball ensemble kernel,
         counts and heights, across d, R, capacity profiles, tie modes, and
         tile widths including the degenerate ones."""
-        assert check_wavefront_kernel_equivalence(0xAFE1, SweepBudget(draws=120)) == 120
+        assert check_lockstep_kernel_equivalence(
+            "wavefront", 0xAFE1, SweepBudget(draws=120)
+        ) == 120
 
     @pytest.mark.parametrize("tie_break", TIE_BREAKS)
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_modes_and_d(self, tie_break, d):
+    def test_modes_and_d(self, tie_break, d, matches_per_ball):
         rng = np.random.default_rng(hash((tie_break, d)) % 2**32)
         n, m, R = 12, 300, 3
         caps = rng.integers(1, 7, size=n).astype(np.int64)
-        choices = rng.integers(0, n, size=(R, m, d))
-        tie_u = rng.random((R, m))
-        base = np.zeros((R, n), dtype=np.int64)
-        bh = np.empty((R, m))
-        run_batch_ensemble(base, caps, choices, tie_u, tie_break=tie_break, heights=bh)
-        wf = np.zeros((R, n), dtype=np.int64)
-        wh = np.empty((R, m))
-        run_batch_wavefront(wf, caps, choices, tie_u, tie_break=tie_break, heights=wh)
-        np.testing.assert_array_equal(base, wf)
-        np.testing.assert_array_equal(bh, wh)
+        matches_per_ball(run_batch_wavefront, caps, rng.integers(0, n, size=(R, m, d)),
+                         rng.random((R, m)), tie_break=tie_break)
 
     def test_all_balls_one_bin(self):
         """Degenerate adversary: every ball probes the same bin, so every
@@ -81,32 +76,23 @@ class TestKernelBitIdentity:
         # committed ball-by-ball and accounted as tail work
         assert stats.tail_balls > 0
 
-    def test_within_ball_duplicates(self):
+    def test_within_ball_duplicates(self, matches_per_ball):
         """Balls whose candidate multiset repeats a bin (a == b) must not
         deadlock or double-commit."""
         rng = np.random.default_rng(5)
         R, n, m = 3, 6, 200
         choices = rng.integers(0, n, size=(R, m, 2))
         choices[:, ::3, 1] = choices[:, ::3, 0]  # force a == b on every 3rd ball
-        tie_u = rng.random((R, m))
-        base = np.zeros((R, n), dtype=np.int64)
-        run_batch_ensemble(base, [2] * n, choices, tie_u)
-        wf = np.zeros((R, n), dtype=np.int64)
-        run_batch_wavefront(wf, [2] * n, choices, tie_u, tile=16)
-        np.testing.assert_array_equal(base, wf)
+        matches_per_ball(run_batch_wavefront, [2] * n, choices, rng.random((R, m)),
+                         tile=16)
 
-    def test_per_replication_capacities(self):
+    def test_per_replication_capacities(self, matches_per_ball):
         rng = np.random.default_rng(11)
         n, m, R = 8, 150, 4
         caps = rng.integers(1, 9, size=(R, n)).astype(np.int64)
         for d in (1, 2, 3):
-            choices = rng.integers(0, n, size=(R, m, d))
-            tie_u = rng.random((R, m))
-            base = np.zeros((R, n), dtype=np.int64)
-            run_batch_ensemble(base, caps, choices, tie_u)
-            wf = np.zeros((R, n), dtype=np.int64)
-            run_batch_wavefront(wf, caps, choices, tie_u, tile=8)
-            np.testing.assert_array_equal(base, wf, err_msg=f"d={d}")
+            matches_per_ball(run_batch_wavefront, caps, rng.integers(0, n, size=(R, m, d)),
+                             rng.random((R, m)), tile=8)
 
     def test_split_invariance_against_scalar(self):
         """Chained wavefront calls on one counts array equal one per-ball
@@ -160,7 +146,9 @@ class TestDriverIdentity:
     def test_randomised_driver_sweep(self):
         """simulate / simulate_ensemble forced on == forced off, counts,
         heights and snapshots, across tie modes and seed modes."""
-        assert check_wavefront_driver_identity(0xD1D0, trials=8) == 8
+        assert check_driver_dispatch_identity(
+            "wavefront", ("on", "off"), 0xD1D0, trials=8
+        ) == 8
 
     def test_scalar_runtime_fallback_is_invisible(self, monkeypatch):
         """A run whose realised free fraction trips the runtime guard must
@@ -169,11 +157,11 @@ class TestDriverIdentity:
         heights prefix), and a slicing bug there would corrupt the tail."""
         import repro.core.simulation as sim
 
-        n = 3000
+        n = 10_000  # past the R = 1 floor, so auto enters the wavefront
         bins = BinArray([1] * n)
         kwargs = dict(m=2000, d=2, seed=9, track_heights=True,
                       snapshot_at=[500, 2000], chunk_size=500)
-        with forced("off"):
+        with forced_policy(wavefront="off"):
             ref = simulate(bins, **kwargs)
         # An impossible threshold trips the guard right after the first
         # chunk, so chunk 1 runs the wavefront and chunks 2-4 the loop.
@@ -194,7 +182,7 @@ class TestDriverIdentity:
         bins = BinArray([1] * 3000)
         kwargs = dict(repetitions=3, m=2000, d=2, seed=11,
                       seed_mode="blocked", track_heights=True, chunk_size=500)
-        with forced("off"):
+        with forced_policy(wavefront="off"):
             ref = simulate_ensemble(bins, **kwargs)
         monkeypatch.setattr(ens, "RUNTIME_MIN_FREE_FRACTION", 2.0)
         res = simulate_ensemble(bins, **kwargs)
@@ -204,23 +192,13 @@ class TestDriverIdentity:
 
 class TestDispatch:
     def test_mode_knobs(self):
-        assert get_mode() in WAVEFRONT_MODES
-        with forced("on"):
+        assert get_mode() in CHOICES["wavefront"]
+        with forced_policy(wavefront="on"):
             assert get_mode() == "on"
             assert use_wavefront(2.0, 256, 5)
-            with forced("off"):
+            with forced_policy(wavefront="off"):
                 assert not use_wavefront(1e9, 1, 2)
             assert get_mode() == "on"
-        with pytest.raises(ValueError, match="unknown wavefront mode"):
-            set_mode("sometimes")
-
-    def test_env_override(self, monkeypatch):
-        set_mode(None)
-        monkeypatch.setenv("REPRO_WAVEFRONT", "off")
-        assert get_mode() == "off"
-        assert not use_wavefront(1e9, 1, 2)
-        monkeypatch.setenv("REPRO_WAVEFRONT", "garbage")
-        assert get_mode() == "auto"
 
     def test_auto_keys_on_bins_per_lane(self):
         # large n, scalar: on; same n, very wide ensemble: off
@@ -232,6 +210,13 @@ class TestDispatch:
         assert not use_wavefront(100, 1, 2, mode="auto")
         # the ratio is keyed on n / (R * d * d)
         assert not use_wavefront(10_000, 1, 25, mode="auto")
+
+    def test_scalar_floor_is_set_by_the_list_loop(self):
+        """At R = 1 the per-ball tier is the ~20x faster list loop."""
+        assert not use_wavefront(2000.0, 1, 2, mode="auto")
+        assert not use_wavefront(4000.0, 1, 3, mode="auto")
+        assert use_wavefront(10_000.0, 1, 2, mode="auto")  # bench floor config
+        assert use_wavefront(2000.0, 5, 2, mode="auto")  # R > 1 unchanged
 
     def test_effective_bins(self):
         assert effective_bins(np.full(100, 0.01)) == pytest.approx(100.0)
@@ -308,7 +293,7 @@ class TestEnsembleDriverDispatch:
         """At a dispatch-eligible size the auto path must take the
         wavefront and still reproduce the per-ball numbers exactly."""
         bins = BinArray([1] * 3000)
-        with forced("off"):
+        with forced_policy(wavefront="off"):
             off = simulate_ensemble(bins, repetitions=3, m=1500, seed=4,
                                     seed_mode="blocked", track_heights=True)
         auto = simulate_ensemble(bins, repetitions=3, m=1500, seed=4,

@@ -14,13 +14,7 @@ import pytest
 
 from repro.bins import uniform_bins
 from repro.core import simulate, simulate_ensemble
-from repro.core.compiled import (
-    THREADS_ENV_VAR,
-    forced_backend,
-    forced_threads,
-    get_threads,
-    resolve_threads,
-)
+from repro.core.policy import ENV_VARS, current_policy, forced_policy
 from repro.runtime import (
     block_parameter_rng,
     run_ensemble_blocks,
@@ -252,14 +246,15 @@ class TestBlockParameterHook:
 
 
 def thread_env_task(seed):
-    """Reports the compiled-tier thread setup a pool child sees: the env
-    var the initializer pinned, what get_threads resolves it to, and the
-    concrete budget a compiled-parallel-sized batch would get."""
+    """Reports the thread setup a pool child sees: the env var the
+    initializer pinned, its policy's thread setting, and the concrete
+    budget a compiled-parallel-sized batch would get."""
     del seed
+    policy = current_policy()
     return {
-        "env": os.environ.get(THREADS_ENV_VAR),
-        "setting": get_threads(),
-        "resolved": resolve_threads(64, 1 << 30),
+        "env": os.environ.get(ENV_VARS["threads"]),
+        "setting": policy.threads,
+        "resolved": policy.thread_budget(64, 1 << 30),
     }
 
 
@@ -280,7 +275,7 @@ class TestThreadBudgetGuard:
         thread even for a batch far beyond the work-size floor, so the
         fleet runs workers × 1 = 4 threads, never workers × cores."""
         workers = 4
-        with forced_backend("compiled"):
+        with forced_policy(backend="compiled"):
             out = run_repetitions(thread_env_task, workers, seed=0,
                                   workers=workers)
         total_threads = sum(child["resolved"] for child in out)
@@ -289,7 +284,7 @@ class TestThreadBudgetGuard:
     def test_pool_children_inherit_forced_budget(self):
         """The guard is overridable: an explicit parent budget propagates
         (the escape hatch for few-worker fleets on many-core machines)."""
-        with forced_threads(3):
+        with forced_policy(threads=3):
             out = run_repetitions(thread_env_task, 2, seed=0, workers=2)
         for child in out:
             assert child["env"] == "3"
@@ -297,9 +292,9 @@ class TestThreadBudgetGuard:
             assert child["resolved"] == 3
 
     def test_parent_env_untouched(self):
-        before = os.environ.get(THREADS_ENV_VAR)
+        before = os.environ.get(ENV_VARS["threads"])
         run_repetitions(thread_env_task, 2, seed=0, workers=2)
-        assert os.environ.get(THREADS_ENV_VAR) == before
+        assert os.environ.get(ENV_VARS["threads"]) == before
 
 
 class TestPool:

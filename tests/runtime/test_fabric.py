@@ -23,7 +23,7 @@ import pytest
 
 from repro.analysis.aggregate import StreamingScalar
 from repro.analysis.precision import PrecisionTarget
-from repro.core.compiled import THREADS_ENV_VAR, forced_threads
+from repro.core.policy import ENV_VARS, forced_policy
 from repro.io.store import CheckpointSlot, ResultStore
 from repro.runtime import (
     FabricSession,
@@ -114,13 +114,13 @@ class TestWorkerThreadBudget:
     def test_spawned_workers_pinned_to_one_thread(self):
         with FabricSession(1) as session:
             pid = session.worker_pids[0]
-            assert _proc_environ(pid)[THREADS_ENV_VAR.encode()] == b"1"
+            assert _proc_environ(pid)[ENV_VARS["threads"].encode()] == b"1"
 
     def test_spawned_workers_inherit_forced_budget(self):
-        with forced_threads(3):
+        with forced_policy(threads=3):
             with FabricSession(1) as session:
                 pid = session.worker_pids[0]
-                assert _proc_environ(pid)[THREADS_ENV_VAR.encode()] == b"3"
+                assert _proc_environ(pid)[ENV_VARS["threads"].encode()] == b"3"
 
 
 class TestProtocol:
