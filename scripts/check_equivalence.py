@@ -8,8 +8,10 @@ Runs, from :mod:`repro.core.equivalence`:
   kernels (jitted, or without numba the same source through the
   interpreter) each against the per-ball ensemble kernel, bit-exact incl.
   heights;
-* the spawn-mode driver parity sweeps (plain, stale-view batched, weighted
-  balls, ring allocation — each lockstep driver vs its scalar counterpart);
+* the spawn-mode row parity sweep, once per lockstep driver (plain,
+  stale-view batched, weighted balls, ring allocation): row ``r`` of an
+  R-row run must equal the ``R = 1`` run, which takes the driver's row
+  kernel, on child seed ``r``;
 * the dispatch-identity matrix: along each selected kernel-policy axis,
   randomised driver runs and every registered experiment on both engines
   must be bit-identical for every value of the axis;
@@ -51,23 +53,22 @@ except ModuleNotFoundError:
 from repro.core.equivalence import (
     DISPATCH_AXES,
     EXPERIMENT_CASES,
+    ROW_DRIVERS,
     SweepBudget,
-    check_batched_parity,
     check_dispatch_identity,
     check_driver_dispatch_identity,
-    check_driver_parity,
     check_experiment_equivalence,
     check_fabric_serial_identity,
     check_kernel_equivalence,
     check_lockstep_kernel_equivalence,
-    check_ring_parity,
-    check_weighted_parity,
+    check_row_parity,
 )
 from repro.core.policy import CHOICES, HAVE_NUMBA, set_policy
 
 #: Master-seed salts, so each sweep draws its own instances.
 _KERNEL_SALTS = {"wavefront": 0xAFE1, "compiled": 0xC0DE}
 _DRIVER_SALTS = {"wavefront": 0x0FF0, "backend": 0xBACC, "threads": 0x7EAD}
+_ROW_SALTS = {"plain": 0xD41E, "batched": 0xBA7C, "weighted": 0x3E16, "ring": 0x21F6}
 
 
 def main(argv=None) -> int:
@@ -75,7 +76,8 @@ def main(argv=None) -> int:
     parser.add_argument("--draws", type=int, default=400,
                         help="randomised kernel draws (default 400)")
     parser.add_argument("--driver-trials", type=int, default=40,
-                        help="driver parity trials, per driver (default 40)")
+                        help="randomised driver trials: per dispatch axis, and "
+                             "per lockstep driver for row parity (default 40)")
     parser.add_argument("--seed", type=int, default=0xE25E, help="master seed")
     parser.add_argument("--max-m", type=int, default=200,
                         help="max balls per draw (default 200)")
@@ -124,18 +126,12 @@ def main(argv=None) -> int:
             print(f"{axis + ' drivers:':20s}{trials} trials OK "
                   f"({' == '.join(map(str, values))}, both engines, "
                   f"snapshots + heights)")
-        driver = check_driver_parity(args.seed ^ 0xD41E, trials=args.driver_trials)
-        print(f"driver parity:      {driver} trials OK "
-              f"(simulate_ensemble row r == simulate(seed=child_r))")
-        batched = check_batched_parity(args.seed ^ 0xBA7C, trials=args.driver_trials)
-        print(f"batched parity:     {batched} trials OK "
-              f"(simulate_batched_ensemble vs simulate_batched)")
-        weighted = check_weighted_parity(args.seed ^ 0x3E16, trials=args.driver_trials)
-        print(f"weighted parity:    {weighted} trials OK "
-              f"(simulate_weighted_ensemble vs simulate_weighted)")
-        ring = check_ring_parity(args.seed ^ 0x21F6, trials=args.driver_trials)
-        print(f"ring parity:        {ring} trials OK "
-              f"(allocate_requests_ensemble vs allocate_requests)")
+        for driver in ROW_DRIVERS:
+            trials = check_row_parity(
+                driver, args.seed ^ _ROW_SALTS[driver], trials=args.driver_trials
+            )
+            print(f"{driver + ' rows:':20s}{trials} trials OK "
+                  f"(lockstep row r == R = 1 row kernel on child_r)")
         fabric = None
         if args.fabric:
             from repro.runtime.fabric import FabricSession

@@ -2,9 +2,11 @@
 # Routine check pipeline (also: `make check`).
 #
 # Runs, in order:
-#   1. the tier-1 test suite (ROADMAP's verify command), then the
-#      checkpointer save/clear stress test looped 50 times (a concurrent
-#      Checkpointer.clear must never crash a writer);
+#   1. the tier-1 test suite (ROADMAP's verify command; it includes the
+#      WAL SIGKILL test: a child killed right after 300 appends leaves all
+#      300 records whole), then the checkpointer save/clear stress test
+#      looped 50 times (a concurrent Checkpointer.clear must never crash a
+#      writer);
 #   2. the quick-mode benchmarks for the ensemble engine: the 5x (fig02)
 #      and 3x (fig18) engine floors at R = 64, plus the wavefront-kernel
 #      floors on the fig01-scaled n=10^4 configuration (R=16/R=64 over the
@@ -46,8 +48,10 @@
 #      compiled additionally when numba is importable — without numba the
 #      backend axis already runs the compiled source through the
 #      interpreter): kernel three-way bit-exactness, the wavefront and
-#      compiled lockstep kernel sweeps, the four driver parity sweeps, and
-#      the dispatch-identity matrix — randomised driver runs and every
+#      compiled lockstep kernel sweeps, the row parity sweep of each
+#      lockstep driver (plain, stale-view, weighted, ring: row r of an
+#      R-row run == the R = 1 row kernel on child seed r), and the
+#      dispatch-identity matrix — randomised driver runs and every
 #      registered experiment on both engines, bit-identical along the
 #      wavefront (on/off) and backend (compiled/numpy) axes of the kernel
 #      policy.  Where numba is present the compiled pass repeats once under

@@ -7,7 +7,9 @@ Commands
 ``repro run <id> [--scale S] [--seed N] [--workers W] [--engine E] [--block-size B]
 [--precision SPEC] [--store [DIR]] [--out DIR] [--no-plot]``
     Run an experiment; print the ASCII rendition and save CSV/JSON.
-    ``--engine ensemble`` selects the lockstep replication engine.
+    ``--engine ensemble`` runs the repetitions in lockstep blocks;
+    ``--engine scalar`` (default) runs one repetition per block, the same
+    stream a single run draws.
     ``--precision rel=0.01,conf=0.95`` makes the repetition budget a
     maximum: an adaptive experiment stops at the first block boundary
     where every monitored series' batch-means CI half-width meets the
@@ -584,7 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--workers", type=int, default=1,
                        help="parallel worker processes (default 1)")
     p_run.add_argument("--engine", choices=["scalar", "ensemble"], default=None,
-                       help="repetition engine: scalar loop or lockstep ensemble")
+                       help="repetition engine: 'scalar' (default) runs one "
+                            "repetition per block, 'ensemble' runs lockstep "
+                            "blocks of --block-size")
     p_run.add_argument("--block-size", type=int, default=None,
                        help="replications per lockstep block (ensemble engine)")
     p_run.add_argument("--precision", default=None, metavar="SPEC",
@@ -614,7 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated repetition scales")
     p_sweep.add_argument("--seeds", default=None, help="comma-separated seeds")
     p_sweep.add_argument("--engines", default=None,
-                         help="comma-separated engines (scalar,ensemble)")
+                         help="comma-separated engines (scalar,ensemble): "
+                              "one repetition per block, or lockstep blocks")
     p_sweep.add_argument("--repetitions", type=int, default=None,
                          help="repetition-count override for every cell")
     p_sweep.add_argument("--workers", type=int, default=1, help="worker processes")
@@ -660,7 +665,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--seed", type=int, default=None, help="master seed")
     p_report.add_argument("--workers", type=int, default=1, help="worker processes")
     p_report.add_argument("--engine", choices=["scalar", "ensemble"], default=None,
-                          help="repetition engine where supported (see ROADMAP engine matrix)")
+                          help="repetition engine: 'scalar' (default) runs one "
+                               "repetition per block, 'ensemble' runs lockstep "
+                               "blocks")
     p_report.add_argument("--store", nargs="?", const=True, default=None, metavar="DIR",
                           help="cache runs through the result store at DIR "
                                "(default: $REPRO_STORE or ./.repro-store)")

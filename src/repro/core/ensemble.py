@@ -20,20 +20,34 @@ exact integer cross-multiplication comparison
 same tie-uniform consumption (ball ``j`` resolves its tie with
 ``tie_uniforms[r, j]``, consumed or not).
 
-:func:`simulate_ensemble` extends the contract to whole runs: with
+:func:`simulate_ensemble` is the one drive loop of the protocol: it owns
+seeding, sampling, snapshots, tier dispatch and the runtime fallback, and
+:func:`repro.core.simulation.simulate` is its ``R = 1`` call.  With
 ``seeds=[s_0, .., s_{R-1}]`` (or the default ``SeedSequence.spawn`` of a
 master seed) replication ``r`` reproduces
 ``simulate(bins, seed=s_r, chunk_size=...)`` exactly, because each
-replication's generator draws its choices and tie uniforms in the same order
-and chunking as the scalar driver.  ``seed_mode="blocked"`` trades that
-per-replication stream match for a single generator drawing ``(R, chunk, d)``
-batches at once — statistically identical, a little faster, but not
-stream-comparable to scalar runs.
+replication's generator draws its choices and tie uniforms in the same
+order and chunking as a single run, and every tier resolves them
+identically.  ``seed_mode="blocked"`` trades that per-replication stream
+match for a single generator drawing ``(R, chunk, d)`` batches at once —
+statistically identical, a little faster, but not stream-comparable to
+single runs.  At ``R = 1`` the distinction disappears: blocked mode on a
+master seed, spawn mode on ``seeds=[s]`` and ``simulate(seed=s)`` draw the
+same stream from the same generator, so they return the same numbers.
+That is why the scalar engine of the experiments is nothing but the
+ensemble engine with one repetition per block
+(:func:`repro.experiments.base.one_repetition_per_block`): each block's
+master is its repetition's own child seed.
 
-The same engine/contract pair exists for the protocol variants:
+The same single drive loop exists for each protocol variant:
 :func:`repro.core.rounds.simulate_batched_ensemble` (stale-view batches),
 :func:`repro.core.weighted.simulate_weighted_ensemble` (weighted balls) and
-:func:`repro.p2p.workload.allocate_requests_ensemble` (ring allocation).
+:func:`repro.p2p.workload.allocate_requests_ensemble` (ring allocation),
+each with its scalar function as the ``R = 1`` call.  At ``R = 1`` every
+driver runs a *row kernel* on Python lists, which beats any array kernel
+one row wide: :func:`repro.core.fast.run_batch` (plain and ring),
+:func:`repro.core.rounds.stale_choice` (stale views) and the weighted list
+loop.  At ``R > 1`` they run the lockstep kernels.
 
 Kernel dispatch
 ---------------
@@ -46,19 +60,18 @@ selects it exactly when Numba is available), else the conflict-free
 wavefront kernels of :mod:`repro.core.wavefront` when the expected
 conflict rate is low enough (``n_eff / (R * d * d)``, with a
 realised-free-fraction runtime fallback; ``REPRO_WAVEFRONT``), else the
-per-ball loops below.  All tiers are *bit-identical* — every kernel
-consumes the same pre-drawn choices and tie uniforms, so dispatch can
-never change a number; the equivalence suite forces each path and
-compares exactly.
+per-ball loops below (the row kernel at ``R = 1``).  All tiers are
+*bit-identical* — every kernel consumes the same pre-drawn choices and tie
+uniforms, so dispatch can never change a number; the equivalence suite
+forces each path and compares exactly.
 
 Shared parameters per block
 ---------------------------
 Lockstep replication requires every replication of a block to play against
 the *same* instance — one capacity vector, one ball-size multiset, one ring.
-Experiments whose scalar repetitions draw such parameters per repetition
-(fig08/09, fig16, the random-caps ablations, ``rw_ring``, ``abl_weighted``)
-therefore use the **shared-params-per-block** convention when running on
-this engine:
+Experiments whose single runs draw such parameters per repetition
+(fig08/09, fig16, ``rw_ring``, ``abl_weighted``) therefore use the
+**shared-params-per-block** convention:
 
 * the executor partitions the replications into contiguous blocks and hands
   each block its child-seed slice (seed contract in
@@ -70,11 +83,12 @@ this engine:
   master.
 
 *Why the estimator stays unbiased*: each replication of a block sees
-parameters drawn from exactly the scalar per-repetition distribution, so
-every replication-level summary has the scalar expectation; blocks draw
-independently (disjoint children of one spawn), so the mean over all
-replications is an unbiased estimator of the same quantity the scalar
-engine estimates.  What changes is the *variance decomposition*: parameter
+parameters drawn from exactly the per-repetition distribution of a single
+run, so every replication-level summary has the single-run expectation;
+blocks draw independently (disjoint children of one spawn), so the mean
+over all replications is an unbiased estimator of the same quantity the
+scalar engine (one repetition, hence one parameter draw, per block)
+estimates.  What changes is the *variance decomposition*: parameter
 randomness is averaged over ``ceil(R / block_size)`` draws instead of
 ``R``, which is why these experiments force a small ``block_size``
 (typically ``reps // 8``) instead of the executor's width-optimised
@@ -93,8 +107,8 @@ from ..bins.arrays import BinArray
 from ..sampling.distributions import probability_model
 from ..sampling.rngutils import make_rng, spawn_seed_sequences
 from .compiled import run_batch_compiled
+from .fast import run_batch
 from .policy import RUNTIME_MIN_FREE_FRACTION, current_policy, dispatch, effective_bins
-from .simulation import DEFAULT_CHUNK_SIZE, _normalise_snapshot_points
 from .wavefront import (
     WavefrontStats,
     WavefrontWorkspace,
@@ -109,22 +123,43 @@ __all__ = [
     "EnsembleResult",
     "simulate_ensemble",
     "SEED_MODES",
-    "resolve_ensemble_seeds",
+    "DEFAULT_CHUNK_SIZE",
+    "lockstep_streams",
 ]
 
 #: Recognised seeding modes for :func:`simulate_ensemble`.
 SEED_MODES = ("spawn", "blocked")
 
-def resolve_ensemble_seeds(repetitions, seeds, seed_mode):
-    """Validate the shared ``(repetitions, seeds, seed_mode)`` driver knobs.
+#: Balls whose choices are drawn per vectorised batch.  Large enough to
+#: amortise the array round-trips, small enough to keep the working set in
+#: cache.
+DEFAULT_CHUNK_SIZE = 1 << 15
+
+
+def _normalise_snapshot_points(snapshot_at, m: int) -> list[int]:
+    if snapshot_at is None:
+        return []
+    points = sorted({int(s) for s in snapshot_at})
+    for s in points:
+        if s < 0 or s > m:
+            raise ValueError(f"snapshot point {s} outside [0, m={m}]")
+    return points
+
+
+def lockstep_streams(repetitions, seed, seeds, seed_mode):
+    """Validate the shared seeding knobs and open the replication streams.
 
     Every lockstep driver (:func:`simulate_ensemble`,
     :func:`repro.core.rounds.simulate_batched_ensemble`,
     :func:`repro.core.weighted.simulate_weighted_ensemble`,
     :func:`repro.p2p.workload.allocate_requests_ensemble`) accepts the same
-    seeding contract; this is its single implementation.  Returns the
-    normalised ``(repetitions, seeds)`` pair — ``seeds`` as a list when
-    given, else ``None`` (the caller spawns from its master seed).
+    ``(repetitions, seed, seeds, seed_mode)`` contract; this is its single
+    implementation.  Returns ``(R, draw)``: ``draw(pick, k, d)`` yields one
+    chunk's ``(R, k, d)`` candidates, drawn as ``pick(shape, generator)``,
+    and its ``(R, k)`` tie uniforms.  In spawn mode each replication's
+    generator draws its candidates, then its ties; blocked mode draws both
+    arrays whole from the one master generator.  At ``R = 1`` the two modes
+    read the same stream.
     """
     if seed_mode not in SEED_MODES:
         raise ValueError(
@@ -144,7 +179,26 @@ def resolve_ensemble_seeds(repetitions, seeds, seed_mode):
         repetitions = len(seeds)
     if repetitions is None or repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    return repetitions, seeds
+    R = repetitions
+
+    if seed_mode == "blocked":
+        master = make_rng(seed)
+
+        def draw(pick, k, d):
+            return pick((R, k, d), master), master.random((R, k))
+
+        return R, draw
+
+    gens = [make_rng(s) for s in (seeds or spawn_seed_sequences(seed, R))]
+
+    def draw(pick, k, d):
+        if R == 1:
+            g = gens[0]
+            return pick((k, d), g)[None], g.random(k)[None]
+        rows = [(pick((k, d), g), g.random(k)) for g in gens]
+        return np.stack([c for c, _ in rows]), np.stack([u for _, u in rows])
+
+    return R, draw
 
 
 #: Upper bound on ``R * k`` elements handled by one kernel call; the driver
@@ -395,8 +449,10 @@ class EnsembleSnapshot:
 class EnsembleResult:
     """Outcome of ``R`` lockstep replications of one allocation setting.
 
-    ``counts`` has shape ``(R, n)``; row ``r`` is exactly what the scalar
-    engine would have produced under the matching seed (``seed_mode="spawn"``).
+    ``counts`` has shape ``(R, n)``; in spawn mode row ``r`` is exactly
+    the single run :func:`repro.core.simulation.simulate` returns for the
+    matching seed.  ``choices`` holds the ``(R, m, d)`` candidate matrix
+    when it was kept.
     """
 
     bins: BinArray
@@ -409,6 +465,7 @@ class EnsembleResult:
     seed_mode: str
     snapshots: list[EnsembleSnapshot] = field(default_factory=list)
     heights: np.ndarray | None = None
+    choices: np.ndarray | None = None
     _loads: np.ndarray | None = field(default=None, repr=False, compare=False)
     _max_loads: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -457,12 +514,15 @@ def simulate_ensemble(
     seed_mode: str = "spawn",
     snapshot_at=None,
     track_heights: bool = False,
+    keep_choices: bool = False,
     sampler_method: str = "alias",
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> EnsembleResult:
     """Throw *m* balls into *bins*, ``R`` replications in lockstep.
 
-    Parameters mirror :func:`repro.core.simulation.simulate`; the extras:
+    This is the one drive loop of the plain protocol:
+    :func:`repro.core.simulation.simulate` is its ``R = 1`` call.
+    Parameters mirror :func:`~repro.core.simulation.simulate`; the extras:
 
     repetitions:
         Number of lockstep replications ``R`` (ignored when *seeds* is given).
@@ -471,17 +531,20 @@ def simulate_ensemble(
         ``Generator``).  Replication ``r`` then reproduces
         ``simulate(bins, seed=seeds[r], ...)`` bit-exactly.  When omitted,
         ``R`` child seeds are spawned from *seed* in ``SeedSequence.spawn``
-        order — the same order :func:`repro.runtime.executor.run_repetitions`
-        hands to scalar repetitions.
+        order — the same order :func:`repro.runtime.executor.run_ensemble_reduced`
+        hands its blocks.
     seed_mode:
         ``"spawn"`` (default): one generator per replication, stream-matched
-        to the scalar engine.  ``"blocked"``: a single generator draws whole
+        to single runs.  ``"blocked"``: a single generator draws whole
         ``(R, chunk, d)`` batches — faster, statistically identical, but not
-        comparable stream-for-stream with scalar runs.
+        comparable stream-for-stream with single runs unless ``R = 1``.
+    keep_choices:
+        Keep the full ``(R, m, d)`` candidate matrix on the result
+        (``R * m * d * 8`` bytes; meant for small analytical runs).
     """
     if not isinstance(bins, BinArray):
         bins = BinArray(bins)
-    repetitions, seeds = resolve_ensemble_seeds(repetitions, seeds, seed_mode)
+    R, draw = lockstep_streams(repetitions, seed, seeds, seed_mode)
     if m is None:
         m = bins.total_capacity
     if m < 0:
@@ -491,29 +554,27 @@ def simulate_ensemble(
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
 
-    R = repetitions
     model = probability_model(probabilities)
     sampler = model.sampler(bins.capacities, method=sampler_method)
-    if seed_mode == "spawn":
-        if seeds is None:
-            seeds = spawn_seed_sequences(seed, R)
-        gens = [make_rng(s) for s in seeds]
-        block_rng = None
-    else:
-        gens = None
-        block_rng = make_rng(seed)
-
     n = bins.n
     counts = np.zeros((R, n), dtype=np.int64)
     caps_arr = bins.capacities
     total_capacity = bins.total_capacity
     heights = np.empty((R, m), dtype=np.float64) if track_heights else None
+    kept = [] if keep_choices else None
+    # At R = 1 the per-ball tier is the row kernel, fast.run_batch on a
+    # Python-list row that persists across chunks (at R = 1 a list loop
+    # beats every array kernel); `counts` is brought up to date from it
+    # for snapshots and at the end.
+    row: list[int] | None = None
 
     snap_points = _normalise_snapshot_points(snapshot_at, m)
     snapshots: list[EnsembleSnapshot] = []
     loads_buf = np.empty((R, n), dtype=np.float64) if snap_points else None
 
     def take_snapshot(balls_thrown: int) -> None:
+        if row is not None:
+            counts[0] = row
         np.divide(counts, caps_arr, out=loads_buf)
         snapshots.append(
             EnsembleSnapshot(
@@ -548,15 +609,7 @@ def simulate_ensemble(
     while thrown < m:
         upper = pending[0] if pending else m
         batch = min(chunk_size, upper - thrown)
-        if gens is not None:
-            choices = np.empty((R, batch, d), dtype=np.int64)
-            tie_u = np.empty((R, batch), dtype=np.float64)
-            for r, g in enumerate(gens):
-                choices[r] = sampler.sample((batch, d), g)
-                tie_u[r] = g.random(batch)
-        else:
-            choices = sampler.sample((R, batch, d), block_rng)
-            tie_u = block_rng.random((R, batch))
+        choices, tie_u = draw(sampler.sample, batch, d)
         chunk_heights = None if heights is None else heights[:, thrown : thrown + batch]
         if tier == "compiled":
             run_batch_compiled(
@@ -583,6 +636,15 @@ def simulate_ensemble(
             if (policy.wavefront == "auto"
                     and wf_stats.free_fraction < RUNTIME_MIN_FREE_FRACTION):
                 tier = "per_ball"
+        elif R == 1:
+            if row is None:
+                row = counts[0].tolist()
+                caps_list = caps_arr.tolist()
+            row_heights = None if heights is None else []
+            run_batch(row, caps_list, choices[0], tie_u[0],
+                      tie_break=tie_break, heights=row_heights)
+            if row_heights is not None:
+                chunk_heights[0] = row_heights
         else:
             # Sub-batch the kernel (not the sampling!) so temporaries stay
             # bounded; RNG consumption is untouched by this split.
@@ -599,10 +661,14 @@ def simulate_ensemble(
                     else chunk_heights[:, lo:hi],
                     workspace=workspace,
                 )
+        if kept is not None:
+            kept.append(choices)
         thrown += batch
         while pending and pending[0] == thrown:
             take_snapshot(thrown)
             pending.pop(0)
+    if row is not None:
+        counts[0] = row
 
     return EnsembleResult(
         bins=bins,
@@ -615,4 +681,7 @@ def simulate_ensemble(
         seed_mode=seed_mode,
         snapshots=snapshots,
         heights=heights,
+        choices=None if kept is None else np.concatenate(
+            [np.empty((R, 0, d), dtype=np.int64), *kept], axis=1
+        ),
     )

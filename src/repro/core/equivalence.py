@@ -8,16 +8,16 @@ Several implementations of the paper's protocol coexist —
 waves) and :func:`repro.core.compiled.run_batch_compiled` (Numba tier with
 interpreter fallback) — under one contract: given the same candidate matrix
 and the same position-aligned tie-uniform stream, all of them produce the
-same counts, ball for ball.  The protocol variants (stale-view batches,
-weighted balls, ring allocation) carry the same contract between their
-scalar and lockstep drivers.
+same counts, ball for ball.  Each protocol (plain, stale-view batches,
+weighted balls, ring allocation) has one lockstep driver, whose ``R = 1``
+row kernel and ``R > 1`` lockstep kernel carry the same contract.
 
 This module has three layers:
 
-* randomised *bit-exactness* sweeps over the kernels and spawn-mode drivers
-  (:func:`check_kernel_equivalence`, :func:`check_lockstep_kernel_equivalence`,
-  :func:`check_driver_parity`, :func:`check_batched_parity`,
-  :func:`check_weighted_parity`, :func:`check_ring_parity`);
+* randomised *bit-exactness* sweeps over the kernels and the spawn-mode
+  drivers (:func:`check_kernel_equivalence`,
+  :func:`check_lockstep_kernel_equivalence`, and :func:`check_row_parity`
+  over :data:`ROW_DRIVERS`);
 * the *dispatch-identity matrix*: each kernel-policy axis
   (:data:`DISPATCH_AXES` — wavefront on/off, backend compiled/numpy,
   compiled threads 1/2/7) forced through every value, on randomised driver
@@ -49,10 +49,10 @@ from .ensemble import run_batch_ensemble, simulate_ensemble
 from .fast import run_batch
 from .policy import forced_policy
 from .protocol import TIE_BREAKS, reference_run
-from .rounds import simulate_batched, simulate_batched_ensemble
+from .rounds import simulate_batched_ensemble
 from .simulation import simulate
 from .wavefront import run_batch_wavefront
-from .weighted import simulate_weighted, simulate_weighted_ensemble
+from .weighted import simulate_weighted_ensemble
 
 __all__ = [
     "SweepBudget",
@@ -60,10 +60,8 @@ __all__ = [
     "check_lockstep_kernel_equivalence",
     "DISPATCH_AXES",
     "check_driver_dispatch_identity",
-    "check_driver_parity",
-    "check_batched_parity",
-    "check_weighted_parity",
-    "check_ring_parity",
+    "ROW_DRIVERS",
+    "check_row_parity",
     "ExperimentCase",
     "EXPERIMENT_CASES",
     "check_experiment_equivalence",
@@ -283,129 +281,115 @@ def check_driver_dispatch_identity(
     return trials
 
 
-def check_driver_parity(master_seed: int, trials: int = 6, repetitions: int = 4) -> int:
-    """Spawn-mode driver parity sweep against the scalar driver.
+def _plain_rows(rng):
+    n = int(rng.integers(2, 16))
+    m = int(rng.integers(1, 200))
+    d = int(rng.integers(1, 4))
+    bins = BinArray(_random_capacities(rng, n))
+    snap = sorted({0, m // 2, m})
 
-    Each trial verifies that replication ``r`` of
-    :func:`~repro.core.ensemble.simulate_ensemble` equals
-    ``simulate(seed=child_r)`` exactly — counts, heights, and every snapshot
-    — under the shared ``SeedSequence.spawn`` order.  Returns the number of
+    def run(**seeding):
+        return simulate_ensemble(
+            bins, m=m, d=d, track_heights=True, snapshot_at=snap, **seeding
+        )
+
+    return run, f"n={n} m={m} d={d}"
+
+
+def _batched_rows(rng):
+    n = int(rng.integers(2, 14))
+    m = int(rng.integers(0, 150))
+    d = int(rng.integers(1, 4))
+    batch = int(rng.integers(1, 50))
+    bins = BinArray(_random_capacities(rng, n))
+
+    def run(**seeding):
+        return simulate_batched_ensemble(bins, m=m, d=d, batch_size=batch, **seeding)
+
+    return run, f"n={n} m={m} d={d} batch={batch}"
+
+
+def _weighted_rows(rng):
+    n = int(rng.integers(2, 10))
+    m = int(rng.integers(0, 80))
+    d = int(rng.integers(1, 4))
+    bins = BinArray(_random_capacities(rng, n))
+    sigma = float(rng.uniform(0.0, 1.5))
+    sizes = rng.lognormal(-0.5 * sigma * sigma, sigma, size=m)
+
+    def run(**seeding):
+        return simulate_weighted_ensemble(bins, sizes, d=d, **seeding)
+
+    return run, f"n={n} m={m} d={d} sigma={sigma:.3f}"
+
+
+def _ring_rows(rng):
+    from ..p2p.ring import ConsistentHashRing
+    from ..p2p.workload import allocate_requests_ensemble
+
+    n_peers = int(rng.integers(2, 24))
+    ring = ConsistentHashRing.random(n_peers, seed=rng)
+    m = int(rng.integers(0, 200))
+    d = int(rng.integers(1, 4))
+    aware = bool(rng.integers(0, 2))
+
+    def run(**seeding):
+        return allocate_requests_ensemble(
+            ring, m, d=d, capacity_aware=aware, **seeding
+        )
+
+    return run, f"n_peers={n_peers} m={m} d={d} aware={aware}"
+
+
+#: The lockstep drivers, each with a draw of one random configuration:
+#: ``case(rng) -> (run, label)`` where ``run(**seeding)`` calls the driver
+#: with the given seeding keywords.
+ROW_DRIVERS = {
+    "plain": _plain_rows,
+    "batched": _batched_rows,
+    "weighted": _weighted_rows,
+    "ring": _ring_rows,
+}
+
+
+def check_row_parity(
+    driver: str, master_seed: int, trials: int = 6, repetitions: int = 4
+) -> int:
+    """Spawn-mode parity sweep of one lockstep *driver* (:data:`ROW_DRIVERS`).
+
+    Each trial draws a random configuration and requires row ``r`` of the
+    R-row lockstep run (``seed=master``, spawn mode) to equal the
+    ``R = 1`` run on ``seeds=[child_r]`` — which runs the driver's row
+    kernel — bit for bit: counts, plus heights, every snapshot and the
+    float masses wherever the driver reports them.  Returns the number of
     trials checked; raises ``AssertionError`` on the first mismatch.
     """
+    case = ROW_DRIVERS[driver]
     rng = np.random.default_rng(master_seed)
     for trial in range(trials):
-        n = int(rng.integers(2, 16))
-        m = int(rng.integers(1, 200))
-        d = int(rng.integers(1, 4))
-        bins = BinArray(_random_capacities(rng, n))
+        run, config = case(rng)
         master = int(rng.integers(0, 2**31))
-        snap = sorted({0, m // 2, m})
-        ens = simulate_ensemble(
-            bins, repetitions=repetitions, m=m, d=d, seed=master,
-            track_heights=True, snapshot_at=snap,
-        )
+        lockstep = run(repetitions=repetitions, seed=master)
         for r, child in enumerate(spawn_seed_sequences(master, repetitions)):
-            sc = simulate(
-                bins, m=m, d=d, seed=child, track_heights=True, snapshot_at=snap
+            single = run(seeds=[child])
+            label = f"{driver} trial={trial} rep={r} {config}"
+            assert np.array_equal(lockstep.counts[r], single.counts[0]), (
+                f"{label}: counts"
             )
-            label = f"trial={trial} rep={r} n={n} m={m} d={d}"
-            assert np.array_equal(ens.counts[r], sc.counts), f"{label} counts"
-            np.testing.assert_array_equal(
-                ens.heights[r], sc.heights, err_msg=f"{label} heights"
-            )
-            assert len(ens.snapshots) == len(sc.snapshots), f"{label} snapshot count"
-            for es, ss in zip(ens.snapshots, sc.snapshots):
-                assert es.balls_thrown == ss.balls_thrown, label
-                assert es.max_loads[r] == ss.max_load, f"{label} snapshot max"
-                assert es.average_load == ss.average_load, label
-    return trials
-
-
-def check_batched_parity(master_seed: int, trials: int = 6, repetitions: int = 4) -> int:
-    """Stale-view batched game: lockstep vs scalar, spawn-mode bit parity.
-
-    Each trial verifies that replication ``r`` of
-    :func:`~repro.core.rounds.simulate_batched_ensemble` equals
-    ``simulate_batched(seed=child_r)`` exactly for a random batch size.
-    """
-    rng = np.random.default_rng(master_seed)
-    for trial in range(trials):
-        n = int(rng.integers(2, 14))
-        m = int(rng.integers(0, 150))
-        d = int(rng.integers(1, 4))
-        batch = int(rng.integers(1, 50))
-        bins = BinArray(_random_capacities(rng, n))
-        master = int(rng.integers(0, 2**31))
-        ens = simulate_batched_ensemble(
-            bins, repetitions=repetitions, m=m, d=d, batch_size=batch, seed=master
-        )
-        for r, child in enumerate(spawn_seed_sequences(master, repetitions)):
-            sc = simulate_batched(bins, m=m, d=d, batch_size=batch, seed=child)
-            assert np.array_equal(ens.counts[r], sc.counts), (
-                f"trial={trial} rep={r} n={n} m={m} d={d} batch={batch}"
-            )
-    return trials
-
-
-def check_weighted_parity(master_seed: int, trials: int = 6, repetitions: int = 4) -> int:
-    """Weighted balls: lockstep vs scalar, spawn-mode bit parity.
-
-    Each trial draws a random positive size sequence and verifies that
-    replication ``r`` of
-    :func:`~repro.core.weighted.simulate_weighted_ensemble` equals
-    ``simulate_weighted(seed=child_r)`` exactly — counts *and* float masses
-    (the epsilon-guarded tie pipeline is arithmetic-identical).
-    """
-    rng = np.random.default_rng(master_seed)
-    for trial in range(trials):
-        n = int(rng.integers(2, 10))
-        m = int(rng.integers(0, 80))
-        d = int(rng.integers(1, 4))
-        bins = BinArray(_random_capacities(rng, n))
-        sigma = float(rng.uniform(0.0, 1.5))
-        sizes = rng.lognormal(-0.5 * sigma * sigma, sigma, size=m)
-        master = int(rng.integers(0, 2**31))
-        ens = simulate_weighted_ensemble(
-            bins, sizes, repetitions=repetitions, d=d, seed=master
-        )
-        for r, child in enumerate(spawn_seed_sequences(master, repetitions)):
-            sc = simulate_weighted(bins, sizes, d=d, seed=child)
-            label = f"trial={trial} rep={r} n={n} m={m} d={d}"
-            assert np.array_equal(ens.counts[r], sc.counts), f"{label} counts"
-            np.testing.assert_array_equal(
-                ens.masses[r], sc.masses, err_msg=f"{label} masses"
-            )
-    return trials
-
-
-def check_ring_parity(master_seed: int, trials: int = 6, repetitions: int = 4) -> int:
-    """Ring allocation: lockstep vs scalar, spawn-mode bit parity.
-
-    Each trial draws a random consistent-hashing ring and verifies that
-    replication ``r`` of
-    :func:`~repro.p2p.workload.allocate_requests_ensemble` equals
-    ``allocate_requests(seed=child_r)`` exactly, in both the plain and
-    capacity-aware accountings.
-    """
-    from ..p2p.ring import ConsistentHashRing
-    from ..p2p.workload import allocate_requests, allocate_requests_ensemble
-
-    rng = np.random.default_rng(master_seed)
-    for trial in range(trials):
-        n_peers = int(rng.integers(2, 24))
-        ring = ConsistentHashRing.random(n_peers, seed=rng)
-        m = int(rng.integers(0, 200))
-        d = int(rng.integers(1, 4))
-        aware = bool(rng.integers(0, 2))
-        master = int(rng.integers(0, 2**31))
-        ens = allocate_requests_ensemble(
-            ring, m, repetitions=repetitions, d=d, capacity_aware=aware, seed=master
-        )
-        for r, child in enumerate(spawn_seed_sequences(master, repetitions)):
-            sc = allocate_requests(ring, m, d=d, capacity_aware=aware, seed=child)
-            assert np.array_equal(ens.counts[r], sc.counts), (
-                f"trial={trial} rep={r} n_peers={n_peers} m={m} d={d} aware={aware}"
-            )
+            for name in ("heights", "masses"):
+                rows = getattr(lockstep, name, None)
+                if rows is not None:
+                    np.testing.assert_array_equal(
+                        rows[r], getattr(single, name)[0],
+                        err_msg=f"{label}: {name}",
+                    )
+            snaps = getattr(lockstep, "snapshots", [])
+            single_snaps = getattr(single, "snapshots", [])
+            assert len(snaps) == len(single_snaps), f"{label}: snapshot count"
+            for a, b in zip(snaps, single_snaps):
+                assert a.balls_thrown == b.balls_thrown, label
+                assert a.average_load == b.average_load, label
+                assert a.max_loads[r] == b.max_loads[0], f"{label}: snapshot max"
     return trials
 
 

@@ -3,8 +3,8 @@
 Three kernel tiers implement the identical decision sequence — the
 compiled loops (:mod:`repro.core.compiled`), the conflict-free wavefront
 kernels (:mod:`repro.core.wavefront`) and the per-ball kernels
-(:func:`repro.core.fast.run_batch` in the scalar driver,
-:func:`repro.core.ensemble.run_batch_ensemble` in the lockstep one).
+(:func:`repro.core.fast.run_batch` on a list row at ``R = 1``,
+:func:`repro.core.ensemble.run_batch_ensemble` over ``R > 1`` lanes).
 Every tier consumes the same pre-drawn choices and tie uniforms, so no
 setting here can change a number; the equivalence suite runs each axis
 both ways and compares bit for bit
@@ -42,8 +42,8 @@ collision-equivalent bin count of the selection distribution
 balls commit in the first wave *and* ``n_eff / (R * d * d)`` clears a
 floor set by the per-ball kernel it replaces: the NumPy per-ball kernel
 amortises its call overhead over ``R`` lanes
-(:data:`MIN_BINS_PER_LANE`), and the scalar driver's list loop is about
-20x faster than that kernel at ``R = 1`` (:data:`SCALAR_MIN_BINS_PER_LANE`).
+(:data:`MIN_BINS_PER_LANE`), and the ``R = 1`` row kernel, a list loop,
+is about 20x faster than that kernel (:data:`SCALAR_MIN_BINS_PER_LANE`).
 """
 
 from __future__ import annotations
@@ -180,7 +180,8 @@ _override: dict = {}
 
 def current_policy() -> KernelPolicy:
     """The environment's policy with the process override on top."""
-    return replace(KernelPolicy.from_env(), **_override)
+    policy = KernelPolicy.from_env()
+    return replace(policy, **_override) if _override else policy
 
 
 def set_policy(**fields) -> None:
@@ -222,8 +223,8 @@ MIN_FREE_FRACTION = 0.5
 #: the fig01-scaled configuration the crossover sits near 20.
 MIN_BINS_PER_LANE = 25.0
 
-#: The same floor at ``R = 1``, against the scalar driver's
-#: :func:`repro.core.fast.run_batch` list loop.  Measured with uniform
+#: The same floor at ``R = 1``, against the row kernel it replaces there,
+#: the :func:`repro.core.fast.run_batch` list loop.  Measured with uniform
 #: bins and 200k balls (best of 3, 2 vCPUs), the wavefront overtakes the
 #: list loop between ``n / d^2 = 1500`` (x0.89) and ``2000`` (x1.16) at
 #: ``d = 2``, and near ``1333`` (x1.03) at ``d = 3``.

@@ -21,8 +21,7 @@ import numpy as np
 
 from ..bins.arrays import BinArray
 from ..sampling.distributions import probability_model
-from ..sampling.rngutils import make_rng, spawn_seed_sequences
-from .ensemble import EnsembleResult, resolve_ensemble_seeds
+from .ensemble import EnsembleResult, lockstep_streams
 from .simulation import SimulationResult
 
 __all__ = ["simulate_batched", "simulate_batched_ensemble", "stale_choice"]
@@ -42,42 +41,19 @@ def simulate_batched(
     Parameters match :func:`repro.core.simulation.simulate` plus
     ``batch_size`` — the number of balls that share one frozen view of the
     loads.  Within a batch, each ball still commits (the counts advance),
-    but *decisions* use the frozen counts.
+    but *decisions* use the frozen counts.  This is the ``R = 1`` call of
+    :func:`simulate_batched_ensemble`.
     """
-    if not isinstance(bins, BinArray):
-        bins = BinArray(bins)
-    if m is None:
-        m = bins.total_capacity
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-
-    model = probability_model(probabilities)
-    sampler = model.sampler(bins.capacities)
-    rng = make_rng(seed)
-
-    caps = bins.capacities.tolist()
-    counts = [0] * bins.n
-    thrown = 0
-    while thrown < m:
-        k = min(batch_size, m - thrown)
-        choices = sampler.sample((k, d), rng).tolist()
-        tie_u = rng.random(k).tolist()
-        frozen = counts.copy()
-        for j in range(k):
-            chosen = stale_choice(choices[j], frozen, caps, tie_u[j])
-            counts[chosen] += 1
-        thrown += k
-
+    res = simulate_batched_ensemble(
+        bins, 1, m, d, batch_size=batch_size, probabilities=probabilities,
+        seeds=[seed],
+    )
     return SimulationResult(
-        bins=bins,
-        counts=np.asarray(counts, dtype=np.int64),
-        m=m,
+        bins=res.bins,
+        counts=res.counts[0],
+        m=res.m,
         d=d,
-        probability=model.name,
+        probability=res.probability,
         tie_break="max_capacity",
     )
 
@@ -90,9 +66,9 @@ def stale_choice(row, loads, caps, tie_u: float):
     keep the first occurrence of each tied bin, filter ties to the maximum
     capacity, then pick uniformly with the position-aligned draw *tie_u*
     (consumed whether or not a tie occurs).  *row* holds bin indices into
-    *loads* and *caps* (lists, for speed).  :func:`simulate_batched` and
-    the service's placer both decide through it, and
-    :func:`_resolve_stale_batch` is its lockstep form.
+    *loads* and *caps* (lists, for speed).  It is the ``R = 1`` row kernel
+    of :func:`simulate_batched_ensemble` and the service placer's decision,
+    and :func:`_resolve_stale_batch` is its lockstep form.
     """
     best = [row[0]]
     best_num = loads[row[0]] + 1
@@ -167,21 +143,25 @@ def simulate_batched_ensemble(
 ) -> EnsembleResult:
     """Run the stale-view batched game, ``R`` replications in lockstep.
 
-    Parameters mirror :func:`simulate_batched` plus the ensemble seeding
-    knobs of :func:`repro.core.ensemble.simulate_ensemble`: with
+    The one drive loop of the stale-view game (:func:`simulate_batched` is
+    its ``R = 1`` call).  Parameters mirror :func:`simulate_batched` plus
+    the ensemble seeding knobs of
+    :func:`repro.core.ensemble.simulate_ensemble`: with
     ``seed_mode="spawn"`` (or explicit ``seeds=``) replication ``r``
     reproduces ``simulate_batched(bins, seed=child_r, ...)`` bit-exactly —
     same per-batch draw order, same frozen-view decisions;
     ``seed_mode="blocked"`` draws whole ``(R, k, d)`` batches from a single
     generator (faster, statistically identical, not stream-matched).
 
-    Unlike the sequential protocol, decisions inside one batch are mutually
-    independent given the frozen counts, so the kernel vectorises over balls
-    *and* replications at once: large batch sizes get faster, not slower.
+    At ``R = 1`` every ball is decided by :func:`stale_choice` against a
+    Python-list copy of the frozen counts.  At ``R > 1`` decisions inside
+    one batch are mutually independent given the frozen counts, so the
+    kernel vectorises over balls *and* replications at once: large batch
+    sizes get faster, not slower.
     """
     if not isinstance(bins, BinArray):
         bins = BinArray(bins)
-    repetitions, seeds = resolve_ensemble_seeds(repetitions, seeds, seed_mode)
+    R, draw = lockstep_streams(repetitions, seed, seeds, seed_mode)
     if m is None:
         m = bins.total_capacity
     if m < 0:
@@ -191,40 +171,31 @@ def simulate_batched_ensemble(
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
-    R = repetitions
     model = probability_model(probabilities)
     sampler = model.sampler(bins.capacities)
-    if seed_mode == "spawn":
-        if seeds is None:
-            seeds = spawn_seed_sequences(seed, R)
-        gens = [make_rng(s) for s in seeds]
-        block_rng = None
-    else:
-        gens = None
-        block_rng = make_rng(seed)
-
     n = bins.n
     caps = bins.capacities
     counts = np.zeros((R, n), dtype=np.int64)
     offsets = (np.arange(R, dtype=np.int64) * n)[:, None]
     flat = counts.reshape(-1)
+    row = [0] * n
+    caps_list = caps.tolist()
     thrown = 0
     while thrown < m:
         k = min(batch_size, m - thrown)
-        if gens is not None:
-            choices = np.empty((R, k, d), dtype=np.int64)
-            tie_u = np.empty((R, k), dtype=np.float64)
-            for r, g in enumerate(gens):
-                choices[r] = sampler.sample((k, d), g)
-                tie_u[r] = g.random(k)
+        choices, tie_u = draw(sampler.sample, k, d)
+        if R == 1:
+            frozen = row.copy()
+            for cand, u in zip(choices[0].tolist(), tie_u[0].tolist()):
+                row[stale_choice(cand, frozen, caps_list, u)] += 1
         else:
-            choices = sampler.sample((R, k, d), block_rng)
-            tie_u = block_rng.random((R, k))
-        chosen = _resolve_stale_batch(counts, caps, choices, tie_u)
-        # Several balls of one batch may land in the same (replication, bin)
-        # slot; add.at accumulates duplicates where += would drop them.
-        np.add.at(flat, (chosen + offsets).reshape(-1), 1)
+            chosen = _resolve_stale_batch(counts, caps, choices, tie_u)
+            # Several balls of one batch may land in the same (replication,
+            # bin) slot; add.at accumulates duplicates where += drops them.
+            np.add.at(flat, (chosen + offsets).reshape(-1), 1)
         thrown += k
+    if R == 1:
+        counts[0] = row
 
     return EnsembleResult(
         bins=bins,

@@ -22,8 +22,7 @@ import numpy as np
 
 from ..bins.arrays import BinArray
 from ..sampling.distributions import probability_model
-from ..sampling.rngutils import make_rng, spawn_seed_sequences
-from .ensemble import resolve_ensemble_seeds
+from .ensemble import lockstep_streams
 
 __all__ = [
     "WeightedResult",
@@ -88,34 +87,31 @@ def simulate_weighted(
         Choices per ball.
     probabilities, seed:
         As in :func:`repro.core.simulation.simulate`.
+
+    This is the ``R = 1`` call of :func:`simulate_weighted_ensemble`.
     """
-    if not isinstance(bins, BinArray):
-        bins = BinArray(bins)
-    sizes = np.asarray(ball_sizes, dtype=np.float64)
-    if sizes.ndim != 1:
-        raise ValueError(f"ball_sizes must be 1-D, got shape {sizes.shape}")
-    if sizes.size and (not np.all(np.isfinite(sizes)) or np.any(sizes <= 0)):
-        raise ValueError("ball sizes must be positive and finite")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    res = simulate_weighted_ensemble(
+        bins, ball_sizes, 1, d, probabilities=probabilities, seeds=[seed]
+    )
+    return WeightedResult(
+        bins=res.bins,
+        masses=res.masses[0],
+        counts=res.counts[0],
+        total_mass=res.total_mass,
+        d=d,
+    )
 
-    model = probability_model(probabilities)
-    sampler = model.sampler(bins.capacities)
-    rng = make_rng(seed)
-    m = sizes.size
 
-    choices = sampler.sample((m, d), rng) if m else np.empty((0, d), dtype=np.int64)
-    tie_u = rng.random(m)
+def _weighted_row(masses, counts, caps, sizes, rows, tie_u):
+    """The ``R = 1`` row kernel: the sequential weighted loop on lists.
 
-    caps = bins.capacities.tolist()
-    masses = [0.0] * bins.n
-    counts = [0] * bins.n
-    size_list = sizes.tolist()
-    rows = choices.tolist()
-
-    for j in range(m):
-        s = size_list[j]
-        row = rows[j]
+    Ball ``j`` of size ``sizes[j]`` compares the candidate loads-after
+    ``(masses[b] + s) / caps[b]`` over ``rows[j]``: a strict improvement
+    (beyond the relative tie tolerance) resets the best set, a tie joins
+    it (first occurrence per bin), then the max-capacity filter and the
+    uniform pick via the position-aligned ``tie_u[j]``.
+    """
+    for s, row, u in zip(sizes, rows, tie_u):
         best = [row[0]]
         best_load = (masses[row[0]] + s) / caps[row[0]]
         for b in row[1:]:
@@ -129,17 +125,9 @@ def simulate_weighted(
         if len(best) > 1:
             cmax = max(caps[b] for b in best)
             best = [b for b in best if caps[b] == cmax]
-        chosen = best[0] if len(best) == 1 else best[int(tie_u[j] * len(best))]
+        chosen = best[0] if len(best) == 1 else best[int(u * len(best))]
         masses[chosen] += s
         counts[chosen] += 1
-
-    return WeightedResult(
-        bins=bins,
-        masses=np.asarray(masses),
-        counts=np.asarray(counts, dtype=np.int64),
-        total_mass=float(sizes.sum()),
-        d=d,
-    )
 
 
 @dataclass
@@ -173,7 +161,7 @@ class WeightedEnsembleResult:
 def _weighted_lockstep(masses, counts, caps, sizes, choices, tie_u):
     """Sequential weighted loop, vectorised across the replication axis.
 
-    Reproduces :func:`simulate_weighted`'s float decision pipeline exactly
+    Reproduces :func:`_weighted_row`'s float decision pipeline exactly
     per replication: the epsilon-guarded strict/tie comparison evolves a
     running best the same way the scalar candidate scan does (``best_load``
     only moves on a strict improvement), membership is every candidate at or
@@ -232,6 +220,8 @@ def simulate_weighted_ensemble(
 ) -> WeightedEnsembleResult:
     """Allocate one shared ball-size sequence, ``R`` replications in lockstep.
 
+    The one drive loop of the weighted game (:func:`simulate_weighted` is
+    its ``R = 1`` call, run by :func:`_weighted_row` on lists).
     Parameters mirror :func:`simulate_weighted` plus the ensemble seeding
     knobs of :func:`repro.core.ensemble.simulate_ensemble`: with
     ``seed_mode="spawn"`` (or explicit ``seeds=``) replication ``r``
@@ -252,36 +242,28 @@ def simulate_weighted_ensemble(
         raise ValueError("ball sizes must be positive and finite")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    repetitions, seeds = resolve_ensemble_seeds(repetitions, seeds, seed_mode)
+    R, draw = lockstep_streams(repetitions, seed, seeds, seed_mode)
 
-    R = repetitions
-    m = sizes.size
     model = probability_model(probabilities)
     sampler = model.sampler(bins.capacities)
-    choices = np.empty((R, m, d), dtype=np.int64)
-    tie_u = np.empty((R, m), dtype=np.float64)
-    if seed_mode == "spawn":
-        if seeds is None:
-            seeds = spawn_seed_sequences(seed, R)
-        for r, s in enumerate(seeds):
-            g = make_rng(s)
-            # Match simulate_weighted's draw order: all choices, then all
-            # tie uniforms, in one call each.
-            choices[r] = (
-                sampler.sample((m, d), g) if m else np.empty((0, d), dtype=np.int64)
-            )
-            tie_u[r] = g.random(m)
+    # Every replication draws all of its choices, then all of its tie
+    # uniforms, in one call each.
+    choices, tie_u = draw(sampler.sample, sizes.size, d)
+    if R == 1:
+        masses_row = [0.0] * bins.n
+        counts_row = [0] * bins.n
+        _weighted_row(
+            masses_row, counts_row, bins.capacities.tolist(), sizes.tolist(),
+            choices[0].tolist(), tie_u[0].tolist(),
+        )
+        masses = np.asarray([masses_row], dtype=np.float64)
+        counts = np.asarray([counts_row], dtype=np.int64)
     else:
-        block_rng = make_rng(seed)
-        if m:
-            choices[...] = sampler.sample((R, m, d), block_rng)
-        tie_u[...] = block_rng.random((R, m))
-
-    masses = np.zeros((R, bins.n), dtype=np.float64)
-    counts = np.zeros((R, bins.n), dtype=np.int64)
-    _weighted_lockstep(
-        masses, counts, bins.capacities, sizes.tolist(), choices, tie_u
-    )
+        masses = np.zeros((R, bins.n), dtype=np.float64)
+        counts = np.zeros((R, bins.n), dtype=np.int64)
+        _weighted_lockstep(
+            masses, counts, bins.capacities, sizes.tolist(), choices, tie_u
+        )
     return WeightedEnsembleResult(
         bins=bins,
         masses=masses,

@@ -22,42 +22,29 @@ from ..analysis.aggregate import StreamingScalar
 from ..analysis.precision import AdaptiveRecorder
 from ..bins.generators import two_class_bins, uniform_bins
 from ..core.ensemble import simulate_ensemble
-from ..core.rounds import simulate_batched, simulate_batched_ensemble
-from ..core.simulation import simulate
-from ..runtime.executor import run_ensemble_reduced, run_repetitions
+from ..core.rounds import simulate_batched_ensemble
+from ..runtime.executor import run_ensemble_reduced
 from ..theory.bounds import loglog_over_logd
-from .base import ExperimentResult, register, resolve_engine, scaled_reps
+from .base import ExperimentResult, register, scaled_reps
 
 PAPER_REPS = 10_000
 
 
-def _mean_over_reps(scalar_task, ensemble_task, reps, seed, workers, progress,
-                    kwargs, engine, block_size=None, checkpoint=None,
-                    label=None, until=None) -> float:
-    """Mean of a per-repetition scalar on either engine.
+def _mean_over_reps(task, reps, seed, workers, progress, kwargs,
+                    block_size=None, checkpoint=None, label=None,
+                    until=None) -> float:
+    """Mean of a per-repetition scalar.
 
-    Every ablation point reduces to one mean; the ensemble path runs the
-    matching lockstep block task and reads the merged
-    :class:`~repro.analysis.aggregate.StreamingScalar`.
+    Every ablation point reduces to one mean: run the lockstep block task
+    and read the merged :class:`~repro.analysis.aggregate.StreamingScalar`.
     """
-    if engine == "ensemble":
-        reducer = run_ensemble_reduced(
-            ensemble_task, reps, seed=seed, workers=workers,
-            kwargs=kwargs, progress=progress,
-            block_size=block_size, checkpoint=checkpoint, label=label,
-            until=until,
-        )
-        return float(reducer.mean)
-    outs = run_repetitions(
-        scalar_task, reps, seed=seed, workers=workers,
-        kwargs=kwargs, progress=progress, label=label,
+    reducer = run_ensemble_reduced(
+        task, reps, seed=seed, workers=workers,
+        kwargs=kwargs, progress=progress,
+        block_size=block_size, checkpoint=checkpoint, label=label,
+        until=until,
     )
-    return float(np.mean(outs))
-
-
-def _tiebreak_task(seed, *, n, n_large, small_cap, large_cap, tie_break):
-    bins = two_class_bins(n - n_large, n_large, small_cap, large_cap)
-    return simulate(bins, tie_break=tie_break, seed=seed).max_load
+    return float(reducer.mean)
 
 
 def _tiebreak_block(seeds, *, n, n_large, small_cap, large_cap, tie_break):
@@ -93,7 +80,6 @@ def run_abl_tiebreak(
     precision=None,
 ) -> ExperimentResult:
     """Mean max load for each tie-break policy over the class-mix sweep."""
-    engine = resolve_engine(engine)
     recorder = AdaptiveRecorder(precision, engine=engine)
     reps = repetitions if repetitions is not None else scaled_reps(PAPER_REPS, scale)
     block_size = recorder.block_size(reps, block_size)
@@ -105,13 +91,13 @@ def run_abl_tiebreak(
         curve = []
         for pct, ps in zip(fractions, pt_seeds):
             curve.append(_mean_over_reps(
-                _tiebreak_task, _tiebreak_block, reps, ps, workers, progress,
+                _tiebreak_block, reps, ps, workers, progress,
                 {
                     "n": n, "n_large": int(round(n * pct / 100)),
                     "small_cap": small_cap, "large_cap": large_cap,
                     "tie_break": policy,
                 },
-                engine, block_size, checkpoint, "abl_tiebreak",
+                block_size, checkpoint, "abl_tiebreak",
                 recorder.monitor(f"{policy}/pct={pct}"),
             ))
         series[policy] = np.asarray(curve)
@@ -127,11 +113,6 @@ def run_abl_tiebreak(
                     "repetitions": reps, "seed": seed, "engine": engine},
         extra=extra,
     )
-
-
-def _probability_task(seed, *, n, n_large, large_cap, probabilities):
-    bins = two_class_bins(n - n_large, n_large, 1, large_cap)
-    return simulate(bins, probabilities=probabilities, seed=seed).max_load
 
 
 def _probability_block(seeds, *, n, n_large, large_cap, probabilities):
@@ -166,7 +147,6 @@ def run_abl_probability(
     precision=None,
 ) -> ExperimentResult:
     """Mean max load, proportional vs uniform, as the skew grows."""
-    engine = resolve_engine(engine)
     recorder = AdaptiveRecorder(precision, engine=engine)
     reps = repetitions if repetitions is not None else scaled_reps(PAPER_REPS, scale)
     block_size = recorder.block_size(reps, block_size)
@@ -179,11 +159,10 @@ def run_abl_probability(
         curve = []
         for cap, ps in zip(large_caps, pt_seeds):
             curve.append(_mean_over_reps(
-                _probability_task, _probability_block, reps, ps, workers,
-                progress,
+                _probability_block, reps, ps, workers, progress,
                 {"n": n, "n_large": n_large, "large_cap": int(cap),
                  "probabilities": model},
-                engine, block_size, checkpoint, "abl_probability",
+                block_size, checkpoint, "abl_probability",
                 recorder.monitor(f"{model}/cap={cap}"),
             ))
         series[model] = np.asarray(curve)
@@ -199,11 +178,6 @@ def run_abl_probability(
                     "repetitions": reps, "seed": seed, "engine": engine},
         extra=extra,
     )
-
-
-def _d_task(seed, *, n, d):
-    bins = two_class_bins(n // 2, n // 2, 1, 8)
-    return simulate(bins, d=d, seed=seed).max_load
 
 
 def _d_block(seeds, *, n, d):
@@ -236,7 +210,6 @@ def run_abl_d(
     precision=None,
 ) -> ExperimentResult:
     """Mean max load per d, with the Theorem-3 leading term for reference."""
-    engine = resolve_engine(engine)
     recorder = AdaptiveRecorder(precision, engine=engine)
     reps = repetitions if repetitions is not None else scaled_reps(PAPER_REPS, scale)
     block_size = recorder.block_size(reps, block_size)
@@ -244,8 +217,8 @@ def run_abl_d(
     measured = []
     for d, s in zip(d_values, seeds):
         measured.append(_mean_over_reps(
-            _d_task, _d_block, reps, s, workers, progress,
-            {"n": n, "d": int(d)}, engine, block_size, checkpoint, "abl_d",
+            _d_block, reps, s, workers, progress,
+            {"n": n, "d": int(d)}, block_size, checkpoint, "abl_d",
             recorder.monitor(f"d={d}"),
         ))
     theory = [
@@ -263,11 +236,6 @@ def run_abl_d(
         parameters={"n": n, "repetitions": reps, "seed": seed, "engine": engine},
         extra=extra,
     )
-
-
-def _staleness_task(seed, *, n, batch_size):
-    bins = uniform_bins(n, 1)
-    return simulate_batched(bins, batch_size=batch_size, seed=seed).max_load
 
 
 def _staleness_block(seeds, *, n, batch_size):
@@ -301,7 +269,6 @@ def run_abl_staleness(
     precision=None,
 ) -> ExperimentResult:
     """Mean max load as the freshness of the load view degrades."""
-    engine = resolve_engine(engine)
     recorder = AdaptiveRecorder(precision, engine=engine)
     reps = repetitions if repetitions is not None else scaled_reps(PAPER_REPS, scale)
     block_size = recorder.block_size(reps, block_size)
@@ -309,8 +276,8 @@ def run_abl_staleness(
     curve = []
     for b, s in zip(batch_sizes, seeds):
         curve.append(_mean_over_reps(
-            _staleness_task, _staleness_block, reps, s, workers, progress,
-            {"n": n, "batch_size": int(b)}, engine, block_size, checkpoint,
+            _staleness_block, reps, s, workers, progress,
+            {"n": n, "batch_size": int(b)}, block_size, checkpoint,
             "abl_staleness", recorder.monitor(f"batch={b}"),
         ))
     extra = {"expected_shape": "non-decreasing in batch size; batch=m stays below one-choice"}

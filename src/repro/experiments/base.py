@@ -17,6 +17,7 @@ variance grows at small scale.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +27,8 @@ import numpy as np
 from ..io.asciiplot import ascii_plot, ascii_table
 from ..io.csvio import write_series_csv
 from ..io.jsonio import dump_json
-from .request import RunRequest
+from ..runtime.fabric.launcher import local_execution
+from .request import DEFAULT_ENGINE, RunRequest
 
 __all__ = [
     "ExperimentResult",
@@ -40,6 +42,7 @@ __all__ = [
     "EngineNotSupportedError",
     "PrecisionNotSupportedError",
     "resolve_engine",
+    "one_repetition_per_block",
 ]
 
 
@@ -56,10 +59,13 @@ class PrecisionNotSupportedError(ValueError):
     engine, which has no block stream for the monitor to ride.
     """
 
-#: Execution engines an experiment can run its repetitions on:
-#: ``"scalar"`` — one sequential run per repetition (the reference path);
-#: ``"ensemble"`` — lockstep replication blocks through
-#: :func:`repro.core.ensemble.simulate_ensemble` (the vectorised fast path).
+#: Execution engines an experiment can run its repetitions on.  Both run
+#: the experiment's one block function through
+#: :func:`repro.runtime.executor.run_ensemble_reduced`:
+#: ``"ensemble"`` — lockstep replication blocks (the vectorised fast path);
+#: ``"scalar"`` — one repetition per block, i.e. one single run per
+#: repetition on its own child seed (the reference path; see
+#: :func:`one_repetition_per_block`).
 ENGINES = ("scalar", "ensemble")
 
 
@@ -68,6 +74,33 @@ def resolve_engine(engine: str) -> str:
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     return engine
+
+
+def one_repetition_per_block(run: Callable[..., "ExperimentResult"]):
+    """Give a runner both engines through its one block path.
+
+    *run* takes ``engine``, ``block_size`` and ``checkpoint`` keywords and
+    hands the last two to :func:`~repro.runtime.executor.run_ensemble_reduced`.
+    Under ``engine="ensemble"`` they pass through.  ``engine="scalar"`` is
+    the same path with one repetition per block: each block is an ``R = 1``
+    call of the experiment's lockstep driver on its repetition's own child
+    seed, which draws the stream a single run would.  Those blocks take no
+    checkpoint slot and are leased to no sweep fabric (per repetition,
+    either would cost an fsync or a lease round-trip); they run locally
+    over ``workers``, as single runs always have.
+    """
+
+    @functools.wraps(run)
+    def wrapped(*args, engine: str = DEFAULT_ENGINE, block_size=None,
+                checkpoint=None, **kwargs):
+        if resolve_engine(engine) == "ensemble":
+            return run(*args, engine=engine, block_size=block_size,
+                       checkpoint=checkpoint, **kwargs)
+        with local_execution():
+            return run(*args, engine=engine, block_size=1, checkpoint=None,
+                       **kwargs)
+
+    return wrapped
 
 
 def scaled_reps(paper_reps: int, scale: float, minimum: int = 3) -> int:
@@ -295,11 +328,14 @@ def register(
     ``version`` is the cache-key bump field (see :class:`ExperimentSpec`);
     ``engines`` declares the supported repetition engines; ``adaptive``
     declares that the runner honors a ``precision=`` early-stop target.
+    The registered (and returned) function is *func* wrapped by
+    :func:`one_repetition_per_block`.
     """
 
     def wrap(func: Callable[..., ExperimentResult]) -> Callable[..., ExperimentResult]:
         if experiment_id in _REGISTRY:
             raise ValueError(f"experiment id {experiment_id!r} registered twice")
+        func = one_repetition_per_block(func)
         _REGISTRY[experiment_id] = ExperimentSpec(
             experiment_id=experiment_id,
             title=title,

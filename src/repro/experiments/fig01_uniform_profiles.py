@@ -19,21 +19,14 @@ from ..analysis.aggregate import StreamingProfile
 from ..analysis.precision import AdaptiveRecorder
 from ..bins.generators import uniform_bins
 from ..core.ensemble import simulate_ensemble
-from ..core.simulation import simulate
-from ..runtime.executor import run_ensemble_reduced, run_repetitions
+from ..runtime.executor import run_ensemble_reduced
 from ..theory.bounds import loglog_over_logd, observation2_bound
-from .base import ExperimentResult, register, resolve_engine, scaled_reps
+from .base import ExperimentResult, register, scaled_reps
 
 PAPER_N = 10_000
 PAPER_CAPACITIES = (1, 2, 3, 4, 8)
 PAPER_REPS = 10_000
 PAPER_D = 2
-
-
-def _one_run(seed, *, n: int, capacity: int, d: int) -> np.ndarray:
-    bins = uniform_bins(n, capacity)
-    res = simulate(bins, d=d, seed=seed)
-    return res.loads
 
 
 def _ensemble_block(seeds, *, n: int, capacity: int, d: int) -> StreamingProfile:
@@ -45,25 +38,6 @@ def _ensemble_block(seeds, *, n: int, capacity: int, d: int) -> StreamingProfile
         bins, repetitions=len(seeds), d=d, seed=seeds[0], seed_mode="blocked"
     )
     return StreamingProfile(n).update(res.loads)
-
-
-def _mean_sorted_profile(reps, seed, workers, progress, engine, kwargs,
-                         block_size=None, checkpoint=None, until=None):
-    """Mean sorted load profile over *reps* repetitions on either engine."""
-    if engine == "ensemble":
-        reducer = run_ensemble_reduced(
-            _ensemble_block, reps, seed=seed, workers=workers,
-            kwargs=kwargs, progress=progress,
-            block_size=block_size, checkpoint=checkpoint, label="fig01",
-            until=until,
-        )
-        return reducer.profile().mean
-    loads = run_repetitions(
-        _one_run, reps, seed=seed, workers=workers,
-        kwargs=kwargs, progress=progress, label="fig01",
-    )
-    matrix = np.vstack(loads)
-    return (-np.sort(-matrix, axis=1)).mean(axis=0)
 
 
 @register(
@@ -89,7 +63,6 @@ def run(
     precision=None,
 ) -> ExperimentResult:
     """Run the Figure 1 experiment; see module docstring for the setting."""
-    engine = resolve_engine(engine)
     recorder = AdaptiveRecorder(precision, engine=engine)
     reps = repetitions if repetitions is not None else scaled_reps(PAPER_REPS, scale)
     block_size = recorder.block_size(reps, block_size)
@@ -97,17 +70,14 @@ def run(
     extra_max: dict[str, float] = {}
     extra_pred: dict[str, float] = {}
     for j, c in enumerate(capacities):
-        mean_profile = _mean_sorted_profile(
-            reps,
-            np.random.SeedSequence(seed).spawn(len(capacities))[j],
-            workers,
-            progress,
-            engine,
-            {"n": n, "capacity": int(c), "d": d},
-            block_size,
-            checkpoint,
-            recorder.monitor(f"c={c}"),
+        reducer = run_ensemble_reduced(
+            _ensemble_block, reps,
+            seed=np.random.SeedSequence(seed).spawn(len(capacities))[j],
+            workers=workers, kwargs={"n": n, "capacity": int(c), "d": d},
+            progress=progress, block_size=block_size, checkpoint=checkpoint,
+            label="fig01", until=recorder.monitor(f"c={c}"),
         )
+        mean_profile = reducer.profile().mean
         series[f"{c}-bins"] = mean_profile
         extra_max[f"c={c}"] = float(mean_profile[0])
         extra_pred[f"c={c}"] = (

@@ -20,20 +20,13 @@ from ..analysis.aggregate import StreamingProfile
 from ..analysis.precision import AdaptiveRecorder
 from ..bins.generators import uniform_bins
 from ..core.ensemble import simulate_ensemble
-from ..core.simulation import simulate
-from ..runtime.executor import run_ensemble_reduced, run_repetitions
-from .base import ExperimentResult, register, resolve_engine, scaled_reps
+from ..runtime.executor import run_ensemble_reduced
+from .base import ExperimentResult, register, scaled_reps
 
 PAPER_N = 32
 PAPER_CAPACITIES = (1, 2, 3, 4)
 PAPER_REPS = 10_000
 PAPER_D = 2
-
-
-def _one_run(seed, *, n: int, capacity: int, d: int, multiplier: int) -> np.ndarray:
-    bins = uniform_bins(n, capacity)
-    res = simulate(bins, m=multiplier * bins.total_capacity, d=d, seed=seed)
-    return res.loads
 
 
 def _ensemble_block(
@@ -57,7 +50,6 @@ def _ensemble_block(
 def _run_figure(figure_id: str, multiplier: int, scale, seed, workers, progress,
                 n, capacities, d, repetitions, engine, block_size,
                 checkpoint, precision) -> ExperimentResult:
-    engine = resolve_engine(engine)
     recorder = AdaptiveRecorder(precision, engine=engine)
     reps = repetitions if repetitions is not None else scaled_reps(PAPER_REPS, scale)
     block_size = recorder.block_size(reps, block_size)
@@ -66,21 +58,13 @@ def _run_figure(figure_id: str, multiplier: int, scale, seed, workers, progress,
     for j, c in enumerate(capacities):
         class_seed = np.random.SeedSequence(seed).spawn(len(capacities))[j]
         kwargs = {"n": n, "capacity": int(c), "d": d, "multiplier": multiplier}
-        if engine == "ensemble":
-            reducer = run_ensemble_reduced(
-                _ensemble_block, reps, seed=class_seed, workers=workers,
-                kwargs=kwargs, progress=progress,
-                block_size=block_size, checkpoint=checkpoint, label=figure_id,
-                until=recorder.monitor(f"c={c}"),
-            )
-            mean_profile = reducer.profile().mean
-        else:
-            loads = run_repetitions(
-                _one_run, reps, seed=class_seed, workers=workers,
-                kwargs=kwargs, progress=progress, label=figure_id,
-            )
-            matrix = np.vstack(loads)
-            mean_profile = (-np.sort(-matrix, axis=1)).mean(axis=0)
+        reducer = run_ensemble_reduced(
+            _ensemble_block, reps, seed=class_seed, workers=workers,
+            kwargs=kwargs, progress=progress,
+            block_size=block_size, checkpoint=checkpoint, label=figure_id,
+            until=recorder.monitor(f"c={c}"),
+        )
+        mean_profile = reducer.profile().mean
         series[f"{c}-bins"] = mean_profile
         gaps[f"c={c}"] = float(mean_profile[0] - multiplier)
     extra = {

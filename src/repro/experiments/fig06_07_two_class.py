@@ -17,12 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.aggregate import ReducerBundle, StreamingScalar
-from ..analysis.stats import max_load_location_by_class, max_load_location_by_class_matrix
+from ..analysis.stats import max_load_location_by_class_matrix
 from ..bins.generators import two_class_mix_bins
 from ..core.ensemble import simulate_ensemble
-from ..core.simulation import simulate
-from ..runtime.executor import run_ensemble_reduced, run_repetitions
-from .base import ExperimentResult, register, resolve_engine, scaled_reps
+from ..runtime.executor import run_ensemble_reduced
+from .base import ExperimentResult, register, scaled_reps
 
 PAPER_N = 1_000
 PAPER_SMALL_CAP = 1
@@ -32,14 +31,6 @@ PAPER_REPS_FIG7 = 1_000
 PAPER_D = 2
 #: Sweep grid for the percentage of large bins.
 PAPER_STEP_PCT = 2
-
-
-def _one_run(seed, *, n: int, n_large: int, small_cap: int, large_cap: int, d: int):
-    bins = two_class_mix_bins(n, n_large, small_cap, large_cap)
-    res = simulate(bins, d=d, seed=seed)
-    location = max_load_location_by_class(res.counts, bins.capacities)
-    small_has_max = location.get(small_cap, False)
-    return res.max_load, small_has_max
 
 
 def _ensemble_block(seeds, *, n: int, n_large: int, small_cap: int, large_cap: int, d: int):
@@ -59,9 +50,8 @@ def _ensemble_block(seeds, *, n: int, n_large: int, small_cap: int, large_cap: i
 
 
 def _sweep(scale, seed, workers, progress, n, small_cap, large_cap, d,
-           step_pct, repetitions, paper_reps, engine, block_size, checkpoint,
+           step_pct, repetitions, paper_reps, block_size, checkpoint,
            label):
-    engine = resolve_engine(engine)
     reps = repetitions if repetitions is not None else scaled_reps(paper_reps, scale)
     percentages = np.arange(0, 100 + step_pct, step_pct)
     percentages = percentages[percentages <= 100]
@@ -77,27 +67,17 @@ def _sweep(scale, seed, workers, progress, n, small_cap, large_cap, d,
             "large_cap": large_cap,
             "d": d,
         }
-        if engine == "ensemble":
-            bundle = run_ensemble_reduced(
-                _ensemble_block, reps, seed=seeds[i], workers=workers,
-                kwargs=kwargs, progress=progress,
-                block_size=block_size, checkpoint=checkpoint, label=label,
-            )
-            mean_max[i] = bundle["max_load"].mean
-            small_mean = bundle["small_has_max"].mean
-        else:
-            outs = run_repetitions(
-                _one_run, reps, seed=seeds[i], workers=workers,
-                kwargs=kwargs, progress=progress, label=label,
-            )
-            maxima = np.asarray([o[0] for o in outs])
-            flags = np.asarray([o[1] for o in outs], dtype=bool)
-            mean_max[i] = maxima.mean()
-            small_mean = flags.mean()
+        bundle = run_ensemble_reduced(
+            _ensemble_block, reps, seed=seeds[i], workers=workers,
+            kwargs=kwargs, progress=progress,
+            block_size=block_size, checkpoint=checkpoint, label=label,
+        )
+        mean_max[i] = bundle["max_load"].mean
+        small_mean = bundle["small_has_max"].mean
         # With zero large bins the max is trivially in a small bin; with
         # zero small bins the class is absent and the fraction is zero.
         frac_small[i] = small_mean if n_large < n else 0.0
-    return percentages, mean_max, frac_small, reps, engine
+    return percentages, mean_max, frac_small, reps
 
 
 @register(
@@ -105,6 +85,7 @@ def _sweep(scale, seed, workers, progress, n, small_cap, large_cap, d,
     "Two-class bins (1 and 10): max load vs fraction of large bins",
     "Figure 6",
     "n=1000 bins of capacity 1 and 10, m=C; mean max load vs % of large bins",
+    version=2,
 )
 def run_fig06(
     scale: float = 0.01,
@@ -123,9 +104,9 @@ def run_fig06(
     checkpoint=None,
 ) -> ExperimentResult:
     """Figure 6: mean maximum load over the large-bin-fraction sweep."""
-    pct, mean_max, _, reps, engine = _sweep(
+    pct, mean_max, _, reps = _sweep(
         scale, seed, workers, progress, n, small_cap, large_cap, d,
-        step_pct, repetitions, PAPER_REPS_FIG6, engine, block_size, checkpoint,
+        step_pct, repetitions, PAPER_REPS_FIG6, block_size, checkpoint,
         "fig06",
     )
     return ExperimentResult(
@@ -170,9 +151,9 @@ def run_fig07(
     checkpoint=None,
 ) -> ExperimentResult:
     """Figure 7: fraction of runs whose maximum sits in a small bin."""
-    pct, _, frac_small, reps, engine = _sweep(
+    pct, _, frac_small, reps = _sweep(
         scale, seed, workers, progress, n, small_cap, large_cap, d,
-        step_pct, repetitions, PAPER_REPS_FIG7, engine, block_size, checkpoint,
+        step_pct, repetitions, PAPER_REPS_FIG7, block_size, checkpoint,
         "fig07",
     )
     return ExperimentResult(

@@ -18,17 +18,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.aggregate import ReducerBundle, StreamingScalar
-from ..analysis.stats import max_load_location_by_class, max_load_location_by_class_matrix
+from ..analysis.stats import max_load_location_by_class_matrix
 from ..bins.generators import binomial_random_bins
 from ..core.ensemble import simulate_ensemble
-from ..core.simulation import simulate
 from ..runtime.executor import (
     block_parameter_rng,
     run_ensemble_reduced,
-    run_repetitions,
     shared_param_block_size,
 )
-from .base import ExperimentResult, register, resolve_engine, scaled_reps
+from .base import ExperimentResult, register, scaled_reps
 
 PAPER_N_FIG8 = 10_000
 PAPER_N_FIG9 = 1_000
@@ -36,14 +34,6 @@ PAPER_REPS = 10_000
 PAPER_D = 2
 PAPER_MEAN_CAP_GRID = tuple(np.round(np.arange(1.0, 8.0 + 0.25, 0.25), 4))
 PAPER_TRACKED_CLASSES = (1, 2, 4, 6)
-
-
-def _one_run(seed, *, n: int, mean_cap: float, d: int):
-    rng = np.random.default_rng(seed)
-    bins = binomial_random_bins(n, mean_cap, rng)
-    res = simulate(bins, d=d, seed=rng)
-    location = max_load_location_by_class(res.counts, bins.capacities)
-    return res.max_load, bins.total_capacity, location
 
 
 def _ensemble_block(seeds, *, n: int, mean_cap: float, d: int):
@@ -72,9 +62,8 @@ def _ensemble_block(seeds, *, n: int, mean_cap: float, d: int):
     return ReducerBundle(**reducers)
 
 
-def _sweep(scale, seed, workers, progress, n, d, grid, repetitions, engine,
+def _sweep(scale, seed, workers, progress, n, d, grid, repetitions,
            block_size, checkpoint, label):
-    engine = resolve_engine(engine)
     reps = repetitions if repetitions is not None else scaled_reps(PAPER_REPS, scale)
     seeds = np.random.SeedSequence(seed).spawn(len(grid))
     mean_max = np.empty(len(grid))
@@ -82,36 +71,21 @@ def _sweep(scale, seed, workers, progress, n, d, grid, repetitions, engine,
     class_fracs = {x: np.zeros(len(grid)) for x in PAPER_TRACKED_CLASSES}
     for i, c in enumerate(grid):
         kwargs = {"n": n, "mean_cap": float(c), "d": d}
-        if engine == "ensemble":
-            # Small blocks (unless the request pins its own width) so the
-            # capacity distribution is averaged over at least ~8 independent
-            # draws (each block shares one capacity vector drawn from the
-            # block's parameter generator).
-            bundle = run_ensemble_reduced(
-                _ensemble_block, reps, seed=seeds[i], workers=workers,
-                kwargs=kwargs, progress=progress,
-                block_size=shared_param_block_size(reps, block_size),
-                checkpoint=checkpoint, label=label,
-            )
-            mean_max[i] = bundle["max_load"].mean
-            mean_total[i] = bundle["total_capacity"].mean
-            for x in PAPER_TRACKED_CLASSES:
-                class_fracs[x][i] = bundle[f"class_{x}"].mean
-        else:
-            outs = run_repetitions(
-                _one_run,
-                reps,
-                seed=seeds[i],
-                workers=workers,
-                kwargs=kwargs,
-                progress=progress,
-                label=label,
-            )
-            mean_max[i] = np.mean([o[0] for o in outs])
-            mean_total[i] = np.mean([o[1] for o in outs])
-            for x in PAPER_TRACKED_CLASSES:
-                class_fracs[x][i] = np.mean([o[2].get(x, False) for o in outs])
-    return mean_total, mean_max, class_fracs, reps, engine
+        # Small blocks (unless the request pins its own width) so the
+        # capacity distribution is averaged over at least ~8 independent
+        # draws (each block shares one capacity vector drawn from the
+        # block's parameter generator).
+        bundle = run_ensemble_reduced(
+            _ensemble_block, reps, seed=seeds[i], workers=workers,
+            kwargs=kwargs, progress=progress,
+            block_size=shared_param_block_size(reps, block_size),
+            checkpoint=checkpoint, label=label,
+        )
+        mean_max[i] = bundle["max_load"].mean
+        mean_total[i] = bundle["total_capacity"].mean
+        for x in PAPER_TRACKED_CLASSES:
+            class_fracs[x][i] = bundle[f"class_{x}"].mean
+    return mean_total, mean_max, class_fracs, reps
 
 
 @register(
@@ -119,6 +93,7 @@ def _sweep(scale, seed, workers, progress, n, d, grid, repetitions, engine,
     "Randomised bin sizes: max load vs total capacity",
     "Figure 8",
     "n=10,000 bins, capacity 1+Bin(7,(c-1)/7), m=C; mean max load vs total capacity",
+    version=2,
 )
 def run_fig08(
     scale: float = 0.002,
@@ -135,8 +110,8 @@ def run_fig08(
     checkpoint=None,
 ) -> ExperimentResult:
     """Figure 8: mean maximum load as total capacity grows."""
-    totals, mean_max, _, reps, engine = _sweep(
-        scale, seed, workers, progress, n, d, mean_cap_grid, repetitions, engine,
+    totals, mean_max, _, reps = _sweep(
+        scale, seed, workers, progress, n, d, mean_cap_grid, repetitions,
         block_size, checkpoint, "fig08",
     )
     return ExperimentResult(
@@ -178,8 +153,8 @@ def run_fig09(
     checkpoint=None,
 ) -> ExperimentResult:
     """Figure 9: location of the maximally loaded bin, per size class."""
-    totals, _, class_fracs, reps, engine = _sweep(
-        scale, seed, workers, progress, n, d, mean_cap_grid, repetitions, engine,
+    totals, _, class_fracs, reps = _sweep(
+        scale, seed, workers, progress, n, d, mean_cap_grid, repetitions,
         block_size, checkpoint, "fig09",
     )
     series = {

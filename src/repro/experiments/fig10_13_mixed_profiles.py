@@ -23,9 +23,8 @@ import numpy as np
 from ..analysis.aggregate import StreamingProfile
 from ..bins.generators import two_class_mix_bins
 from ..core.ensemble import simulate_ensemble
-from ..core.simulation import simulate
-from ..runtime.executor import run_ensemble_reduced, run_repetitions
-from .base import ExperimentResult, register, resolve_engine, scaled_reps
+from ..runtime.executor import run_ensemble_reduced
+from .base import ExperimentResult, register, scaled_reps
 
 PAPER_REPS = 10_000
 PAPER_D = 2
@@ -38,12 +37,6 @@ def _restrict_columns(matrix: np.ndarray, restrict, n: int, n_large: int) -> np.
     if restrict == "small":
         return matrix[:, : n - n_large]
     return matrix
-
-
-def _one_run(seed, *, n: int, n_large: int, small_cap: int, large_cap: int, d: int):
-    bins = two_class_mix_bins(n, n_large, small_cap, large_cap)
-    res = simulate(bins, d=d, seed=seed)
-    return res.loads
 
 
 def _ensemble_block(seeds, *, n: int, n_large: int, small_cap: int, large_cap: int,
@@ -59,10 +52,9 @@ def _ensemble_block(seeds, *, n: int, n_large: int, small_cap: int, large_cap: i
 
 
 def _profiles(scale, seed, workers, progress, n, small_cap, large_cap, d,
-              large_counts, restrict, repetitions, engine, block_size,
+              large_counts, restrict, repetitions, block_size,
               checkpoint, label):
     """Mean sorted profiles per ratio; ``restrict`` in {None, 'small', 'large'}."""
-    engine = resolve_engine(engine)
     reps = repetitions if repetitions is not None else scaled_reps(PAPER_REPS, scale)
     seeds = np.random.SeedSequence(seed).spawn(len(large_counts))
     series: dict[str, np.ndarray] = {}
@@ -74,27 +66,19 @@ def _profiles(scale, seed, workers, progress, n, small_cap, large_cap, d,
             series[name] = np.full(n, np.nan)
             continue
         kwargs = {
-            "n": n, "n_large": n_large,
-            "small_cap": small_cap, "large_cap": large_cap, "d": d,
+            "n": n, "n_large": n_large, "small_cap": small_cap,
+            "large_cap": large_cap, "d": d, "restrict": restrict,
         }
-        if engine == "ensemble":
-            reducer = run_ensemble_reduced(
-                _ensemble_block, reps, seed=seeds[i], workers=workers,
-                kwargs={**kwargs, "restrict": restrict}, progress=progress,
-                block_size=block_size, checkpoint=checkpoint, label=label,
-            )
-            profile = reducer.profile().mean
-        else:
-            outs = run_repetitions(
-                _one_run, reps, seed=seeds[i], workers=workers,
-                kwargs=kwargs, progress=progress, label=label,
-            )
-            matrix = _restrict_columns(np.vstack(outs), restrict, n, n_large)
-            profile = (-np.sort(-matrix, axis=1)).mean(axis=0)
+        reducer = run_ensemble_reduced(
+            _ensemble_block, reps, seed=seeds[i], workers=workers,
+            kwargs=kwargs, progress=progress,
+            block_size=block_size, checkpoint=checkpoint, label=label,
+        )
+        profile = reducer.profile().mean
         padded = np.full(n, np.nan)
         padded[: profile.size] = profile
         series[name] = padded
-    return series, reps, engine
+    return series, reps
 
 
 def _make_runner(figure_id, title, n, small_cap, large_cap, large_counts, restrict, shape_note):
@@ -110,9 +94,9 @@ def _make_runner(figure_id, title, n, small_cap, large_cap, large_counts, restri
         block_size: int | None = None,
         checkpoint=None,
     ) -> ExperimentResult:
-        series, reps, engine = _profiles(
+        series, reps = _profiles(
             scale, seed, workers, progress, n, small_cap, large_cap, d,
-            large_counts, restrict, repetitions, engine, block_size,
+            large_counts, restrict, repetitions, block_size,
             checkpoint, figure_id,
         )
         return ExperimentResult(

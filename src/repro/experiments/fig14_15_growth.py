@@ -25,9 +25,8 @@ import numpy as np
 from ..analysis.aggregate import StreamingScalar
 from ..bins.growth import BaselineGrowthModel, ExponentialGrowthModel, GrowthModel, LinearGrowthModel
 from ..core.ensemble import simulate_ensemble
-from ..core.simulation import simulate
-from ..runtime.executor import run_ensemble_reduced, run_repetitions
-from .base import ExperimentResult, register, resolve_engine, scaled_reps
+from ..runtime.executor import run_ensemble_reduced
+from .base import ExperimentResult, register, scaled_reps
 
 PAPER_MAX_BINS = 1_000
 PAPER_LINEAR_OFFSETS = (1, 2, 4, 6)
@@ -37,14 +36,6 @@ PAPER_D = 2
 #: Default per-run ball cap; generous for linear growth, truncates only the
 #: extreme exponential tails.
 DEFAULT_BALL_BUDGET = 2_000_000
-
-
-def _one_state_run(seed, *, capacities, d: int) -> float:
-    from ..bins.arrays import BinArray
-
-    bins = BinArray(np.asarray(capacities, dtype=np.int64))
-    res = simulate(bins, d=d, seed=seed)
-    return res.max_load
 
 
 def _ensemble_state_block(seeds, *, capacities, d: int) -> StreamingScalar:
@@ -61,7 +52,7 @@ def _ensemble_state_block(seeds, *, capacities, d: int) -> StreamingScalar:
 
 
 def _sweep_model(model: GrowthModel, max_bins, reps, seed, workers, progress, d,
-                 ball_budget, engine, block_size, checkpoint, label):
+                 ball_budget, block_size, checkpoint, label):
     xs: list[int] = []
     ys: list[float] = []
     states = list(model.states(max_bins))
@@ -72,27 +63,19 @@ def _sweep_model(model: GrowthModel, max_bins, reps, seed, workers, progress, d,
         if ball_budget is not None and state.total_capacity > ball_budget:
             ys.append(np.nan)
             continue
-        kwargs = {"capacities": state.capacities.tolist(), "d": d}
-        if engine == "ensemble":
-            reducer = run_ensemble_reduced(
-                _ensemble_state_block, reps, seed=seeds[i], workers=workers,
-                kwargs=kwargs, progress=progress,
-                block_size=block_size, checkpoint=checkpoint, label=label,
-            )
-            ys.append(reducer.mean)
-        else:
-            outs = run_repetitions(
-                _one_state_run, reps, seed=seeds[i], workers=workers,
-                kwargs=kwargs, progress=progress, label=label,
-            )
-            ys.append(float(np.mean(outs)))
+        reducer = run_ensemble_reduced(
+            _ensemble_state_block, reps, seed=seeds[i], workers=workers,
+            kwargs={"capacities": state.capacities.tolist(), "d": d},
+            progress=progress, block_size=block_size, checkpoint=checkpoint,
+            label=label,
+        )
+        ys.append(reducer.mean)
     return np.asarray(xs), np.asarray(ys)
 
 
 def _run_growth(figure_id, title, models, scale, seed, workers, progress,
                 max_bins, d, repetitions, ball_budget, engine, block_size,
                 checkpoint):
-    engine = resolve_engine(engine)
     reps = repetitions if repetitions is not None else scaled_reps(PAPER_REPS, scale)
     master = np.random.SeedSequence(seed).spawn(len(models))
     x_ref: np.ndarray | None = None
@@ -100,8 +83,7 @@ def _run_growth(figure_id, title, models, scale, seed, workers, progress,
     truncated: dict[str, int] = {}
     for (name, model), s in zip(models, master):
         xs, ys = _sweep_model(model, max_bins, reps, s, workers, progress, d,
-                              ball_budget, engine, block_size, checkpoint,
-                              figure_id)
+                              ball_budget, block_size, checkpoint, figure_id)
         if x_ref is None:
             x_ref = xs
         elif not np.array_equal(x_ref, xs):
@@ -131,6 +113,7 @@ def _run_growth(figure_id, title, models, scale, seed, workers, progress,
     "Linear capacity growth between generations",
     "Figure 14",
     "2->1000 disks in batches of 20; generation capacity 2+i*a, a in {1,2,4,6}; m=C; mean max load",
+    version=2,
 )
 def run_fig14(
     scale: float = 0.001,
@@ -162,6 +145,7 @@ def run_fig14(
     "Exponential capacity growth between generations",
     "Figure 15",
     "2->1000 disks in batches of 20; generation capacity 2*b^i, b in {1.05,1.1,1.2,1.4}; m=C; mean max load",
+    version=2,
 )
 def run_fig15(
     scale: float = 0.001,

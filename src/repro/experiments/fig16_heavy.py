@@ -18,14 +18,12 @@ import numpy as np
 from ..analysis.aggregate import StreamingProfile
 from ..bins.generators import binomial_random_bins
 from ..core.ensemble import simulate_ensemble
-from ..core.simulation import simulate
 from ..runtime.executor import (
     block_parameter_rng,
     run_ensemble_reduced,
-    run_repetitions,
     shared_param_block_size,
 )
-from .base import ExperimentResult, register, resolve_engine, scaled_reps
+from .base import ExperimentResult, register, scaled_reps
 
 PAPER_N = 10_000
 PAPER_CAP_MULTIPLIERS = (1, 2, 5, 10)
@@ -49,15 +47,6 @@ def _draw_bins(rng, n: int, cap_multiplier: int):
 
         return BinArray(caps.astype(np.int64))
     return binomial_random_bins(n, mean_cap, rng)
-
-
-def _one_run(seed, *, n: int, cap_multiplier: int, rounds: int, d: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    bins = _draw_bins(rng, n, cap_multiplier)
-    cap = bins.total_capacity
-    checkpoints = [i * cap for i in range(1, rounds + 1)]
-    res = simulate(bins, m=rounds * cap, d=d, seed=rng, snapshot_at=checkpoints)
-    return np.asarray([s.gap for s in res.snapshots])
 
 
 def _ensemble_block(seeds, *, n: int, cap_multiplier: int, rounds: int, d: int) -> StreamingProfile:
@@ -111,7 +100,6 @@ def run(
     checkpoint=None,
 ) -> ExperimentResult:
     """Figure 16: deviation of max from average as balls accumulate."""
-    engine = resolve_engine(engine)
     reps = repetitions if repetitions is not None else scaled_reps(PAPER_REPS, scale)
     seeds = np.random.SeedSequence(seed).spawn(len(cap_multipliers))
     series: dict[str, np.ndarray] = {}
@@ -119,25 +107,18 @@ def run(
     x = np.arange(1, rounds + 1)
     for mult, s in zip(cap_multipliers, seeds):
         kwargs = {"n": n, "cap_multiplier": int(mult), "rounds": rounds, "d": d}
-        if engine == "ensemble":
-            # Small blocks (unless the request pins its own width) so the
-            # capacity distribution is averaged over at least ~8 independent
-            # draws (each block shares one capacity vector); the default
-            # 128-wide blocks would collapse all of the capacity randomness
-            # into a single realisation at paper reps.
-            reducer = run_ensemble_reduced(
-                _ensemble_block, reps, seed=s, workers=workers,
-                kwargs=kwargs, progress=progress,
-                block_size=shared_param_block_size(reps, block_size),
-                checkpoint=checkpoint, label="fig16",
-            )
-            curve = reducer.profile().mean
-        else:
-            outs = run_repetitions(
-                _one_run, reps, seed=s, workers=workers,
-                kwargs=kwargs, progress=progress, label="fig16",
-            )
-            curve = np.vstack(outs).mean(axis=0)
+        # Small blocks (unless the request pins its own width) so the
+        # capacity distribution is averaged over at least ~8 independent
+        # draws (each block shares one capacity vector); the default
+        # 128-wide blocks would collapse all of the capacity randomness
+        # into a single realisation at paper reps.
+        reducer = run_ensemble_reduced(
+            _ensemble_block, reps, seed=s, workers=workers,
+            kwargs=kwargs, progress=progress,
+            block_size=shared_param_block_size(reps, block_size),
+            checkpoint=checkpoint, label="fig16",
+        )
+        curve = reducer.profile().mean
         name = f"CAP = {mult}*n"
         series[name] = curve
         # Least-squares slope over rounds: the paper's claim is ~0 slope.

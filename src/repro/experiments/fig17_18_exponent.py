@@ -22,10 +22,9 @@ from ..analysis.aggregate import StreamingScalar
 from ..analysis.precision import AdaptiveRecorder
 from ..bins.generators import two_class_bins
 from ..core.ensemble import simulate_ensemble
-from ..core.simulation import simulate
-from ..runtime.executor import run_ensemble_reduced, run_repetitions
+from ..runtime.executor import run_ensemble_reduced
 from ..sampling.distributions import PowerProbability
-from .base import ExperimentResult, register, resolve_engine, scaled_reps
+from .base import ExperimentResult, register, scaled_reps
 
 PAPER_N = 100
 PAPER_REPS = 1_000_000
@@ -36,12 +35,6 @@ PAPER_FIG17_CAPS = tuple(range(2, 15))
 #: 0..3.5 (fig 18).  A coarser default grid keeps scaled runs affordable.
 DEFAULT_T_GRID_FIG18 = tuple(np.round(np.arange(0.0, 3.5 + 0.25, 0.25), 4))
 DEFAULT_T_GRID_FIG17 = tuple(np.round(np.arange(1.0, 3.0 + 0.1, 0.1), 4))
-
-
-def _one_run(seed, *, x: int, t: float, n: int, d: int) -> float:
-    bins = two_class_bins(n // 2, n - n // 2, 1, x)
-    res = simulate(bins, d=d, probabilities=PowerProbability(t), seed=seed)
-    return res.max_load
 
 
 def _ensemble_block(seeds, *, x: int, t: float, n: int, d: int) -> StreamingScalar:
@@ -56,22 +49,15 @@ def _ensemble_block(seeds, *, x: int, t: float, n: int, d: int) -> StreamingScal
     return StreamingScalar().update(res.max_loads)
 
 
-def _mean_max_load(x, t, reps, seed, workers, progress, n, d, engine,
+def _mean_max_load(x, t, reps, seed, workers, progress, n, d,
                    block_size, checkpoint, label, until=None) -> float:
-    kwargs = {"x": int(x), "t": float(t), "n": n, "d": d}
-    if engine == "ensemble":
-        reducer = run_ensemble_reduced(
-            _ensemble_block, reps, seed=seed, workers=workers,
-            kwargs=kwargs, progress=progress,
-            block_size=block_size, checkpoint=checkpoint, label=label,
-            until=until,
-        )
-        return float(reducer.mean)
-    outs = run_repetitions(
-        _one_run, reps, seed=seed, workers=workers,
-        kwargs=kwargs, progress=progress, label=label,
+    reducer = run_ensemble_reduced(
+        _ensemble_block, reps, seed=seed, workers=workers,
+        kwargs={"x": int(x), "t": float(t), "n": n, "d": d}, progress=progress,
+        block_size=block_size, checkpoint=checkpoint, label=label,
+        until=until,
     )
-    return float(np.mean(outs))
+    return float(reducer.mean)
 
 
 @register(
@@ -80,6 +66,7 @@ def _mean_max_load(x, t, reps, seed, workers, progress, n, d, engine,
     "Figure 18",
     "n=100, half cap-1 half cap-x (x=2..6), p ~ c^t; mean max load vs t",
     adaptive=True,
+    version=2,
 )
 def run_fig18(
     scale: float = 0.0002,
@@ -98,7 +85,6 @@ def run_fig18(
     precision=None,
 ) -> ExperimentResult:
     """Figure 18: mean max load vs exponent t for each big-bin capacity."""
-    engine = resolve_engine(engine)
     recorder = AdaptiveRecorder(precision, engine=engine)
     reps = repetitions if repetitions is not None else scaled_reps(PAPER_REPS, scale, minimum=20)
     block_size = recorder.block_size(reps, block_size)
@@ -110,7 +96,7 @@ def run_fig18(
         t_seeds = s.spawn(len(t_values))
         curve = np.asarray(
             [
-                _mean_max_load(x, t, reps, ts, workers, progress, n, d, engine,
+                _mean_max_load(x, t, reps, ts, workers, progress, n, d,
                                block_size, checkpoint, "fig18",
                                recorder.monitor(f"x={x},t={t:g}"))
                 for t, ts in zip(t_values, t_seeds)
@@ -163,7 +149,6 @@ def run_fig17(
     precision=None,
 ) -> ExperimentResult:
     """Figure 17: the argmin-over-t exponent for each big-bin capacity x."""
-    engine = resolve_engine(engine)
     recorder = AdaptiveRecorder(precision, engine=engine)
     reps = repetitions if repetitions is not None else scaled_reps(PAPER_REPS, scale, minimum=20)
     block_size = recorder.block_size(reps, block_size)
@@ -175,7 +160,7 @@ def run_fig17(
         t_seeds = s.spawn(len(t_values))
         curve = np.asarray(
             [
-                _mean_max_load(x, t, reps, ts, workers, progress, n, d, engine,
+                _mean_max_load(x, t, reps, ts, workers, progress, n, d,
                                block_size, checkpoint, "fig17",
                                recorder.monitor(f"x={x},t={t:g}"))
                 for t, ts in zip(t_values, t_seeds)

@@ -17,29 +17,17 @@ import numpy as np
 
 from ..analysis.aggregate import StreamingScalar
 from ..bins.generators import two_class_bins
-from ..core.weighted import simulate_weighted, simulate_weighted_ensemble
+from ..core.weighted import simulate_weighted_ensemble
 from ..p2p.ring import ConsistentHashRing
-from ..p2p.workload import allocate_requests, allocate_requests_ensemble
+from ..p2p.workload import allocate_requests_ensemble
 from ..runtime.executor import (
     block_parameter_rng,
     run_ensemble_reduced,
-    run_repetitions,
     shared_param_block_size,
 )
-from .base import ExperimentResult, register, resolve_engine, scaled_reps
+from .base import ExperimentResult, register, scaled_reps
 
 PAPER_REPS = 10_000
-
-
-def _ring_task(seed, *, n_peers, m, d, capacity_aware):
-    rng = np.random.default_rng(seed)
-    ring = ConsistentHashRing.random(n_peers, seed=rng)
-    res = allocate_requests(ring, m, d=d, capacity_aware=capacity_aware, seed=rng)
-    if capacity_aware:
-        # normalise by the average load m / total-capacity so both series
-        # read as "times worse than perfect"
-        return res.max_load / (m / res.capacities.sum())
-    return res.max_requests / (m / n_peers)  # normalised to the average
 
 
 def _ring_block(seeds, *, n_peers, m, d, capacity_aware):
@@ -65,6 +53,7 @@ def _ring_block(seeds, *, n_peers, m, d, capacity_aware):
     "Byers et al.: d-point allocation on a consistent-hashing ring",
     "Related work [7, 9]",
     "random ring, m = 20*n requests; normalised max requests vs d, plain and capacity-aware",
+    version=2,
 )
 def run_rw_ring(
     scale: float = 0.01,
@@ -81,7 +70,6 @@ def run_rw_ring(
     checkpoint=None,
 ) -> ExperimentResult:
     """Max request concentration on a ring as the probe count grows."""
-    engine = resolve_engine(engine)
     reps = repetitions if repetitions is not None else scaled_reps(PAPER_REPS, scale)
     m = n_peers * requests_per_peer
     seeds = np.random.SeedSequence(seed).spawn(2)
@@ -95,23 +83,16 @@ def run_rw_ring(
         for d, ds in zip(d_values, d_seeds):
             kwargs = {"n_peers": n_peers, "m": m, "d": int(d),
                       "capacity_aware": aware}
-            if engine == "ensemble":
-                # Small blocks (unless the request pins its own width): each
-                # block shares one random ring, so the ring randomness needs
-                # several independent draws.
-                reducer = run_ensemble_reduced(
-                    _ring_block, reps, seed=ds, workers=workers,
-                    kwargs=kwargs, progress=progress,
-                    block_size=shared_param_block_size(reps, block_size),
-                    checkpoint=checkpoint, label="rw_ring",
-                )
-                curve.append(float(reducer.mean))
-            else:
-                outs = run_repetitions(
-                    _ring_task, reps, seed=ds, workers=workers,
-                    kwargs=kwargs, progress=progress, label="rw_ring",
-                )
-                curve.append(float(np.mean(outs)))
+            # Small blocks (unless the request pins its own width): each
+            # block shares one random ring, so the ring randomness needs
+            # several independent draws.
+            reducer = run_ensemble_reduced(
+                _ring_block, reps, seed=ds, workers=workers,
+                kwargs=kwargs, progress=progress,
+                block_size=shared_param_block_size(reps, block_size),
+                checkpoint=checkpoint, label="rw_ring",
+            )
+            curve.append(float(reducer.mean))
         series[name] = np.asarray(curve)
     return ExperimentResult(
         experiment_id="rw_ring",
@@ -126,16 +107,6 @@ def run_rw_ring(
                               "(the log n arc skew collapses to lnln n)",
         },
     )
-
-
-def _weighted_task(seed, *, n, sigma):
-    rng = np.random.default_rng(seed)
-    bins = two_class_bins(n // 2, n - n // 2, 1, 8)
-    C = bins.total_capacity
-    # lognormal sizes with mean 1 (mu = -sigma^2/2) so total mass ~ C
-    sizes = rng.lognormal(-0.5 * sigma * sigma, sigma, size=C) if sigma > 0 else np.ones(C)
-    res = simulate_weighted(bins, sizes, seed=rng)
-    return res.max_load / res.average_load
 
 
 def _weighted_block(seeds, *, n, sigma):
@@ -158,6 +129,7 @@ def _weighted_block(seeds, *, n, sigma):
     "Extension: weighted balls, max/avg load vs size variability",
     "Extension (weighted balls)",
     "caps 1 and 8, lognormal ball sizes of mean 1; normalised max load vs size CV",
+    version=2,
 )
 def run_abl_weighted(
     scale: float = 0.01,
@@ -173,29 +145,21 @@ def run_abl_weighted(
     checkpoint=None,
 ) -> ExperimentResult:
     """Normalised max load as ball-size variability grows."""
-    engine = resolve_engine(engine)
     reps = repetitions if repetitions is not None else scaled_reps(PAPER_REPS, scale)
     seeds = np.random.SeedSequence(seed).spawn(len(sigmas))
     curve = []
     for sigma, s in zip(sigmas, seeds):
         kwargs = {"n": n, "sigma": float(sigma)}
-        if engine == "ensemble":
-            # Small blocks (unless the request pins its own width): each
-            # block shares one ball-size multiset, so the size randomness
-            # needs several independent draws.
-            reducer = run_ensemble_reduced(
-                _weighted_block, reps, seed=s, workers=workers,
-                kwargs=kwargs, progress=progress,
-                block_size=shared_param_block_size(reps, block_size),
-                checkpoint=checkpoint, label="abl_weighted",
-            )
-            curve.append(float(reducer.mean))
-        else:
-            outs = run_repetitions(
-                _weighted_task, reps, seed=s, workers=workers,
-                kwargs=kwargs, progress=progress, label="abl_weighted",
-            )
-            curve.append(float(np.mean(outs)))
+        # Small blocks (unless the request pins its own width): each
+        # block shares one ball-size multiset, so the size randomness
+        # needs several independent draws.
+        reducer = run_ensemble_reduced(
+            _weighted_block, reps, seed=s, workers=workers,
+            kwargs=kwargs, progress=progress,
+            block_size=shared_param_block_size(reps, block_size),
+            checkpoint=checkpoint, label="abl_weighted",
+        )
+        curve.append(float(reducer.mean))
     cvs = [float(np.sqrt(np.exp(s * s) - 1.0)) if s > 0 else 0.0 for s in sigmas]
     return ExperimentResult(
         experiment_id="abl_weighted",

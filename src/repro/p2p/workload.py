@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.ensemble import resolve_ensemble_seeds, run_batch_ensemble
+from ..core.ensemble import lockstep_streams, run_batch_ensemble
 from ..core.fast import run_batch
-from ..sampling.rngutils import make_rng, spawn_seed_sequences
 from .ring import ConsistentHashRing
 
 __all__ = [
@@ -90,32 +89,16 @@ def allocate_requests(
         ``max(1000, 10 * n_peers)``.
     seed:
         RNG seed for the request points.
+
+    This is the ``R = 1`` call of :func:`allocate_requests_ensemble`.
     """
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    rng = make_rng(seed)
-
-    if capacity_aware:
-        res = resolution if resolution is not None else max(1000, 10 * ring.n_peers)
-        caps = ring.as_bin_array(res).capacities
-    else:
-        caps = np.ones(ring.n_peers, dtype=np.int64)
-
-    # Request points are uniform on the circle; map every point to its peer
-    # through the ring's own vectorised lookup (bit-identical to per-point
-    # ring.lookup, wrap normalisation included).
-    points = rng.random((m, d))
-    owners = ring.lookup_batch(points)
-
-    counts: list[int] = [0] * ring.n_peers
-    tie_u = rng.random(m)
-    run_batch(counts, caps.tolist(), owners.astype(np.int64), tie_u, tie_break="max_capacity")
-
+    res = allocate_requests_ensemble(
+        ring, m, 1, d, capacity_aware=capacity_aware, resolution=resolution,
+        seeds=[seed],
+    )
     return RingAllocationResult(
-        counts=np.asarray(counts, dtype=np.int64),
-        capacities=caps,
+        counts=res.counts[0],
+        capacities=res.capacities,
         m=m,
         d=d,
         capacity_aware=capacity_aware,
@@ -163,9 +146,10 @@ def allocate_requests_ensemble(
 ) -> RingEnsembleResult:
     """Allocate *m* requests onto one shared ring, ``R`` replications at once.
 
-    Parameters mirror :func:`allocate_requests` plus the ensemble seeding
-    knobs of :func:`repro.core.ensemble.simulate_ensemble`: with
-    ``seed_mode="spawn"`` (or explicit ``seeds=``) replication ``r``
+    The one drive loop of ring allocation (:func:`allocate_requests` is its
+    ``R = 1`` call).  Parameters mirror :func:`allocate_requests` plus the
+    ensemble seeding knobs of :func:`repro.core.ensemble.simulate_ensemble`:
+    with ``seed_mode="spawn"`` (or explicit ``seeds=``) replication ``r``
     reproduces ``allocate_requests(ring, m, d, ..., seed=child_r)``
     bit-exactly — same point draws, same owner lookup, same tie stream —
     while ``seed_mode="blocked"`` draws all replications' points from one
@@ -177,33 +161,27 @@ def allocate_requests_ensemble(
         raise ValueError(f"m must be non-negative, got {m}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    repetitions, seeds = resolve_ensemble_seeds(repetitions, seeds, seed_mode)
-
-    R = repetitions
+    R, draw = lockstep_streams(repetitions, seed, seeds, seed_mode)
     if capacity_aware:
         res = resolution if resolution is not None else max(1000, 10 * ring.n_peers)
         caps = ring.as_bin_array(res).capacities
     else:
         caps = np.ones(ring.n_peers, dtype=np.int64)
 
-    points = np.empty((R, m, d), dtype=np.float64)
-    tie_u = np.empty((R, m), dtype=np.float64)
-    if seed_mode == "spawn":
-        if seeds is None:
-            seeds = spawn_seed_sequences(seed, R)
-        for r, s in enumerate(seeds):
-            g = make_rng(s)
-            points[r] = g.random((m, d))
-            tie_u[r] = g.random(m)
-    else:
-        block_rng = make_rng(seed)
-        points[...] = block_rng.random((R, m, d))
-        tie_u[...] = block_rng.random((R, m))
-
+    # Request points are uniform on the circle; map every point to its peer
+    # through the ring's own vectorised lookup (bit-identical to per-point
+    # ring.lookup, wrap normalisation included).
+    points, tie_u = draw(lambda shape, g: g.random(shape), m, d)
     owners = ring.lookup_batch(points).astype(np.int64)
 
     counts = np.zeros((R, ring.n_peers), dtype=np.int64)
-    run_batch_ensemble(counts, caps, owners, tie_u, tie_break="max_capacity")
+    if R == 1:
+        # The row kernel: the list loop is the fastest kernel at R = 1.
+        row = [0] * ring.n_peers
+        run_batch(row, caps.tolist(), owners[0], tie_u[0], tie_break="max_capacity")
+        counts[0] = row
+    else:
+        run_batch_ensemble(counts, caps, owners, tie_u, tie_break="max_capacity")
     return RingEnsembleResult(
         counts=counts,
         capacities=caps,

@@ -4,9 +4,7 @@ from .executor import (
     TaskError,
     block_parameter_rng,
     block_seed_spec,
-    run_ensemble_blocks,
     run_ensemble_reduced,
-    run_repetitions,
     run_tasks,
     seeds_from_spec,
     shared_param_block_size,
@@ -16,8 +14,6 @@ from .progress import NullReporter, ProgressReporter, make_reporter
 from .seeding import SeedTree
 
 __all__ = [
-    "run_repetitions",
-    "run_ensemble_blocks",
     "run_ensemble_reduced",
     "run_tasks",
     "block_parameter_rng",

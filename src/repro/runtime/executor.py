@@ -1,10 +1,13 @@
-"""Repetition fan-out: serial, multiprocessing, and lockstep-ensemble execution.
+"""Repetition fan-out: lockstep replication blocks, serial or in a pool.
 
-Monte-Carlo repetitions are embarrassingly parallel; the executor takes a
-picklable task ``task(seed_sequence) -> result`` and runs it once per
-repetition with independent :class:`~numpy.random.SeedSequence` streams.
-``workers=1`` (the default) runs in-process; ``workers>1`` fans out over a
-``multiprocessing`` pool; ``workers=None`` uses all CPUs.
+Monte-Carlo repetitions are embarrassingly parallel.  The executor runs a
+picklable block task ``task(seed_sequences, **kwargs) -> reducer`` once per
+contiguous block of repetitions, with independent
+:class:`~numpy.random.SeedSequence` streams, and merges the returned
+reducers in block order (:func:`run_ensemble_reduced`).  ``workers=1`` (the
+default) runs in-process; ``workers>1`` fans out over a ``multiprocessing``
+pool; ``workers=None`` uses all CPUs; an activated sweep fabric leases the
+blocks to its worker fleet.
 
 For a task with extra parameters, pass a top-level function plus ``kwargs``
 (lambdas and closures do not pickle under the default ``spawn``/``fork``
@@ -12,28 +15,26 @@ start methods on all platforms).
 
 Seed contract
 -------------
-All execution paths consume the **same** ``SeedSequence.spawn`` order: the
-master seed is spawned into ``repetitions`` child sequences exactly once, and
-child ``i`` always belongs to repetition ``i`` —
+The master seed is spawned into ``repetitions`` child sequences exactly
+once, and child ``i`` always belongs to repetition ``i``: block ``b``
+covering repetitions ``[i0, i1)`` receives exactly ``children[i0:i1]``.
 
-* the scalar path hands child ``i`` to ``task`` call ``i``;
-* the ensemble path (``ensemble=True`` or :func:`run_ensemble_blocks`)
-  partitions the *same* child list into contiguous blocks, and block ``b``
-  covering repetitions ``[i0, i1)`` receives exactly ``children[i0:i1]``.
-
-An ensemble task that feeds its seed slice to
+A block task that feeds its seed slice to
 :func:`repro.core.ensemble.simulate_ensemble` via ``seeds=`` therefore
-reproduces the scalar repetitions bit-for-bit; a task that instead runs in
-``seed_mode="blocked"`` conventionally uses ``seeds[0]`` of its slice as the
+reproduces single runs on those children bit-for-bit; a task that instead
+runs in ``seed_mode="blocked"`` uses ``seeds[0]`` of its slice as the
 block master (fast path — statistically equivalent, not stream-matched).
-Neither ``workers`` nor ``block_size`` changes which child seed a repetition
-owns, and block boundaries are derived from ``block_size`` alone — never
-from ``workers`` — so ``workers`` cannot change any result, and blocked-mode
+With one repetition per block the two coincide: the block's master *is*
+its repetition's child, which is how the scalar engine runs
+(:func:`repro.experiments.base.one_repetition_per_block`).  Neither
+``workers`` nor ``block_size`` changes which child seed a repetition owns,
+and block boundaries are derived from ``block_size`` alone — never from
+``workers`` — so ``workers`` cannot change any result, and blocked-mode
 results are deterministic in ``(seed, block_size)``.
 
 Shared parameters per block
 ---------------------------
-Experiments whose scalar repetitions each draw random *parameters* (a
+Experiments whose single runs each draw random *parameters* (a
 capacity vector, a ball-size multiset, a hashing ring) before simulating
 use the blocked-mode corollary of the contract: the block derives **one**
 generator from its first child seed via :func:`block_parameter_rng`, draws
@@ -63,8 +64,6 @@ from ..sampling.rngutils import spawn_seed_sequences
 from .progress import make_reporter
 
 __all__ = [
-    "run_repetitions",
-    "run_ensemble_blocks",
     "run_ensemble_reduced",
     "run_tasks",
     "block_parameter_rng",
@@ -122,9 +121,9 @@ def block_parameter_rng(seeds) -> np.random.Generator:
     A blocked-mode ensemble task that needs shared random parameters calls
     this exactly once on its seed slice, draws the parameters from the
     returned generator, and passes the same generator on as
-    ``simulate_ensemble(..., seed=rng, seed_mode="blocked")`` — mirroring how
-    the matching scalar task derives both its parameters and its simulation
-    stream from one per-repetition generator.  The generator is a function of
+    ``simulate_ensemble(..., seed=rng, seed_mode="blocked")``, so a
+    one-repetition block derives both its parameters and its simulation
+    stream from its repetition's generator.  The generator is a function of
     ``seeds[0]`` alone, so the executor's spawn contract (child ``i`` belongs
     to repetition ``i``, blocks get contiguous slices) is untouched by any
     number of parameter draws.
@@ -193,118 +192,6 @@ def _resolve_blocks(repetitions: int, block_size: int | None) -> list[tuple[int,
         (start, min(start + block_size, repetitions))
         for start in range(0, repetitions, block_size)
     ]
-
-
-def run_repetitions(
-    task: Callable,
-    repetitions: int,
-    *,
-    seed=None,
-    workers: int | None = 1,
-    kwargs: dict | None = None,
-    progress=None,
-    chunksize: int = 1,
-    ensemble: bool = False,
-    block_size: int | None = None,
-    label: str | None = None,
-) -> list:
-    """Run *task* once per repetition; return results in repetition order.
-
-    Scalar path (default): ``task(seed_sequence, **kwargs) -> result``, one
-    call per repetition.
-
-    Ensemble fast path (``ensemble=True``): ``task(seed_sequences, **kwargs)
-    -> sequence of per-repetition results``, one call per contiguous block of
-    repetitions — vectorise inside the task (lockstep across the block),
-    multiprocess across blocks.  The flattened result list is positionally
-    identical to the scalar path's, and the seed contract (module docstring)
-    guarantees a stream-matched task reproduces scalar results exactly.
-
-    Results are deterministic in ``seed`` regardless of ``workers``:
-    repetition ``i`` always owns child seed ``i`` of the master sequence,
-    and block boundaries never depend on the pool size.  (A blocked-mode
-    task's results additionally depend on ``block_size``, since each block
-    draws from one master stream.)
-    """
-    if repetitions < 0:
-        raise ValueError(f"repetitions must be non-negative, got {repetitions}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1 or None, got {workers}")
-    kwargs = kwargs or {}
-    if not ensemble:
-        seeds = spawn_seed_sequences(seed, repetitions)
-        payloads = [(task, s, kwargs) for s in seeds]
-        prefix = f"{label} " if label else ""
-        return run_tasks(
-            payloads,
-            workers=workers,
-            progress=progress,
-            chunksize=chunksize,
-            describe=lambda i: f"{prefix}repetition {i}",
-        )
-
-    block_results = run_ensemble_blocks(
-        task,
-        repetitions,
-        seed=seed,
-        workers=workers,
-        block_size=block_size,
-        kwargs=kwargs,
-        progress=progress,
-        chunksize=chunksize,
-        label=label,
-    )
-    bounds = _resolve_blocks(repetitions, block_size)
-    results: list = []
-    for (start, stop), block in zip(bounds, block_results):
-        block = list(block)
-        if len(block) != stop - start:
-            raise ValueError(
-                f"ensemble task returned {len(block)} results for the "
-                f"{stop - start}-repetition block [{start}, {stop})"
-            )
-        results.extend(block)
-    return results
-
-
-def run_ensemble_blocks(
-    task: Callable,
-    repetitions: int,
-    *,
-    seed=None,
-    workers: int | None = 1,
-    block_size: int | None = None,
-    kwargs: dict | None = None,
-    progress=None,
-    chunksize: int = 1,
-    label: str | None = None,
-) -> list:
-    """Run a block-level ensemble task over contiguous repetition blocks.
-
-    ``task(seed_sequences, **kwargs)`` receives the child seeds of one block
-    (a slice of the master spawn, per the module-docstring contract) and may
-    return anything — typically a small *reduced* summary (e.g. a
-    :class:`repro.analysis.aggregate.StreamingProfile`) so that large
-    ``(R, n)`` replication matrices never leave the worker.  Returns the list
-    of block results in block order.
-    """
-    if repetitions < 0:
-        raise ValueError(f"repetitions must be non-negative, got {repetitions}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1 or None, got {workers}")
-    kwargs = kwargs or {}
-    children = spawn_seed_sequences(seed, repetitions)
-    bounds = _resolve_blocks(repetitions, block_size)
-    payloads = [(task, children[start:stop], kwargs) for start, stop in bounds]
-    return run_tasks(
-        payloads,
-        workers=workers,
-        progress=progress,
-        chunksize=chunksize,
-        weights=[stop - start for start, stop in bounds],
-        total=repetitions,
-        describe=_block_describer(label, bounds),
-    )
 
 
 def _block_describer(label: str | None, bounds: Sequence[tuple[int, int]]):
@@ -500,6 +387,8 @@ def run_ensemble_reduced(
     """
     if repetitions < 1:
         raise ValueError(f"need at least one repetition, got {repetitions}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1 or None, got {workers}")
     kwargs = kwargs or {}
     bounds = _resolve_blocks(repetitions, block_size)
     slot = None

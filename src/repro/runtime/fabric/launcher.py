@@ -53,6 +53,18 @@ def current_fabric() -> "FabricSession | None":
     return _ACTIVE[-1] if _ACTIVE else None
 
 
+@contextlib.contextmanager
+def local_execution():
+    """Run the enclosed reduced runs in-process, even inside an activated
+    session (the sessions are active again on exit)."""
+    saved = _ACTIVE[:]
+    _ACTIVE.clear()
+    try:
+        yield
+    finally:
+        _ACTIVE[:] = saved
+
+
 class FabricSession:
     """One broker plus a fleet of local worker processes.
 

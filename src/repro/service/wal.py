@@ -22,11 +22,14 @@ log so appends continue from the last good frame.  A file that does not
 start with the magic header is *foreign* and is never truncated — that is
 a :class:`WalError`, not a repair.
 
-Durability is fsync-batched: ``sync_every = 1`` (the server default) makes
-every record durable before its reply; larger values group-commit for
-throughput at the cost of the last ``sync_every - 1`` acknowledged records
-after a power loss (a process SIGKILL loses nothing either way — the bytes
-are already in the page cache).
+Every frame, header and payload together, reaches the kernel in one
+``os.write`` on an ``O_APPEND`` descriptor before :meth:`WriteAheadLog.append`
+returns — nothing waits in a user-space buffer — so a process SIGKILL
+loses nothing that ``append`` accepted: the bytes are in the page cache.
+Durability against power loss is fsync-batched: ``sync_every = 1`` (the
+server default) makes every record durable before its reply; larger
+values group-commit for throughput at the cost of the last
+``sync_every - 1`` acknowledged records after a power loss.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class WriteAheadLog:
             raise ValueError(f"sync_every must be >= 1, got {sync_every}")
         self.path = Path(path)
         self.sync_every = int(sync_every)
-        self._fh = None
+        self._fd: int | None = None
         self._unsynced = 0
         self.appended = 0
         self.fsyncs = 0
@@ -138,8 +141,6 @@ class WriteAheadLog:
         does not begin with the WAL magic raises :class:`WalError` — it is
         not ours to interpret (or to repair).
         """
-        if self._fh is not None:
-            self._fh.flush()  # make our own unsynced appends visible
         try:
             blob = self.path.read_bytes()
         except FileNotFoundError:
@@ -165,7 +166,7 @@ class WriteAheadLog:
         quarantine discipline of ``ResultStore.get``.  Returns the clean
         scan.  Must be called before this instance starts appending.
         """
-        if self._fh is not None:
+        if self._fd is not None:
             raise WalError("repair() must run before the log is opened for append")
         if scan is None:
             scan = self.scan()
@@ -185,7 +186,7 @@ class WriteAheadLog:
     # -- appending -------------------------------------------------------
 
     def _ensure_open(self) -> None:
-        if self._fh is not None:
+        if self._fd is not None:
             return
         if self.path.parent != Path("."):
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -195,12 +196,20 @@ class WriteAheadLog:
                     raise WalError(
                         f"{self.path} is not a repro write-ahead log (bad magic)"
                     )
-        self._fh = open(self.path, "ab")
-        if self._fh.tell() == 0:
-            self._fh.write(WAL_MAGIC)
+        self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        if os.fstat(self._fd).st_size == 0:
+            self._write(WAL_MAGIC)
+
+    def _write(self, data: bytes) -> None:
+        """Hand *data* to the kernel now (one ``os.write`` unless the
+        kernel takes less, e.g. on a full disk)."""
+        view = memoryview(data)
+        while view:
+            view = view[os.write(self._fd, view):]
 
     def append(self, record: dict) -> None:
-        """Frame, checksum, and append one record (fsync per the batch
+        """Frame, checksum, and append one record: the whole frame is
+        written to the file before this returns (fsync per the batch
         policy)."""
         payload = json.dumps(
             record, separators=(",", ":"), sort_keys=True
@@ -211,32 +220,28 @@ class WriteAheadLog:
                 f"{MAX_FRAME_BYTES}-byte frame bound"
             )
         self._ensure_open()
-        self._fh.write(_FRAME_HEADER.pack(len(payload), zlib.crc32(payload)))
-        self._fh.write(payload)
+        self._write(_FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload)
         self.appended += 1
         self._unsynced += 1
         if self._unsynced >= self.sync_every:
             self.flush()
 
     def flush(self) -> None:
-        """Force the group commit: flush and fsync any unsynced appends."""
-        if self._fh is None:
-            return
-        self._fh.flush()
-        if self._unsynced:
-            os.fsync(self._fh.fileno())
+        """Force the group commit: fsync any unsynced appends."""
+        if self._fd is not None and self._unsynced:
+            os.fsync(self._fd)
             self.fsyncs += 1
             self._unsynced = 0
 
     def close(self) -> None:
-        """Flush and release the file handle (the log can be reopened)."""
-        if self._fh is None:
+        """Fsync and release the file descriptor (the log can be reopened)."""
+        if self._fd is None:
             return
         try:
             self.flush()
         finally:
-            self._fh.close()
-            self._fh = None
+            os.close(self._fd)
+            self._fd = None
 
     def __enter__(self) -> "WriteAheadLog":
         return self

@@ -158,12 +158,10 @@ class TestDriverIdentity:
         run at all — a wavefront call under the compiled backend is a
         dispatch-order bug even if the numbers happen to agree."""
         import repro.core.ensemble as ens
-        import repro.core.simulation as sim
 
         def boom(*args, **kwargs):  # pragma: no cover - only on regression
             raise AssertionError("wavefront kernel ran under compiled backend")
 
-        monkeypatch.setattr(sim, "run_batch_wavefront", boom)
         monkeypatch.setattr(ens, "run_batch_wavefront", boom)
         bins = BinArray([1] * 10_000)  # auto would take the wavefront here
         with forced_policy(backend="compiled"):

@@ -10,10 +10,10 @@ same choices and tie-uniform stream —
   including per-ball heights instrumentation;
 * ``simulate_ensemble(bins, seeds=[s_0..s_{R-1}])`` row ``r`` equals
   ``simulate(bins, seed=s_r)`` — counts, heights, and snapshots;
-* the protocol variants carry the same spawn-mode parity:
-  ``simulate_batched_ensemble`` / ``simulate_weighted_ensemble`` /
-  ``allocate_requests_ensemble`` row ``r`` equals the matching scalar driver
-  under ``seed=child_r``.
+* every lockstep driver (plain, ``simulate_batched_ensemble``,
+  ``simulate_weighted_ensemble``, ``allocate_requests_ensemble``) carries
+  the same spawn-mode parity: row ``r`` equals the driver's ``R = 1`` run
+  (its row kernel) under ``seeds=[child_r]``.
 
 On top of the bit-level sweeps, the per-experiment cross-engine matrix
 (:data:`repro.core.equivalence.EXPERIMENT_CASES`) runs **every** registered
@@ -29,17 +29,15 @@ import inspect
 import numpy as np
 import pytest
 
+import repro.core.ensemble as ens_module
 from repro.bins import BinArray
 from repro.core.ensemble import SEED_MODES, run_batch_ensemble, simulate_ensemble
 from repro.core.equivalence import (
     EXPERIMENT_CASES,
-    check_batched_parity,
-    check_driver_parity,
     check_kernel_equivalence,
     check_dispatch_identity,
     check_experiment_equivalence,
-    check_ring_parity,
-    check_weighted_parity,
+    check_row_parity,
 )
 from repro.core.fast import run_batch
 from repro.core.policy import forced_policy
@@ -53,21 +51,22 @@ class TestRandomisedEquivalence:
         assert check_kernel_equivalence(0xE25E) == 50
 
     def test_driver_parity_sweep(self):
-        """simulate_ensemble row r == simulate(seed=child_r), randomised."""
-        assert check_driver_parity(0xD41E) == 6
+        """simulate_ensemble row r == the R = 1 row kernel on child_r,
+        randomised: counts, heights and snapshots."""
+        assert check_row_parity("plain", 0xD41E) == 6
 
     def test_batched_parity_sweep(self):
-        """simulate_batched_ensemble row r == simulate_batched(seed=child_r)."""
-        assert check_batched_parity(0xBA7C) == 6
+        """simulate_batched_ensemble row r == its R = 1 run on child_r."""
+        assert check_row_parity("batched", 0xBA7C) == 6
 
     def test_weighted_parity_sweep(self):
-        """simulate_weighted_ensemble row r == simulate_weighted(seed=child_r),
+        """simulate_weighted_ensemble row r == its R = 1 run on child_r,
         counts and float masses both."""
-        assert check_weighted_parity(0x3E16) == 6
+        assert check_row_parity("weighted", 0x3E16) == 6
 
     def test_ring_parity_sweep(self):
-        """allocate_requests_ensemble row r == allocate_requests(seed=child_r)."""
-        assert check_ring_parity(0x21F6) == 6
+        """allocate_requests_ensemble row r == its R = 1 run on child_r."""
+        assert check_row_parity("ring", 0x21F6) == 6
 
     def test_per_replication_capacities(self):
         """The kernel also accepts (R, n) capacities: each replication then
@@ -193,6 +192,74 @@ class TestExperimentEngineMatrix:
     def test_missing_case_raises_with_guidance(self):
         with pytest.raises(KeyError, match="no cross-engine case"):
             check_experiment_equivalence("fig99")
+
+    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENT_CASES))
+    def test_scalar_is_one_repetition_per_block(self, experiment_id):
+        """The scalar engine is the ensemble engine with one repetition per
+        block: bit-identical series, summation order included."""
+        from repro.core.equivalence import _assert_same_series
+        from repro.experiments import run_experiment
+
+        case = EXPERIMENT_CASES[experiment_id]
+        scalar = run_experiment(
+            experiment_id, seed=case.seed, engine="scalar", **case.kwargs
+        )
+        blocks = run_experiment(
+            experiment_id, seed=case.seed, engine="ensemble", block_size=1,
+            **case.kwargs,
+        )
+        _assert_same_series(scalar, blocks, f"{experiment_id} scalar vs b=1")
+
+
+def _driver_cases():
+    """``(module, row kernel, lockstep kernel, run(R))`` per lockstep driver."""
+    import repro.core.rounds as rounds
+    import repro.core.weighted as weighted
+    import repro.p2p.workload as workload
+    from repro.p2p.ring import ConsistentHashRing
+
+    bins = BinArray([1, 2, 3, 4, 2])
+    ring = ConsistentHashRing.random(8, seed=0)
+    return {
+        "plain": (ens_module, "run_batch", "run_batch_ensemble",
+                  lambda R: simulate_ensemble(bins, repetitions=R, m=60, seed=1)),
+        "batched": (rounds, "stale_choice", "_resolve_stale_batch",
+                    lambda R: rounds.simulate_batched_ensemble(
+                        bins, repetitions=R, m=60, batch_size=4, seed=1)),
+        "weighted": (weighted, "_weighted_row", "_weighted_lockstep",
+                     lambda R: weighted.simulate_weighted_ensemble(
+                         bins, np.full(30, 1.5), repetitions=R, seed=1)),
+        "ring": (workload, "run_batch", "run_batch_ensemble",
+                 lambda R: workload.allocate_requests_ensemble(
+                     ring, 40, repetitions=R, seed=1)),
+    }
+
+
+class TestOneDriveLoop:
+    """Each process has one drive loop: at R = 1 it runs its row kernel
+    and never the lockstep kernel; at R = 2 the reverse holds."""
+
+    @pytest.mark.parametrize("R", [1, 2])
+    @pytest.mark.parametrize("driver", ["plain", "batched", "weighted", "ring"])
+    def test_row_kernel_exactly_at_one_row(self, driver, R, monkeypatch):
+        module, row_kernel, lockstep_kernel, run = _driver_cases()[driver]
+        calls = {row_kernel: 0, lockstep_kernel: 0}
+        for name in calls:
+            real = getattr(module, name)
+
+            def spy(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        # The per-ball tier, where the row and lockstep kernels live.
+        with forced_policy(wavefront="off", backend="numpy"):
+            run(R)
+        used, unused = (
+            (row_kernel, lockstep_kernel) if R == 1 else (lockstep_kernel, row_kernel)
+        )
+        assert calls[used] > 0, f"{driver} R={R} never called {used}"
+        assert calls[unused] == 0, f"{driver} R={R} called {unused}"
 
 
 class TestWavefrontExperimentIdentity:

@@ -153,9 +153,9 @@ class TestDriverIdentity:
     def test_scalar_runtime_fallback_is_invisible(self, monkeypatch):
         """A run whose realised free fraction trips the runtime guard must
         still produce exactly the forced-off numbers: the fallback converts
-        the array representation back to lists mid-run (counts *and* the
-        heights prefix), and a slicing bug there would corrupt the tail."""
-        import repro.core.simulation as sim
+        the R = 1 counts row back to a list mid-run, and a slicing bug
+        there would corrupt the tail (counts, heights or snapshots)."""
+        import repro.core.ensemble as ens
 
         n = 10_000  # past the R = 1 floor, so auto enters the wavefront
         bins = BinArray([1] * n)
@@ -165,7 +165,7 @@ class TestDriverIdentity:
             ref = simulate(bins, **kwargs)
         # An impossible threshold trips the guard right after the first
         # chunk, so chunk 1 runs the wavefront and chunks 2-4 the loop.
-        monkeypatch.setattr(sim, "RUNTIME_MIN_FREE_FRACTION", 2.0)
+        monkeypatch.setattr(ens, "RUNTIME_MIN_FREE_FRACTION", 2.0)
         res = simulate(bins, **kwargs)
         np.testing.assert_array_equal(res.counts, ref.counts)
         np.testing.assert_array_equal(res.heights, ref.heights)

@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.aggregate import StreamingScalar
 from repro.analysis.precision import PrecisionTarget
 from repro.io.store import ResultStore
-from repro.runtime import run_ensemble_reduced, run_repetitions
+from repro.runtime import run_ensemble_reduced
 from repro.runtime.executor import TaskError, _iter_block_seeds
 from repro.sampling.rngutils import spawn_seed_sequences
 
@@ -42,15 +42,11 @@ def scalar_block(seeds, *, fail_from=None):
     return StreamingScalar().update(values)
 
 
-def failing_task(seed):
-    raise ValueError("scalar task boom")
-
-
 def failing_block(seeds):
     raise ValueError("block task boom")
 
 
-def unpicklable_task(seed):
+def unpicklable_block(seeds):
     return lambda: None  # lambdas cannot travel back through the pool
 
 
@@ -344,9 +340,12 @@ class TestAdaptiveResume:
 
 class TestFailFast:
     def test_pool_scalar_failure_names_repetition(self):
-        with pytest.raises(TaskError, match="lab repetition") as err:
-            run_repetitions(failing_task, 4, seed=0, workers=2, label="lab")
-        assert "scalar task boom" in str(err.value)
+        # A scalar-engine repetition is a one-repetition block.
+        with pytest.raises(TaskError, match=r"lab ensemble block \[0, 1\)") as err:
+            run_ensemble_reduced(
+                failing_block, 4, seed=0, workers=2, block_size=1, label="lab"
+            )
+        assert "block task boom" in str(err.value)
         assert "worker traceback" in str(err.value)
 
     def test_pool_block_failure_names_block_bounds(self):
@@ -358,15 +357,19 @@ class TestFailFast:
 
     def test_pool_unpicklable_result_wrapped(self):
         with pytest.raises(TaskError, match="worker pool failed"):
-            run_repetitions(unpicklable_task, 4, seed=0, workers=2)
+            run_ensemble_reduced(
+                unpicklable_block, 4, seed=0, workers=2, block_size=1
+            )
 
     def test_serial_failure_wrapped_like_pool(self):
         # Regression: the serial path used to let exceptions escape bare,
         # losing the describe(i) label the pool path reports — serial and
         # pool failures must now produce the same TaskError shape.
-        with pytest.raises(TaskError, match="lab repetition") as err:
-            run_repetitions(failing_task, 3, seed=0, workers=1, label="lab")
-        assert "scalar task boom" in str(err.value)
+        with pytest.raises(TaskError, match=r"lab ensemble block \[0, 1\)") as err:
+            run_ensemble_reduced(
+                failing_block, 3, seed=0, workers=1, block_size=1, label="lab"
+            )
+        assert "block task boom" in str(err.value)
         assert "task traceback" in str(err.value)
         # The original exception stays reachable for callers that care.
         assert isinstance(err.value.__cause__, ValueError)

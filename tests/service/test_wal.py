@@ -1,7 +1,11 @@
 """Tests for the CRC-framed write-ahead log: framing, torn tails, repair."""
 
 import json
+import os
+import signal
 import struct
+import subprocess
+import sys
 import zlib
 
 import pytest
@@ -79,6 +83,28 @@ class TestDurabilityBatching:
     def test_rejects_bad_sync_every(self, tmp_path):
         with pytest.raises(ValueError, match="sync_every"):
             WriteAheadLog(tmp_path / "a.wal", sync_every=0)
+
+    def test_sigkill_keeps_every_appended_record(self, tmp_path):
+        """A process SIGKILLed right after its appends returned leaves all
+        of them in the log, whole, whatever the fsync cadence: append
+        hands each frame to the kernel before it returns."""
+        path = tmp_path / "killed.wal"
+        child = (
+            "import os, signal, sys\n"
+            "from repro.service.wal import WriteAheadLog\n"
+            "wal = WriteAheadLog(sys.argv[1], sync_every=10**6)\n"
+            "for i in range(300):\n"
+            "    wal.append({'t': 'alloc', 'i': i})\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(path)], env=env, timeout=60
+        )
+        assert proc.returncode == -signal.SIGKILL
+        scan = WriteAheadLog(path).scan()
+        assert scan.clean
+        assert [r["i"] for r in scan.records] == list(range(300))
 
 
 class TestTornTail:

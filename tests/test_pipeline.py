@@ -34,7 +34,6 @@ def no_simulation(monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("simulation ran on what must be a cache hit")
 
-        monkeypatch.setattr(fig02mod, "simulate", boom)
         monkeypatch.setattr(fig02mod, "simulate_ensemble", boom)
 
     return arm
@@ -233,7 +232,7 @@ class TestSweepFailureExit:
         def boom(*args, **kwargs):
             raise RuntimeError("cell exploded")
 
-        monkeypatch.setattr(fig02mod, "simulate", boom)
+        monkeypatch.setattr(fig02mod, "simulate_ensemble", boom)
         code = main(["sweep", "fig01,fig02", "--seeds", "5",
                      "--repetitions", "4", "--store", str(tmp_path)])
         assert code == 1
