@@ -128,16 +128,16 @@ def test_service_replay_records_bench(tmp_path):
 
     # Crash-recovery clause at bench scale: the same replay through an
     # attached write-ahead log, recovered offline, is bit-identical to
-    # the unlogged runs.  Group commit keeps the fsync cost out of the
-    # bench budget — the durability cadence never touches the numbers,
-    # so the recorded rows stay WAL-free.
+    # the unlogged runs.  Appends never fsync (close() commits once), so
+    # the fsync cost stays out of the bench budget — durability never
+    # touches the numbers, so the recorded rows stay WAL-free.
     wal_path = tmp_path / "bench.wal"
     logged = AllocationService(
         [f"peer-{i}" for i in range(PEERS)],
         d=2,
         refresh_every=REFRESH_EVERY,
         seed=BENCH_SEED,
-        wal=WriteAheadLog(wal_path, sync_every=1024),
+        wal=WriteAheadLog(wal_path),
     )
     logged.replay(trace, schedule)
     logged.close_wal()

@@ -177,8 +177,10 @@ def main() -> None:
           f"mid-trace), digest reproducible")
 
     # Crash safety: with a write-ahead log attached, every placement and
-    # churn decision is durably framed (CRC + fsync) before the state
-    # mutates, so a service killed mid-trace recovers by replaying the log
+    # churn decision is CRC-framed into the log before the state mutates
+    # (the server fsyncs once per batch before replying; in process,
+    # `flush_wal()` commits), so a service killed mid-trace recovers by
+    # replaying the log
     # — the recovered instance resumes the *same* RNG streams and digest
     # chain, and finishing the trace lands bit-identical to a run that
     # never died.  The CLI spellings are `repro serve --wal svc.wal`

@@ -43,6 +43,9 @@
 #      client retrying through the outage — the final placement digest
 #      and per-peer counts must be bit-identical to the uninterrupted
 #      in-process replay (and to an offline `AllocationService.recover`);
+#      then a pipelined driver at depths 1, 16 and 128 against a server
+#      SIGKILLed at a seeded request: every reply it received must be in
+#      the recovered log (acked => durable, the group-commit contract);
 #   9. a reduced-budget cross-engine equivalence sweep, run once per
 #      *available* backend pinned as the ambient one (numpy always;
 #      compiled additionally when numba is importable — without numba the

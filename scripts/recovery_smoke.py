@@ -16,14 +16,23 @@ The end-to-end gate for the crash-safe serving layer (``make check``):
    transcript exactly-once;
 5. require the final placement digest and per-peer counts **bit-for-bit
    equal** to the uninterrupted reference, and an offline
-   ``AllocationService.recover`` of the final WAL to agree again.
+   ``AllocationService.recover`` of the final WAL to agree again;
+6. group commit under a crash: at pipeline depths 1, 16 and 128 a driver
+   keeps that many idempotent allocs in flight (rotating over several
+   client ids, since a batch carries each client once) against a fresh
+   ``repro serve --wal`` that SIGKILLs itself at a seeded request index.
+   Every reply the driver received must be in the log that
+   ``AllocationService.recover`` rebuilds (acked => durable), and the
+   recovered service must hold exactly the requests before the kill, with
+   the uninterrupted reference's digest at that point.
 
-Exit code 0 means every check passed.  Budgeted at ~5 seconds (two
+Exit code 0 means every check passed.  Budgeted at ~5 seconds (five
 subprocess interpreter start-ups dominate).
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
@@ -48,8 +57,10 @@ from repro.service import (
     ChurnAction,
     RetryingClient,
     TraceSpec,
+    WriteAheadLog,
     generate_trace,
 )
+from repro.sampling.rngutils import make_rng
 
 SEED = 20260808
 PEERS = 8
@@ -65,6 +76,10 @@ CHURN_AT = {100: "join", 180: "leave"}
 DROP_AFTER = 140
 #: Wire-request index at which server 1 SIGKILLs itself.
 KILL_AT = 260
+#: Pipeline depths of the group-commit crash pass.
+DEPTHS = (1, 16, 128)
+#: Client ids the pipelined driver rotates through.
+PIPELINE_CLIENTS = 8
 
 
 def _reference(keys):
@@ -98,6 +113,107 @@ def _serve_cmd(port: int, wal: Path, fault_plan: dict | None) -> list[str]:
     if fault_plan is not None:
         cmd += ["--fault-plan", json.dumps(fault_plan)]
     return cmd
+
+
+def _pipelined_requests(keys):
+    """``(line, client, seq)`` per alloc, clients in rotation."""
+    out = []
+    for i, key in enumerate(keys):
+        client, seq = f"p{i % PIPELINE_CLIENTS}", i // PIPELINE_CLIENTS + 1
+        line = json.dumps({"op": "alloc", "key": key, "client": client, "seq": seq})
+        out.append(((line + "\n").encode(), client, seq))
+    return out
+
+
+async def _pipeline(port: int, lines, depth: int) -> list[dict]:
+    """Keep up to *depth* requests in flight until the server dies; return
+    the replies received, in request order."""
+    for _ in range(200):
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            break
+        except OSError:
+            await asyncio.sleep(0.02)
+    else:
+        raise RuntimeError(f"server on port {port} never listened")
+    replies, progress = [], asyncio.Event()
+
+    async def read_replies():
+        try:
+            while line := await reader.readline():
+                replies.append(json.loads(line))
+                progress.set()
+        except ConnectionError:
+            pass
+        finally:
+            progress.set()
+
+    reading = asyncio.create_task(read_replies())
+    sent = 0
+    try:
+        while sent < len(lines) and not reading.done():
+            if sent - len(replies) >= depth:
+                progress.clear()
+                await progress.wait()
+                continue
+            writer.write(lines[sent])
+            sent += 1
+            await writer.drain()
+    except ConnectionError:
+        pass
+    await asyncio.wait_for(reading, timeout=10)
+    writer.close()
+    return replies
+
+
+def _pipelined_crash_pass(keys, env, tmp: Path) -> bool:
+    """Acked => durable at pipeline depths :data:`DEPTHS` (module doc, 6)."""
+    requests = _pipelined_requests(keys)
+    reference = AllocationService(
+        [f"peer-{i}" for i in range(PEERS)],
+        d=D, refresh_every=REFRESH_EVERY, seed=SEED,
+    )
+    ref_digests = [reference.placement_digest()]
+    for key, (_, client, seq) in zip(keys, requests):
+        reference.allocate(key, client=client, seq=seq)
+        ref_digests.append(reference.placement_digest())
+    kill_rng = make_rng(SEED)
+    for depth in DEPTHS:
+        kill_at = int(kill_rng.integers(200, len(requests)))
+        wal = tmp / f"pipelined-{depth}.wal"
+        port = _free_port()
+        proc = subprocess.Popen(
+            _serve_cmd(port, wal, {"kill_at": kill_at}), env=env,
+            stdout=subprocess.DEVNULL)
+        try:
+            held = asyncio.run(_pipeline(port, [r[0] for r in requests], depth))
+        finally:
+            if proc.wait(timeout=10) != -signal.SIGKILL:
+                print(f"RECOVERY SMOKE FAILURE: depth {depth}: server exited "
+                      f"{proc.returncode!r}, expected -SIGKILL", file=sys.stderr)
+                return False
+        logged = {(r.get("c"), r.get("s")): r.get("p")
+                  for r in WriteAheadLog(wal).scan().records[1:]}
+        lost = [i for i, reply in enumerate(held)
+                if not reply.get("ok")
+                or logged.get(requests[i][1:]) != reply.get("peer")]
+        recovered = AllocationService.recover(wal)
+        recovered.close_wal()
+        if lost or len(held) < kill_at - depth:
+            print(f"RECOVERY SMOKE FAILURE: depth {depth}: {len(lost)} of "
+                  f"{len(held)} acknowledged replies missing from the "
+                  f"recovered log (kill at request {kill_at})", file=sys.stderr)
+            return False
+        if (recovered.requests, recovered.placement_digest()) != (
+                kill_at, ref_digests[kill_at]):
+            print(f"RECOVERY SMOKE FAILURE: depth {depth}: recovered "
+                  f"{recovered.requests} placements, expected the "
+                  f"uninterrupted reference's first {kill_at}", file=sys.stderr)
+            return False
+        print(f"depth {depth:3d}: SIGKILL at request {kill_at}; all "
+              f"{len(held)} acknowledged replies are in the recovered log, "
+              f"whose digest is the reference's at {kill_at}")
+    return True
 
 
 def main() -> int:
@@ -188,8 +304,11 @@ def main() -> int:
             print("RECOVERY SMOKE FAILURE: offline WAL recovery loads diverged",
                   file=sys.stderr)
             return 1
-        print(f"offline recover of the final WAL agrees; total "
-              f"{time.perf_counter() - started:.2f}s")
+        print("offline recover of the final WAL agrees")
+
+        if not _pipelined_crash_pass(keys, env, Path(tmp)):
+            return 1
+    print(f"total {time.perf_counter() - started:.2f}s")
     return 0
 
 

@@ -472,12 +472,11 @@ def _cmd_serve(args) -> int:
 
     recovered = 0
     if args.wal:
-        wal = WriteAheadLog(args.wal, sync_every=args.wal_sync_every)
+        wal = WriteAheadLog(args.wal)
         try:
             if wal.scan().records:
                 # Restart: the log's meta record wins over --peers/--d/...
-                service = AllocationService.recover(
-                    wal, sync_every=args.wal_sync_every)
+                service = AllocationService.recover(wal)
                 recovered = service.recovered_records
             else:
                 service = AllocationService(
@@ -722,12 +721,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=7421,
                          help="bind port (0 = ephemeral)")
     p_serve.add_argument("--wal", default=None, metavar="PATH",
-                         help="write-ahead log for crash-safe serving; an "
-                              "existing log restarts the service from it "
-                              "(service options then come from the log)")
-    p_serve.add_argument("--wal-sync-every", type=int, default=1, metavar="N",
-                         help="fsync once per N appends (1 = every record "
-                              "durable before its reply)")
+                         help="write-ahead log for crash-safe serving: a "
+                              "reply leaves only after an fsync that covers "
+                              "its record, one fsync per batch of pipelined "
+                              "requests; an existing log restarts the service "
+                              "from it (service options then come from the "
+                              "log)")
     p_serve.add_argument("--fault-plan", default=None, metavar="JSON|PATH",
                          help="inject a deterministic fault plan "
                               "(service.faults.FaultPlan JSON, inline or a "

@@ -14,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "KEY_TYPES",
+    "check_keys",
     "splitmix64",
     "hash_key",
     "hash_to_unit",
@@ -42,6 +44,30 @@ def _fold(data: bytes) -> int:
     return material
 
 
+#: The key types every hash here accepts (``bool`` is an ``int``).
+KEY_TYPES = (int, str, bytes)
+
+
+def _key_type_error(key_type, types=KEY_TYPES) -> TypeError:
+    names = [t.__name__ for t in types]
+    allowed = ", ".join(names[:-1]) + " or " + names[-1]
+    return TypeError(f"key must be {allowed}, got {key_type.__name__}")
+
+
+def check_keys(keys, types=KEY_TYPES) -> None:
+    """Raise, without hashing anything, the error the hashes raise for the
+    first of *keys* they would reject: a ``TypeError`` for a key that is
+    not a *types* instance (:data:`KEY_TYPES` or a subset with ``str``), the
+    ``UnicodeEncodeError`` of a ``str`` that does not encode as UTF-8
+    (a lone surrogate)."""
+    for key in keys:
+        if isinstance(key, str):
+            if not key.isascii():
+                key.encode("utf-8")
+        elif not isinstance(key, types):
+            raise _key_type_error(type(key), types)
+
+
 def _material(key) -> int:
     """The unsalted 64-bit material of *key* (str, bytes or int)."""
     if isinstance(key, int):
@@ -50,7 +76,7 @@ def _material(key) -> int:
         return _fold(key.encode("utf-8"))
     if isinstance(key, bytes):
         return _fold(key)
-    raise TypeError(f"key must be int, str or bytes, got {type(key).__name__}")
+    raise _key_type_error(type(key))
 
 
 def hash_key(key, salt: int = 0) -> int:

@@ -33,7 +33,8 @@ divided by its length: after a virtual-clock replay or a recovery the
 latencies any single request saw.
 
 Crash-recovery clause: with a :class:`~.wal.WriteAheadLog` attached, every
-placement and resolved churn event is logged *before* the state mutates,
+placement and resolved churn event is logged *before* the state mutates
+(in the page cache when the call returns, so a SIGKILL loses none of it),
 and :meth:`AllocationService.recover` rebuilds the exact service — per-peer
 counters, ring/placer, both RNG stream positions, the placement digest,
 and the per-client dedup table — by replaying the log through this same
@@ -42,6 +43,22 @@ Mutating requests may carry a ``(client, seq)`` pair; the service answers
 a replayed ``seq`` from its dedup table without consuming any RNG, so a
 client retry after a lost reply never double-places and never shifts the
 tie stream.
+
+Durability clause (group commit): a reply a TCP client has received is
+durable.  :func:`run_server` reads a request line, then takes every other
+complete line already buffered on the connection (whatever the client
+has pipelined), and answers the drained batch in request order: each run
+of consecutive ``alloc`` requests is one :meth:`allocate_many` call, any
+other request is handled on its own.  A run :meth:`allocate_many`
+refuses — a refusal changes nothing — is answered one request at a
+time, so pipelining changes no reply.  It then fsyncs the WAL once
+(:meth:`AllocationService.flush_wal`) and only then writes all the
+batch's replies in one write, so no reply byte leaves before the fsync
+that covers its record, and a pipelining client pays one fsync per batch
+instead of one per request.  In-process callers (:meth:`replay`, tests,
+benchmarks) get "in the page cache on return"; they call
+:meth:`~AllocationService.flush_wal` when they need power-loss
+durability.
 """
 
 from __future__ import annotations
@@ -57,6 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..p2p.dht import DHT
+from ..p2p.hashing import KEY_TYPES, check_keys
 from ..sampling.rngutils import make_rng, spawn_seed_sequences
 from .faults import FaultController, FaultPlan
 from .metrics import LatencyRecorder, service_stats
@@ -81,6 +99,9 @@ MAX_LINE_BYTES = 65536
 #: Keys hashed per vectorised step of :meth:`AllocationService.allocate_many`;
 #: bounds its scratch memory whatever the batch size.
 HASH_CHUNK = 4096
+
+#: The key types a WAL record can carry (JSON has no ``bytes``).
+LOGGED_KEY_TYPES = (int, str)
 
 
 class ServiceError(Exception):
@@ -232,7 +253,10 @@ class AllocationService:
             self._wal.append(record)
 
     def flush_wal(self) -> None:
-        """Force the WAL's group commit (no-op without a WAL)."""
+        """Commit the WAL: one fsync covering every record logged so far,
+        if any is not yet synced (no-op without a WAL).  Logged records
+        are in the page cache as soon as the call that logged them
+        returns; this makes them survive a power loss too."""
         if self._wal is not None:
             self._wal.flush()
 
@@ -243,7 +267,7 @@ class AllocationService:
             self._wal = None
 
     @classmethod
-    def recover(cls, wal, *, sync_every: int | None = None) -> "AllocationService":
+    def recover(cls, wal) -> "AllocationService":
         """Rebuild a service bit-identically from its write-ahead log.
 
         Scans the log, quarantines any torn tail (truncate-and-continue),
@@ -255,12 +279,10 @@ class AllocationService:
         process did.  Each replayed decision is checked against the logged
         outcome; a mismatch means the log and this build disagree and
         raises :class:`~.wal.WalError` rather than serving drifted state.
-        The repaired log is then re-attached for appending.
+        The repaired log, fsynced, is then re-attached for appending.
         """
         if not isinstance(wal, WriteAheadLog):
-            wal = WriteAheadLog(wal, sync_every=sync_every or 1)
-        elif sync_every is not None:
-            wal.sync_every = int(sync_every)
+            wal = WriteAheadLog(wal)
         scan = wal.scan()
         if not scan.records:
             raise WalError(f"{wal.path}: empty write-ahead log, nothing to recover")
@@ -336,7 +358,8 @@ class AllocationService:
         the tie/churn streams untouched.  A sequence id below the client's
         last applied one raises :class:`StaleSequenceError` — its cached
         reply is gone (only the latest is kept), so idempotency cannot be
-        honoured.
+        honoured.  Changes nothing: the caller counts the hit in
+        ``dedup_hits`` once it answers from it.
         """
         if client is None or seq is None:
             return None
@@ -345,7 +368,6 @@ class AllocationService:
         if entry is None or seq > entry[0]:
             return None
         if seq == entry[0]:
-            self.dedup_hits += 1
             return entry[1]
         raise StaleSequenceError(
             f"client {client!r} seq {seq} is below the last applied seq "
@@ -377,6 +399,7 @@ class AllocationService:
         """
         cached = self._dedup_lookup(client, seq)
         if cached is not None:
+            self.dedup_hits += 1
             return cached["peer"]
         return self._place_run([key], (client,), (seq,))[0]
 
@@ -391,14 +414,26 @@ class AllocationService:
         without idempotency).  A batch carries each client at most once,
         so every pair is checked against the dedup table before anything
         is placed: a duplicate is answered from the table without
-        consuming the tie stream, and a stale sequence id raises
-        :class:`StaleSequenceError` with nothing placed.  A key the hash
-        rejects (``TypeError``) fails the whole :data:`HASH_CHUNK` it is
-        hashed with, before any key of that chunk is placed.
+        consuming the tie stream.
+
+        A refused batch changes nothing.  A stale sequence id
+        (:class:`StaleSequenceError`), a client named twice
+        (``ValueError``), a key to place that is not a
+        :data:`~repro.p2p.hashing.KEY_TYPES` instance — with a WAL, a
+        :data:`LOGGED_KEY_TYPES` one — (``TypeError``), a ``str`` key
+        that does not encode as UTF-8 (``UnicodeEncodeError``) or an
+        empty membership (:class:`ServiceError`) raises before anything
+        is placed, logged, drawn or counted.  Any other failure (an
+        ``OSError`` or :class:`~.wal.WalError` from the log) is not a
+        refusal: the windows before it stay placed.
         """
+        return self._allocate_batch(keys, clients, seqs)[0]
+
+    def _allocate_batch(self, keys, clients, seqs):
+        """:meth:`allocate_many`'s ``(peer ids, per-key dedup-hit flags)``."""
         keys = list(keys)
         if clients is None and seqs is None:
-            return self._place_run(keys, None, None)
+            return self._place_run(keys, None, None), [False] * len(keys)
         n = len(keys)
         clients = [None] * n if clients is None else list(clients)
         seqs = [None] * n if seqs is None else list(seqs)
@@ -413,12 +448,16 @@ class AllocationService:
         placed = iter(self._place_run([keys[i] for i in fresh],
                                       [clients[i] for i in fresh],
                                       [seqs[i] for i in fresh]))
-        return [next(placed) if hit is None else hit["peer"] for hit in cached]
+        self.dedup_hits += n - len(fresh)
+        return ([next(placed) if hit is None else hit["peer"] for hit in cached],
+                [hit is not None for hit in cached])
 
     def _place_run(self, keys, clients, seqs) -> list[str]:
-        """Place keys none of which is a dedup hit, window by window."""
+        """Place keys none of which is a dedup hit, window by window.
+        Every key is checked before the first is placed."""
         if not keys:
             return []
+        check_keys(keys, KEY_TYPES if self._wal is None else LOGGED_KEY_TYPES)
         if self._dht.n_peers < 1:
             raise ServiceError("no peers available to place on")
         if len(keys) < BATCH_CROSSOVER:
@@ -456,16 +495,18 @@ class AllocationService:
         """Log, then apply, the placements of one window (``clients`` /
         ``seqs`` are ``None`` or per-key lists)."""
         if self._wal is not None:
+            records = []
             for j, (key, pid) in enumerate(zip(keys, pids)):
                 client = clients[j] if clients else None
                 seq = seqs[j] if seqs else None
-                self._wal.append({
+                records.append({
                     "t": "alloc",
                     "c": None if client is None else str(client),
                     "s": None if seq is None else int(seq),
                     "k": key,
                     "p": pid,
                 })
+            self._wal.append_many(records)
         loads = self._loads
         for pid in pids:
             loads[pid] += 1
@@ -501,6 +542,7 @@ class AllocationService:
         """
         cached = self._dedup_lookup(client, seq)
         if cached is not None:
+            self.dedup_hits += 1
             return dict(cached)
         if action.kind == "join":
             pid = self._next_join_id()
@@ -569,7 +611,6 @@ class AllocationService:
         if self._wal is not None:
             wal_info = {
                 "path": str(self._wal.path),
-                "sync_every": self._wal.sync_every,
                 "appended": self._wal.appended,
                 "fsyncs": self._wal.fsyncs,
                 "recovered": self.recovered_records,
@@ -612,6 +653,8 @@ class AllocationService:
         feeds each stretch between churn events to :meth:`allocate_many`
         a few thousand keys at a time; a paced replay is wall-clock
         driven, so it places one key per call, as a live client would.
+        With a WAL attached, every record is in the page cache on return;
+        call :meth:`flush_wal` for power-loss durability.
         """
         if pace < 0:
             raise ValueError(f"pace must be non-negative, got {pace}")
@@ -688,7 +731,8 @@ class _LineStream:
     ``readline()`` returns ``(line, overflowed)``: a complete line within
     the bound as ``(bytes, False)``, an oversized line as ``(b"",
     True)`` once its terminating newline (or EOF) arrives, and EOF as
-    ``(None, False)``.
+    ``(None, False)``.  ``buffered_line()`` is its non-blocking half: the
+    next complete line already read, in the same form, or ``None``.
     """
 
     _CHUNK = 65536
@@ -699,16 +743,20 @@ class _LineStream:
         self._buf = bytearray()
         self._eof = False
 
+    def buffered_line(self):
+        i = self._buf.find(b"\n")
+        if i < 0:
+            return None
+        line = bytes(self._buf[:i])
+        del self._buf[:i + 1]
+        return (b"", True) if len(line) > self._limit else (line, False)
+
     async def readline(self):
         discarding = False
         while True:
-            i = self._buf.find(b"\n")
-            if i >= 0:
-                line = bytes(self._buf[:i])
-                del self._buf[:i + 1]
-                if discarding or len(line) > self._limit:
-                    return b"", True
-                return line, False
+            got = self.buffered_line()
+            if got is not None:
+                return (b"", True) if discarding else got
             if len(self._buf) > self._limit:
                 # No newline yet and already over the bound: drop what we
                 # have and keep draining until the line ends.
@@ -727,18 +775,35 @@ class _LineStream:
             self._buf.extend(chunk)
 
 
-def _handle_request(service: AllocationService, msg: dict) -> dict:
-    op = msg.get("op")
-    if op == "ping":
-        return {"ok": True, "pong": True}
-    if op == "stats":
-        return {"ok": True, "stats": service.stats()}
+def _idempotency_error(msg: dict) -> dict | None:
+    """The error reply for a malformed ``(client, seq)`` pair, if any."""
     client, seq = msg.get("client"), msg.get("seq")
     if (client is None) != (seq is None):
         return {"ok": False,
                 "error": "idempotent requests need both 'client' and 'seq'"}
     if seq is not None and (not isinstance(seq, int) or isinstance(seq, bool)):
         return {"ok": False, "error": "'seq' must be an integer"}
+    return None
+
+
+def _alloc_reply(msg: dict, peer: str, dup: bool) -> dict:
+    reply = {"ok": True, "peer": peer}
+    if msg.get("seq") is not None:
+        reply["seq"] = msg["seq"]
+        reply["dup"] = dup
+    return reply
+
+
+def _handle_request(service: AllocationService, msg: dict) -> dict:
+    op = msg.get("op")
+    if op == "ping":
+        return {"ok": True, "pong": True}
+    if op == "stats":
+        return {"ok": True, "stats": service.stats()}
+    error = _idempotency_error(msg)
+    if error is not None:
+        return error
+    client, seq = msg.get("client"), msg.get("seq")
     if op == "alloc":
         key = msg.get("key")
         if key is None:
@@ -749,11 +814,7 @@ def _handle_request(service: AllocationService, msg: dict) -> dict:
         except StaleSequenceError as exc:
             service.errors["stale_seq"] += 1
             return {"ok": False, "error": str(exc)}
-        reply = {"ok": True, "peer": peer}
-        if seq is not None:
-            reply["seq"] = seq
-            reply["dup"] = service.requests == before
-        return reply
+        return _alloc_reply(msg, peer, service.requests == before)
     if op == "churn":
         kind = msg.get("kind")
         if kind not in ("join", "leave"):
@@ -775,6 +836,104 @@ def _handle_request(service: AllocationService, msg: dict) -> dict:
     return {"ok": False, "error": f"unknown op {op!r}"}
 
 
+def _decode(service: AllocationService, line: bytes):
+    """``(request, None)`` for a JSON object line, else ``(None, error
+    reply)`` with the error counted."""
+    try:
+        msg = json.loads(line)
+    except json.JSONDecodeError as exc:
+        service.errors["bad_json"] += 1
+        return None, {"ok": False, "error": f"bad json: {exc}"}
+    if not isinstance(msg, dict):
+        service.errors["bad_json"] += 1
+        return None, {"ok": False, "error": "request must be a JSON object"}
+    return msg, None
+
+
+def _answer(service: AllocationService, msg: dict) -> dict:
+    """:func:`_handle_request`, with a failure turned into an error reply
+    (one request never kills the connection)."""
+    try:
+        return _handle_request(service, msg)
+    except Exception as exc:  # noqa: BLE001
+        service.errors["handler"] += 1
+        return {"ok": False, "error": f"internal error: {exc!r}"}
+
+
+class _Batch:
+    """The replies of one drained batch, in request order.
+
+    Consecutive well-formed ``alloc`` requests collect into a run that is
+    placed by one :meth:`AllocationService.allocate_many` call; the run
+    ends at any other request and where a client would repeat (a batch
+    carries each client once).  If the service refuses a run — which
+    changes nothing — its requests are answered one at a time, so every
+    reply and counter is what serial handling gives.  Any other failure
+    may have placed part of the run, so its requests are not placed
+    again: each is answered with the handler error.
+    """
+
+    def __init__(self, service: AllocationService):
+        self.service = service
+        self.replies: list[dict] = []
+        self._run: list[dict] = []
+        self._clients: set[str] = set()
+
+    def reply(self, reply: dict) -> None:
+        """Queue *reply* after the pending run's replies."""
+        self.end_run()
+        self.replies.append(reply)
+
+    def add(self, msg: dict) -> None:
+        """Handle one decoded request (in arrival order)."""
+        if (msg.get("op") != "alloc" or msg.get("key") is None
+                or _idempotency_error(msg) is not None):
+            self.end_run()
+            self.replies.append(_answer(self.service, msg))
+            return
+        client = msg.get("client")
+        if client is not None:
+            if str(client) in self._clients:
+                self.end_run()
+            self._clients.add(str(client))
+        self._run.append(msg)
+
+    def end_run(self) -> None:
+        run, self._run = self._run, []
+        self._clients.clear()
+        if not run:
+            return
+        clients = [m.get("client") for m in run]
+        seqs = None
+        if any(c is not None for c in clients):
+            seqs = [m.get("seq") for m in run]
+        else:
+            clients = None
+        try:
+            peers, hits = self.service._allocate_batch(
+                [m["key"] for m in run], clients, seqs)
+        except (TypeError, ValueError, ServiceError):
+            # A refusal, which changed nothing: answer one by one.
+            self.replies += [_answer(self.service, m) for m in run]
+            return
+        except Exception as exc:  # noqa: BLE001
+            self.service.errors["handler"] += len(run)
+            self.replies += [{"ok": False, "error": f"internal error: {exc!r}"}
+                             for _ in run]
+            return
+        self.replies += map(_alloc_reply, run, peers, hits)
+
+    async def commit(self, writer) -> None:
+        """Fsync the WAL once, then write every reply collected so far."""
+        self.end_run()
+        if not self.replies:
+            return
+        self.service.flush_wal()
+        writer.write(b"".join(map(_encode, self.replies)))
+        self.replies.clear()
+        await writer.drain()
+
+
 async def _serve_connection(
     service: AllocationService,
     reader,
@@ -786,35 +945,33 @@ async def _serve_connection(
     stream = _LineStream(reader, max_line_bytes)
     try:
         while True:
-            line, overflowed = await stream.readline()
-            if line is None:
+            got = await stream.readline()
+            if got[0] is None:
                 break
-            if overflowed:
-                service.errors["oversized"] += 1
-                writer.write(_encode({
-                    "ok": False,
-                    "error": f"request line exceeds {max_line_bytes} bytes",
-                }))
-                await writer.drain()
-                continue
-            if not line.strip():
-                continue
-            try:
-                msg = json.loads(line)
-            except json.JSONDecodeError as exc:
-                service.errors["bad_json"] += 1
-                writer.write(_encode({"ok": False, "error": f"bad json: {exc}"}))
-                await writer.drain()
-                continue
-            if not isinstance(msg, dict):
-                service.errors["bad_json"] += 1
-                writer.write(_encode({
-                    "ok": False, "error": "request must be a JSON object",
-                }))
-                await writer.drain()
-                continue
-            decision = faults.next_decision() if faults is not None else None
-            if decision is not None and decision.any:
+            batch = _Batch(service)
+            while got is not None:
+                line, overflowed = got
+                got = stream.buffered_line()
+                if overflowed:
+                    service.errors["oversized"] += 1
+                    batch.reply({
+                        "ok": False,
+                        "error": f"request line exceeds {max_line_bytes} bytes",
+                    })
+                    continue
+                if not line.strip():
+                    continue
+                msg, error = _decode(service, line)
+                if error is not None:
+                    batch.reply(error)
+                    continue
+                decision = faults.next_decision() if faults is not None else None
+                if decision is None or not decision.any:
+                    batch.add(msg)
+                    continue
+                # A faulted request: commit and send what came before it,
+                # then the serial fault path.
+                await batch.commit(writer)
                 for j in range(decision.storm):
                     service.apply_churn(ChurnAction(
                         time=0.0, kind="join" if j % 2 == 0 else "leave"))
@@ -827,15 +984,11 @@ async def _serve_connection(
                     os.kill(os.getpid(), signal.SIGKILL)
                 if decision.drop_before:
                     return
-            try:
-                reply = _handle_request(service, msg)
-            except Exception as exc:  # noqa: BLE001 — one request never kills the connection
-                service.errors["handler"] += 1
-                reply = {"ok": False, "error": f"internal error: {exc!r}"}
-            if decision is not None and decision.drop_after:
-                return
-            writer.write(_encode(reply))
-            await writer.drain()
+                reply = _answer(service, msg)
+                if decision.drop_after:
+                    return
+                batch.reply(reply)
+            await batch.commit(writer)
     except asyncio.CancelledError:
         # Server shutdown: end the handler quietly.  A handler task that
         # ends cancelled makes asyncio's stream callback log a spurious

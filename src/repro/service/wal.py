@@ -2,8 +2,8 @@
 
 The WAL is the service's durability contract: every placement and every
 resolved churn event is framed, checksummed, and appended *before* the
-state change is applied (and, with ``sync_every = 1``, fsynced before the
-reply leaves the process), so :meth:`repro.service.AllocationService.recover`
+state change is applied (and fsynced before its reply leaves the
+process), so :meth:`repro.service.AllocationService.recover`
 can rebuild the exact in-memory state — per-peer counters, the ring and
 placer, the tie/churn RNG stream positions, the running sha256 placement
 digest, and the per-client dedup table — by replaying the log through the
@@ -22,14 +22,19 @@ log so appends continue from the last good frame.  A file that does not
 start with the magic header is *foreign* and is never truncated — that is
 a :class:`WalError`, not a repair.
 
-Every frame, header and payload together, reaches the kernel in one
-``os.write`` on an ``O_APPEND`` descriptor before :meth:`WriteAheadLog.append`
-returns — nothing waits in a user-space buffer — so a process SIGKILL
-loses nothing that ``append`` accepted: the bytes are in the page cache.
-Durability against power loss is fsync-batched: ``sync_every = 1`` (the
-server default) makes every record durable before its reply; larger
-values group-commit for throughput at the cost of the last
-``sync_every - 1`` acknowledged records after a power loss.
+Durability has two levels.  :meth:`WriteAheadLog.append` and
+:meth:`WriteAheadLog.append_many` hand their frames to the kernel in one
+``os.write`` on an ``O_APPEND`` descriptor before they return — nothing
+waits in a user-space buffer — so a process SIGKILL loses nothing they
+accepted: the bytes are in the page cache.  They never fsync.
+:meth:`WriteAheadLog.flush` is the one commit point: it fsyncs once if
+anything was appended since the last commit, which makes every record
+appended so far survive a power loss (:meth:`~WriteAheadLog.close`
+flushes too).  The TCP front end calls it once per drained batch of
+requests, before any reply of the batch is written, so a reply a client
+has received is durable.  In-process callers get "in the page cache on
+return" and call ``flush()`` (``AllocationService.flush_wal()``) when
+they need power-loss durability.
 """
 
 from __future__ import annotations
@@ -116,19 +121,25 @@ class WriteAheadLog:
     """One append-only log file (see the module docstring for the format).
 
     Construction touches nothing on disk; the file is created (with its
-    magic header) on the first :meth:`append`.  ``sync_every`` is the
-    group-commit knob: fsync once per that many appends (:meth:`flush`
-    forces one).  ``appended`` / ``fsyncs`` are this instance's telemetry
-    counters (they do not include records already on disk).
+    magic header) on the first append.  Appends never fsync;
+    :meth:`flush` is the group commit.  ``appended`` / ``fsyncs`` are
+    this instance's telemetry counters (they do not include records
+    already on disk).
+
+    ``sync_every`` is accepted only as ``1`` and ignored: the knob is
+    gone, and this keyword stays only until the benchmark's server
+    launcher stops passing it (remove it in the next perfbench change).
     """
 
     def __init__(self, path, *, sync_every: int = 1):
-        if sync_every < 1:
-            raise ValueError(f"sync_every must be >= 1, got {sync_every}")
+        if sync_every != 1:
+            raise ValueError(
+                f"sync_every={sync_every!r}: the sync_every knob was removed; "
+                "appends never fsync and flush() is the one commit point"
+            )
         self.path = Path(path)
-        self.sync_every = int(sync_every)
         self._fd: int | None = None
-        self._unsynced = 0
+        self._unsynced = False
         self.appended = 0
         self.fsyncs = 0
 
@@ -165,12 +176,22 @@ class WriteAheadLog:
         repeated crashes never overwrite each other), exactly the
         quarantine discipline of ``ResultStore.get``.  Returns the clean
         scan.  Must be called before this instance starts appending.
+
+        Either way the good prefix is fsynced on return: the process that
+        wrote it may have died with records in the page cache only, and a
+        recovered service answers duplicate requests from those records.
         """
         if self._fd is not None:
             raise WalError("repair() must run before the log is opened for append")
         if scan is None:
             scan = self.scan()
         if scan.clean:
+            if scan.total_bytes:
+                fd = os.open(self.path, os.O_RDONLY)
+                try:
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
             return scan
         blob = self.path.read_bytes()
         sidecar = self.path.with_name(
@@ -208,30 +229,39 @@ class WriteAheadLog:
             view = view[os.write(self._fd, view):]
 
     def append(self, record: dict) -> None:
-        """Frame, checksum, and append one record: the whole frame is
-        written to the file before this returns (fsync per the batch
-        policy)."""
-        payload = json.dumps(
-            record, separators=(",", ":"), sort_keys=True
-        ).encode("utf-8")
-        if len(payload) > MAX_FRAME_BYTES:
-            raise WalError(
-                f"record of {len(payload)} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte frame bound"
-            )
+        """Frame, checksum, and append one record (see :meth:`append_many`)."""
+        self.append_many((record,))
+
+    def append_many(self, records) -> None:
+        """Frame, checksum, and append *records* in order: all their frames
+        reach the file in one ``os.write`` before this returns.  No fsync —
+        :meth:`flush` commits."""
+        frames = []
+        for record in records:
+            payload = json.dumps(
+                record, separators=(",", ":"), sort_keys=True
+            ).encode("utf-8")
+            if len(payload) > MAX_FRAME_BYTES:
+                raise WalError(
+                    f"record of {len(payload)} bytes exceeds the "
+                    f"{MAX_FRAME_BYTES}-byte frame bound"
+                )
+            frames.append(_FRAME_HEADER.pack(len(payload), zlib.crc32(payload)))
+            frames.append(payload)
+        if not frames:
+            return
         self._ensure_open()
-        self._write(_FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload)
-        self.appended += 1
-        self._unsynced += 1
-        if self._unsynced >= self.sync_every:
-            self.flush()
+        self._write(b"".join(frames))
+        self.appended += len(frames) // 2
+        self._unsynced = True
 
     def flush(self) -> None:
-        """Force the group commit: fsync any unsynced appends."""
+        """The group commit: one fsync iff anything was appended since the
+        last one."""
         if self._fd is not None and self._unsynced:
             os.fsync(self._fd)
             self.fsyncs += 1
-            self._unsynced = 0
+            self._unsynced = False
 
     def close(self) -> None:
         """Fsync and release the file descriptor (the log can be reopened)."""

@@ -128,6 +128,96 @@ class TestAllocateMany:
         assert service.requests == 0
 
 
+def full_state(service):
+    """``state_of`` plus both RNG stream positions and the WAL's bytes."""
+    wal = service._wal
+    return (state_of(service), service.errors,
+            service._tie_rng.bit_generator.state,
+            service._churn_rng.bit_generator.state,
+            None if wal is None else wal.path.read_bytes())
+
+
+class TestRefusedBatchChangesNothing:
+    """A batch ``allocate_many`` refuses leaves the service as it was.
+
+    Before the fix, a bad key below :data:`BATCH_CROSSOVER` raised only
+    after the keys before it were placed, logged and drawn for (and a
+    single bad key had already advanced the tie stream), and the dedup
+    hits of earlier pairs were counted before a later pair raised.
+    """
+
+    @pytest.mark.parametrize("keys", [
+        ["a", ["x"], "b"],
+        [["x"]],
+        ["a"] * 20 + [1.5],
+        [f"k{i}" for i in range(HASH_CHUNK + 10)] + [{"x": 1}],
+    ], ids=["scalar-path", "single", "window", "second-chunk"])
+    def test_bad_key_type(self, tmp_path, keys):
+        service = make(wal=tmp_path / "svc.wal")
+        service.allocate("warm-up")
+        before = full_state(service)
+        with pytest.raises(TypeError, match="key must be int or str, got"):
+            service.allocate_many(keys)
+        assert full_state(service) == before
+        with pytest.raises(TypeError, match="got list"):
+            service.allocate(["x"], client="c", seq=1)
+        assert full_state(service) == before
+
+    @pytest.mark.parametrize("keys", [
+        ["a", "\ud800"],
+        ["a"] * 20 + ["ok\udfff"],
+        [f"k{i}" for i in range(HASH_CHUNK + 10)] + ["\ud800"],
+    ], ids=["scalar-path", "window", "second-chunk"])
+    def test_key_that_does_not_encode(self, tmp_path, keys):
+        # A lone surrogate is a valid JSON string but not UTF-8: the hash
+        # would raise only once the keys before it were placed.
+        service = make(wal=tmp_path / "svc.wal")
+        service.allocate("warm-up")
+        before = full_state(service)
+        with pytest.raises(UnicodeEncodeError):
+            service.allocate_many(keys)
+        assert full_state(service) == before
+        with pytest.raises(UnicodeEncodeError):
+            service.allocate("\ud800", client="c", seq=1)
+        assert full_state(service) == before
+
+    def test_bytes_key_needs_no_wal(self, tmp_path):
+        # The hash takes bytes, a JSON log record cannot.
+        service = make(wal=tmp_path / "svc.wal")
+        service.allocate("warm-up")
+        before = full_state(service)
+        with pytest.raises(TypeError, match="key must be int or str, got bytes"):
+            service.allocate_many(["a", b"b"])
+        assert full_state(service) == before
+        assert len(make().allocate_many(["a", b"b"])) == 2
+
+    def test_stale_pair_counts_no_dedup_hit(self, tmp_path):
+        service = make(wal=tmp_path / "svc.wal")
+        service.allocate("k0", client="a", seq=1)
+        service.allocate("k1", client="b", seq=5)
+        before = full_state(service)
+        # a's pair is a duplicate, b's is stale: the batch is refused.
+        with pytest.raises(StaleSequenceError):
+            service.allocate_many(["k0", "k2", "k3"], ["a", None, "b"], [1, None, 4])
+        assert full_state(service) == before
+        assert service.allocate_many(["k0"], ["a"], [1]) == [service._dedup["a"][1]["peer"]]
+        assert service.dedup_hits == 1
+
+    def test_refused_key_keeps_the_log_recoverable(self, tmp_path):
+        path = tmp_path / "svc.wal"
+        service, reference = make(wal=path), make()
+        keys = list(TRACE.keys())[:200]
+        for lo in range(0, len(keys), 50):
+            with pytest.raises(TypeError):
+                service.allocate_many(keys[lo:lo + 3] + [None])
+            service.allocate_many(keys[lo:lo + 50])
+            reference.allocate_many(keys[lo:lo + 50])
+        service.close_wal()
+        recovered = AllocationService.recover(path)
+        recovered.close_wal()
+        assert state_of(recovered) == state_of(service) == state_of(reference)
+
+
 def _client_batches(size):
     """Batches of trace keys in which clients ``a``, ``b`` and ``c`` each
     send one request (the first three slots) and the rest are anonymous.
@@ -154,10 +244,8 @@ class TestIdempotentBatches:
     @pytest.mark.parametrize("size", [3, 16, 200])
     @pytest.mark.parametrize("T", [1, 7, 64])
     def test_wal_and_dedup_equal_per_key(self, tmp_path, size, T):
-        batched = make(2, T, wal=WriteAheadLog(tmp_path / "batched.wal",
-                                               sync_every=4096))
-        reference = make(2, T, wal=WriteAheadLog(tmp_path / "reference.wal",
-                                                 sync_every=4096))
+        batched = make(2, T, wal=WriteAheadLog(tmp_path / "batched.wal"))
+        reference = make(2, T, wal=WriteAheadLog(tmp_path / "reference.wal"))
         out, expected = [], []
         for keys, clients, seqs in _client_batches(size):
             out += batched.allocate_many(keys, clients, seqs)
@@ -192,7 +280,7 @@ class TestBatchedRecovery:
     @pytest.mark.parametrize("d, T", [(1, 1), (2, 7), (3, 64), (4, 200)])
     def test_recover_replays_runs_in_batches(self, tmp_path, d, T):
         path = tmp_path / "svc.wal"
-        logged = make(d, T, wal=WriteAheadLog(path, sync_every=4096))
+        logged = make(d, T, wal=WriteAheadLog(path))
         logged.replay(TRACE, SCHEDULE)
         logged.close_wal()
         recovered = AllocationService.recover(path)
@@ -206,7 +294,7 @@ class TestBatchedRecovery:
         keys = list(TRACE.keys())[:1200]
         keys[700] = "K" * 65536
         path = tmp_path / "svc.wal"
-        logged = make(2, 64, wal=WriteAheadLog(path, sync_every=4096))
+        logged = make(2, 64, wal=WriteAheadLog(path))
         for key in keys:
             logged.allocate(key)
         logged.close_wal()

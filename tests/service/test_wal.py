@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import zlib
+from unittest import mock
 
 import pytest
 
@@ -49,7 +50,7 @@ class TestRoundTrip:
         assert scan.records[-1]["k"] == "obj-9"
 
     def test_scan_sees_own_unflushed_appends(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "a.wal", sync_every=100)
+        wal = WriteAheadLog(tmp_path / "a.wal")
         wal.append({"x": 1})
         assert [dict(r) for r in wal.scan().records] == [{"x": 1}]
         wal.close()
@@ -61,38 +62,74 @@ class TestRoundTrip:
 
 
 class TestDurabilityBatching:
-    def test_sync_every_one_fsyncs_per_append(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "a.wal", sync_every=1)
-        for rec in RECORDS:
-            wal.append(rec)
-        assert wal.fsyncs == 3
-        wal.close()
-        assert wal.fsyncs == 3  # nothing left to sync
+    """Appends never fsync; flush() is the one commit point."""
+
+    def test_append_never_fsyncs(self, tmp_path):
+        with mock.patch("os.fsync", wraps=os.fsync) as fsync:
+            wal = WriteAheadLog(tmp_path / "a.wal")
+            for rec in RECORDS:
+                wal.append(rec)
+            wal.append_many(RECORDS)
+            assert fsync.call_count == 0
+            assert wal.fsyncs == 0
+            assert wal.appended == 2 * len(RECORDS)
+            wal.close()
 
     def test_group_commit_batches_fsyncs(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "a.wal", sync_every=4)
-        for i in range(10):
-            wal.append({"i": i})
-        assert wal.fsyncs == 2  # after records 4 and 8
-        wal.flush()
-        assert wal.fsyncs == 3
-        wal.flush()  # idempotent: nothing unsynced
-        assert wal.fsyncs == 3
-        wal.close()
+        """flush() fsyncs once iff anything was appended since the last."""
+        with mock.patch("os.fsync", wraps=os.fsync) as fsync:
+            wal = WriteAheadLog(tmp_path / "a.wal")
+            wal.flush()  # nothing appended yet: no file, no fsync
+            assert fsync.call_count == 0
+            for i in range(10):
+                wal.append({"i": i})
+            wal.flush()
+            assert (fsync.call_count, wal.fsyncs) == (1, 1)
+            wal.flush()  # nothing unsynced since
+            assert (fsync.call_count, wal.fsyncs) == (1, 1)
+            wal.append_many([{"i": 10}, {"i": 11}])
+            wal.flush()
+            assert (fsync.call_count, wal.fsyncs) == (2, 2)
+            wal.close()
+            assert (fsync.call_count, wal.fsyncs) == (2, 2)
+
+    def test_close_flushes(self, tmp_path):
+        path = tmp_path / "a.wal"
+        with mock.patch("os.fsync", wraps=os.fsync) as fsync:
+            wal = WriteAheadLog(path)
+            wal.append({"x": 1})
+            wal.close()
+            assert fsync.call_count == 1 and wal.fsyncs == 1
+        assert [dict(r) for r in WriteAheadLog(path).scan().records] == [{"x": 1}]
+
+    def test_append_many_is_one_write_of_the_same_frames(self, tmp_path):
+        single, many = tmp_path / "single.wal", tmp_path / "many.wal"
+        write_log(single)
+        with WriteAheadLog(many) as wal:
+            wal.append_many([])  # no frames: the file is not even created
+            assert not many.exists()
+            wal.append(RECORDS[0])
+            with mock.patch("os.write", wraps=os.write) as write:
+                wal.append_many(RECORDS[1:])
+            assert write.call_count == 1
+        assert many.read_bytes() == single.read_bytes()
 
     def test_rejects_bad_sync_every(self, tmp_path):
-        with pytest.raises(ValueError, match="sync_every"):
-            WriteAheadLog(tmp_path / "a.wal", sync_every=0)
+        """The knob is gone: only the inert ``sync_every=1`` is accepted."""
+        WriteAheadLog(tmp_path / "a.wal", sync_every=1)  # accepted, ignored
+        for value in (0, 4, 1024):
+            with pytest.raises(ValueError, match="knob was removed"):
+                WriteAheadLog(tmp_path / "a.wal", sync_every=value)
 
     def test_sigkill_keeps_every_appended_record(self, tmp_path):
         """A process SIGKILLed right after its appends returned leaves all
-        of them in the log, whole, whatever the fsync cadence: append
-        hands each frame to the kernel before it returns."""
+        of them in the log, whole, though none was fsynced: append hands
+        each frame to the kernel before it returns."""
         path = tmp_path / "killed.wal"
         child = (
             "import os, signal, sys\n"
             "from repro.service.wal import WriteAheadLog\n"
-            "wal = WriteAheadLog(sys.argv[1], sync_every=10**6)\n"
+            "wal = WriteAheadLog(sys.argv[1])\n"
             "for i in range(300):\n"
             "    wal.append({'t': 'alloc', 'i': i})\n"
             "os.kill(os.getpid(), signal.SIGKILL)\n"
@@ -144,6 +181,20 @@ class TestTornTail:
         scan = WriteAheadLog(path).repair()
         assert scan.clean
         assert not list(tmp_path.glob("*.corrupt-*"))
+
+    def test_repair_leaves_the_good_prefix_fsynced(self, tmp_path):
+        """A recovered service answers duplicates from records an earlier
+        process may have left in the page cache only: repair() commits
+        them, clean log or not."""
+        path = write_log(tmp_path / "a.wal")
+        with mock.patch("os.fsync", wraps=os.fsync) as fsync:
+            assert WriteAheadLog(path).repair().clean
+            assert fsync.call_count == 1
+            path.write_bytes(path.read_bytes()[:-5])
+            assert WriteAheadLog(path).repair().clean
+            assert fsync.call_count == 2
+            assert WriteAheadLog(tmp_path / "missing.wal").repair().clean
+            assert fsync.call_count == 2
 
     def test_partial_magic_counts_as_torn(self, tmp_path):
         path = tmp_path / "a.wal"

@@ -182,12 +182,15 @@ class TestReplayCommand:
         from repro.cli import build_parser
 
         args = build_parser().parse_args([
-            "serve", "--wal", "/tmp/svc.wal", "--wal-sync-every", "8",
+            "serve", "--wal", "/tmp/svc.wal",
             "--fault-plan", '{"kill_at": 10}',
         ])
         assert args.wal == "/tmp/svc.wal"
-        assert args.wal_sync_every == 8
         assert args.fault_plan == '{"kill_at": 10}'
+        # The fsync cadence is not a knob: every reply is durable.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", "--wal", "/tmp/svc.wal", "--wal-sync-every", "8"])
 
 
 class TestRecoverCommand:
