@@ -21,7 +21,8 @@ The end-to-end gate for the crash-safe serving layer (``make check``):
    keeps that many idempotent allocs in flight (rotating over several
    client ids, since a batch carries each client once) against a fresh
    ``repro serve --wal`` that SIGKILLs itself at a seeded request index.
-   Every reply the driver received must be in the log that
+   Every reply the driver received must be among the placements of the
+   log (expanded from its window frames by ``logged_events``) that
    ``AllocationService.recover`` rebuilds (acked => durable), and the
    recovered service must hold exactly the requests before the kill, with
    the uninterrupted reference's digest at that point.
@@ -59,6 +60,7 @@ from repro.service import (
     TraceSpec,
     WriteAheadLog,
     generate_trace,
+    logged_events,
 )
 from repro.sampling.rngutils import make_rng
 
@@ -192,8 +194,9 @@ def _pipelined_crash_pass(keys, env, tmp: Path) -> bool:
                 print(f"RECOVERY SMOKE FAILURE: depth {depth}: server exited "
                       f"{proc.returncode!r}, expected -SIGKILL", file=sys.stderr)
                 return False
-        logged = {(r.get("c"), r.get("s")): r.get("p")
-                  for r in WriteAheadLog(wal).scan().records[1:]}
+        logged = {(e["c"], e["s"]): e["p"]
+                  for e in logged_events(WriteAheadLog(wal).scan().records[1:])
+                  if e["t"] == "alloc"}
         lost = [i for i, reply in enumerate(held)
                 if not reply.get("ok")
                 or logged.get(requests[i][1:]) != reply.get("peer")]

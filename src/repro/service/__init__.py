@@ -9,6 +9,7 @@ from .server import (
     ReplayReport,
     ServiceError,
     StaleSequenceError,
+    logged_events,
     run_server,
 )
 from .traces import (
@@ -36,6 +37,7 @@ __all__ = [
     "ServiceError",
     "StaleSequenceError",
     "run_server",
+    "logged_events",
     "WriteAheadLog",
     "WalScan",
     "WalError",

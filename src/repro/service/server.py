@@ -20,25 +20,37 @@ placement pipeline — :meth:`~AllocationService.allocate` is a batch of
 one.  It splits its keys at view refreshes and decides each staleness
 window in one step (see :mod:`~.views`): vectorised hashing and one ring
 lookup per :data:`HASH_CHUNK` keys, one tie-stream draw of the window's
-length, then the window's WAL records, counter increments, digest update
-and latency samples.  Below :data:`~.views.BATCH_CROSSOVER` keys the same
-pipeline runs the scalar path, so a single ``alloc`` from the TCP front
-end costs no NumPy call.  The virtual-clock :meth:`replay` and
-:meth:`recover` feed it whole stretches between churn events; a paced
-replay (``pace > 0``) is the wall-clock mode and places one key per call.
-A batched window records one latency sample per placement, all equal to
-the window's wall time (its share of the chunk's hashing included)
-divided by its length: after a virtual-clock replay or a recovery the
-``stats()`` p50/p99 are percentiles of these per-window averages, not of
-latencies any single request saw.
+length, then the window's WAL frame, counter increments, digest update
+and latency samples.  Below :data:`~.views.BATCH_CROSSOVER` keys the
+scalar path hashes and decides a window's keys one at a time against the
+same frozen snapshot — the same decisions — and commits the window once,
+so a single ``alloc`` from the TCP front end costs no NumPy hashing.  The
+virtual-clock :meth:`replay` and :meth:`recover` feed it whole stretches
+between churn events; a paced replay (``pace > 0``) is the wall-clock
+mode and places one key per call.  A window records one latency sample
+per placement, all equal to the window's wall time (its share of the
+chunk's hashing included) divided by its length: after a virtual-clock
+replay or a recovery the ``stats()`` p50/p99 are percentiles of these
+per-window averages, not of latencies any single request saw.
 
 Crash-recovery clause: with a :class:`~.wal.WriteAheadLog` attached, every
-placement and resolved churn event is logged *before* the state mutates
-(in the page cache when the call returns, so a SIGKILL loses none of it),
-and :meth:`AllocationService.recover` rebuilds the exact service — per-peer
+staleness window of placements and every resolved churn event is logged
+*before* the state mutates (in the page cache when the call returns, so a
+SIGKILL loses none of it) — one ``allocs`` frame per window, whatever
+the window's size (see :mod:`~.wal` for the record format).
+:meth:`AllocationService.recover` rebuilds the exact service — per-peer
 counters, ring/placer, both RNG stream positions, the placement digest,
 and the per-client dedup table — by replaying the log through this same
-code path (divergence is a :class:`~.wal.WalError`, not silent drift).
+code path: each run of consecutive ``allocs`` frames is one
+:meth:`~AllocationService.allocate_many`-style batch, checked against the
+logged peer ids with one list comparison (divergence is a
+:class:`~.wal.WalError` naming the first differing placement, not silent
+drift).  Frame boundaries follow the windows and batches the writer saw,
+so they differ with pipelining depth; the placements they hold, and so
+the state recovered, do not.  A torn tail frame drops its whole window —
+safe under the durability clause below, since none of its requests has
+been answered.  ``recovered_records`` counts placements plus churn
+events, not frames.
 Mutating requests may carry a ``(client, seq)`` pair; the service answers
 a replayed ``seq`` from its dedup table without consuming any RNG, so a
 client retry after a lost reply never double-places and never shifts the
@@ -70,6 +82,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -80,18 +93,21 @@ from .faults import FaultController, FaultPlan
 from .metrics import LatencyRecorder, service_stats
 from .traces import ChurnAction, Trace
 from .views import BATCH_CROSSOVER, DChoicePlacer, StaleLoadView
-from .wal import WalError, WriteAheadLog
+from .wal import MAX_FRAME_BYTES, WalError, WriteAheadLog, encode
 
 __all__ = [
     "AllocationService",
     "ReplayReport",
     "ServiceError",
     "StaleSequenceError",
+    "logged_events",
     "run_server",
 ]
 
 #: Format tag of the WAL meta record; bump on incompatible record changes.
-WAL_FORMAT = "repro.service.wal/1"
+#: ``/2``: one ``allocs`` record per staleness window (``/1`` logged one
+#: ``alloc`` record per placement and is not read any more).
+WAL_FORMAT = "repro.service.wal/2"
 
 #: Default bound on one request line at the server (bytes, sans newline).
 MAX_LINE_BYTES = 65536
@@ -102,6 +118,43 @@ HASH_CHUNK = 4096
 
 #: The key types a WAL record can carry (JSON has no ``bytes``).
 LOGGED_KEY_TYPES = (int, str)
+
+
+def _window_payloads(keys, clients, seqs, pids) -> list[bytes]:
+    """The ``allocs`` frame payloads of one window: one, unless its record
+    would exceed :data:`~.wal.MAX_FRAME_BYTES` (a wire key may be 64 KiB),
+    in which case the window is halved until every part fits."""
+    record = {"t": "allocs", "k": keys, "p": pids}
+    if clients and any(c is not None and s is not None
+                       for c, s in zip(clients, seqs)):
+        record["c"] = [None if c is None else str(c) for c in clients]
+        record["s"] = [None if s is None else int(s) for s in seqs]
+    payload = encode(record)
+    if len(payload) <= MAX_FRAME_BYTES or len(keys) == 1:
+        return [payload]
+    half = len(keys) // 2
+    return (_window_payloads(keys[:half], clients and clients[:half],
+                             seqs and seqs[:half], pids[:half])
+            + _window_payloads(keys[half:], clients and clients[half:],
+                               seqs and seqs[half:], pids[half:]))
+
+
+def logged_events(records) -> list[dict]:
+    """Expand scanned WAL records into one dict per logged event, in log
+    order: a placement as ``{"t": "alloc", "c": client, "s": seq, "k":
+    key, "p": peer}`` (``None`` client and seq when it had none), any
+    other record (meta, churn) as it was logged.  For tools and tests; it
+    does not depend on how the placements were framed."""
+    events = []
+    for rec in records:
+        if rec.get("t") != "allocs":
+            events.append(rec)
+            continue
+        none = [None] * len(rec["k"])
+        events += [{"t": "alloc", "c": c, "s": s, "k": k, "p": p}
+                   for c, s, k, p in zip(rec.get("c") or none, rec.get("s") or none,
+                                         rec["k"], rec["p"])]
+    return events
 
 
 class ServiceError(Exception):
@@ -202,6 +255,7 @@ class AllocationService:
         self._dedup: dict[str, tuple[int, dict]] = {}
         self._initial_peers = [str(p) for p in peers]
         self._wal: WriteAheadLog | None = None
+        self._wal_events = 0  # events logged through the attached WAL
         if wal is not None:
             self._attach_fresh_wal(wal)
 
@@ -245,12 +299,14 @@ class AllocationService:
         if not scan.clean:
             wal.repair(scan)
         self._wal = wal
-        wal.append(self._meta_record())
+        self._wal_append(self._meta_record())
         wal.flush()
 
-    def _wal_append(self, record: dict) -> None:
+    def _wal_append(self, *records, events: int = 1) -> None:
+        """Log *records*, which hold *events* events, in one write."""
         if self._wal is not None:
-            self._wal.append(record)
+            self._wal.append(*records)
+            self._wal_events += events
 
     def flush_wal(self) -> None:
         """Commit the WAL: one fsync covering every record logged so far,
@@ -279,7 +335,9 @@ class AllocationService:
         process did.  Each replayed decision is checked against the logged
         outcome; a mismatch means the log and this build disagree and
         raises :class:`~.wal.WalError` rather than serving drifted state.
-        The repaired log, fsynced, is then re-attached for appending.
+        So does a log of any other format than :data:`WAL_FORMAT` (an
+        older one included: there is no reader for it).  The repaired
+        log, fsynced, is then re-attached for appending.
         """
         if not isinstance(wal, WriteAheadLog):
             wal = WriteAheadLog(wal)
@@ -287,9 +345,12 @@ class AllocationService:
         if not scan.records:
             raise WalError(f"{wal.path}: empty write-ahead log, nothing to recover")
         meta = scan.records[0]
-        if meta.get("t") != "meta" or meta.get("format") != WAL_FORMAT:
+        if meta.get("t") != "meta":
+            raise WalError(f"{wal.path}: first record is not a meta record")
+        if meta.get("format") != WAL_FORMAT:
             raise WalError(
-                f"{wal.path}: first record is not a {WAL_FORMAT} meta record"
+                f"{wal.path}: log format {meta.get('format')!r}, but this "
+                f"build reads only {WAL_FORMAT!r}"
             )
         scan = wal.repair(scan)
         service = cls(
@@ -301,39 +362,48 @@ class AllocationService:
             resolution=meta["resolution"],
             seed=meta["seed"],
         )
-        service._replay_wal_records(scan.records[1:])
-        service.recovered_records = len(scan.records) - 1
+        service.recovered_records = service._replay_wal_records(scan.records[1:])
         service._wal = wal
         return service
 
-    def _replay_wal_records(self, records) -> None:
+    def _replay_wal_records(self, records) -> int:
         """Re-run logged events through the live code paths (WAL detached);
-        each run of consecutive placements is placed as one batch."""
+        each run of consecutive ``allocs`` frames is placed as one batch.
+        Returns the number of events (placements plus churn) replayed."""
         assert self._wal is None
+        placed = churned = 0
         i = 0
         while i < len(records):
             rec = records[i]
             kind = rec.get("t")
-            if kind == "alloc":
+            if kind == "allocs":
                 # A log holds no dedup hits or stale seqs (neither is
                 # logged), so a run goes straight to placement; _commit
                 # rebuilds the dedup table from it.
                 end = i
-                while end < len(records) and records[end].get("t") == "alloc":
+                while end < len(records) and records[end].get("t") == "allocs":
                     end += 1
                 run = records[i:end]
-                pids = self._place_run([r["k"] for r in run],
-                                       [r.get("c") for r in run],
-                                       [r.get("s") for r in run])
-                for j, (r, pid) in enumerate(zip(run, pids), start=i + 1):
-                    if pid != r.get("p"):
-                        raise WalError(
-                            f"record {j}: replayed placement {pid!r} != logged "
-                            f"{r.get('p')!r} — the log does not match this "
-                            "build's decision pipeline"
-                        )
+                keys = [k for r in run for k in r["k"]]
+                logged = [p for r in run for p in r["p"]]
+                clients = seqs = None
+                if any("c" in r for r in run):
+                    clients = [c for r in run for c in r.get("c") or [None] * len(r["k"])]
+                    seqs = [s for r in run for s in r.get("s") or [None] * len(r["k"])]
+                pids = self._place_run(keys, clients, seqs)
+                if pids != logged:
+                    j, (pid, found) = next(
+                        (j, pair) for j, pair in enumerate(zip_longest(pids, logged))
+                        if pair[0] != pair[1])
+                    raise WalError(
+                        f"placement {placed + j}: replayed {pid!r} != logged "
+                        f"{found!r} — the log does not match this build's "
+                        "decision pipeline"
+                    )
+                placed += len(pids)
                 i = end
                 continue
+            churned += 1
             if kind == "churn":
                 action = ChurnAction(time=0.0, kind=rec["kind"], peer_id=rec.get("sched"))
                 resolved = self.apply_churn(
@@ -348,6 +418,7 @@ class AllocationService:
             else:
                 raise WalError(f"record {i + 1}: unknown record type {kind!r}")
             i += 1
+        return placed + churned
 
     # -- idempotency -----------------------------------------------------------
 
@@ -407,7 +478,7 @@ class AllocationService:
         """Place *keys* in order; returns the chosen peer ids.
 
         The same as calling :meth:`allocate` per key — same decisions, tie
-        and dedup semantics, WAL records, digest, counters and one latency
+        and dedup semantics, logged events, digest, counters and one latency
         sample per placement — but each staleness window is decided in
         one step (see :mod:`~.views`).  ``clients`` and ``seqs``, when
         given, are per-key ``(client, seq)`` pairs (``None`` entries place
@@ -460,18 +531,21 @@ class AllocationService:
         check_keys(keys, KEY_TYPES if self._wal is None else LOGGED_KEY_TYPES)
         if self._dht.n_peers < 1:
             raise ServiceError("no peers available to place on")
-        if len(keys) < BATCH_CROSSOVER:
-            out = []
-            for j, key in enumerate(keys):
-                t0 = time.perf_counter()
-                tie_u = float(self._tie_rng.random())
-                pid = self._placer.place(key, self._view, tie_u)
-                self._commit([key], clients and clients[j:j + 1],
-                             seqs and seqs[j:j + 1], [pid])
-                self._latency.record(time.perf_counter() - t0)
-                out.append(pid)
-            return out
         out = []
+        if len(keys) < BATCH_CROSSOVER:
+            # Hashed and decided one key at a time, committed per window.
+            place, view, rng = self._placer.place, self._view, self._tie_rng
+            lo, t0 = 0, time.perf_counter()
+            for key in keys:
+                out.append(place(key, view, float(rng.random())))
+                hi = len(out)
+                if hi == len(keys) or hi - lo == view.remaining:
+                    self._commit(keys[lo:hi], clients and clients[lo:hi],
+                                 seqs and seqs[lo:hi], out[lo:hi])
+                    t1 = time.perf_counter()
+                    self._latency.record_many((t1 - t0) / (hi - lo), hi - lo)
+                    lo, t0 = hi, t1
+            return out
         for lo in range(0, len(keys), HASH_CHUNK):
             hi = min(lo + HASH_CHUNK, len(keys))
             t0 = time.perf_counter()
@@ -493,20 +567,10 @@ class AllocationService:
 
     def _commit(self, keys, clients, seqs, pids) -> None:
         """Log, then apply, the placements of one window (``clients`` /
-        ``seqs`` are ``None`` or per-key lists)."""
+        ``seqs`` are ``None`` or per-key lists) — one ``allocs`` frame."""
         if self._wal is not None:
-            records = []
-            for j, (key, pid) in enumerate(zip(keys, pids)):
-                client = clients[j] if clients else None
-                seq = seqs[j] if seqs else None
-                records.append({
-                    "t": "alloc",
-                    "c": None if client is None else str(client),
-                    "s": None if seq is None else int(seq),
-                    "k": key,
-                    "p": pid,
-                })
-            self._wal.append_many(records)
+            self._wal_append(*_window_payloads(keys, clients, seqs, pids),
+                             events=len(pids))
         loads = self._loads
         for pid in pids:
             loads[pid] += 1
@@ -603,15 +667,17 @@ class AllocationService:
         """The `/metrics`-style stats dict (JSON-ready).
 
         ``latency`` holds one sample per placement; placements decided in
-        a batched window share that window's amortised per-key time (see
-        the module docstring), so its percentiles are per-request only
-        for keys placed one at a time.
+        one window share that window's amortised per-key time (see the
+        module docstring), so its percentiles are per-request only for
+        requests placed one at a time.  ``wal.appended`` counts the events
+        (placements, churn and the meta record) this service logged, not
+        frames, so it does not depend on how requests were batched.
         """
         wal_info = None
         if self._wal is not None:
             wal_info = {
                 "path": str(self._wal.path),
-                "appended": self._wal.appended,
+                "appended": self._wal_events,
                 "fsyncs": self._wal.fsyncs,
                 "recovered": self.recovered_records,
             }

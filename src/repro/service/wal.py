@@ -13,6 +13,17 @@ Frame format (after a file-level magic header)::
 
     <u32 payload-length> <u32 crc32(payload)> <payload: compact JSON>
 
+The service (format ``repro.service.wal/2``) writes three kinds of
+record: one ``meta`` record first, one ``churn`` record per resolved
+membership change, and one ``allocs`` record per staleness window of
+placements, ``{"t": "allocs", "k": [keys], "p": [peer ids]}`` plus
+per-key ``"c"`` / ``"s"`` lists (client, sequence id; ``null`` where a
+key has none) when some key of the window carries a ``(client, seq)``
+pair.  A window whose record would exceed :data:`MAX_FRAME_BYTES` is
+split into several ``allocs`` records, appended together.
+:func:`repro.service.logged_events` expands records into one event per
+placement.
+
 A crash can tear the tail of the file mid-frame; :meth:`WriteAheadLog.scan`
 stops at the first frame that fails its length/CRC/JSON checks and reports
 how many bytes were good, and :meth:`WriteAheadLog.repair` quarantines the
@@ -22,19 +33,25 @@ log so appends continue from the last good frame.  A file that does not
 start with the magic header is *foreign* and is never truncated — that is
 a :class:`WalError`, not a repair.
 
-Durability has two levels.  :meth:`WriteAheadLog.append` and
-:meth:`WriteAheadLog.append_many` hand their frames to the kernel in one
-``os.write`` on an ``O_APPEND`` descriptor before they return — nothing
-waits in a user-space buffer — so a process SIGKILL loses nothing they
-accepted: the bytes are in the page cache.  They never fsync.
-:meth:`WriteAheadLog.flush` is the one commit point: it fsyncs once if
-anything was appended since the last commit, which makes every record
-appended so far survive a power loss (:meth:`~WriteAheadLog.close`
-flushes too).  The TCP front end calls it once per drained batch of
-requests, before any reply of the batch is written, so a reply a client
-has received is durable.  In-process callers get "in the page cache on
-return" and call ``flush()`` (``AllocationService.flush_wal()``) when
-they need power-loss durability.
+A torn ``allocs`` frame loses its whole window, not just the placements
+past the tear.  That is safe because of the group commit below: the TCP
+front end sends no reply before the fsync that covers its frame, so a
+frame a crash can tear belongs to requests no client has seen answered,
+and the clients retry them.
+
+Durability has two levels.  :meth:`WriteAheadLog.append` hands its
+frames to the kernel in one ``os.write`` on an ``O_APPEND`` descriptor
+before it returns — nothing waits in a user-space buffer — so a process
+SIGKILL loses nothing it accepted: the bytes are in the page cache.  It
+never fsyncs.  :meth:`WriteAheadLog.flush` is the one commit point: it
+fsyncs once if anything was appended since the last commit, which makes
+every record appended so far survive a power loss
+(:meth:`~WriteAheadLog.close` flushes too).  The TCP front end calls it
+once per drained batch of requests, before any reply of the batch is
+written, so a reply a client has received is durable.  In-process
+callers get "in the page cache on return" and call ``flush()``
+(``AllocationService.flush_wal()``) when they need power-loss
+durability.
 """
 
 from __future__ import annotations
@@ -46,7 +63,8 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["WriteAheadLog", "WalScan", "WalError", "WAL_MAGIC"]
+__all__ = ["WriteAheadLog", "WalScan", "WalError", "WAL_MAGIC", "MAX_FRAME_BYTES",
+           "encode"]
 
 #: File-level magic: identifies (and versions) a repro WAL.
 WAL_MAGIC = b"REPROWAL\x01\n"
@@ -54,10 +72,15 @@ WAL_MAGIC = b"REPROWAL\x01\n"
 #: Per-frame header: payload byte length, crc32 over the payload.
 _FRAME_HEADER = struct.Struct("<II")
 
-#: Sanity bound on a frame's declared payload length — a larger value can
-#: only come from corruption (records are small JSON objects), and trusting
-#: it would make the scan walk off the end of the file.
+#: Bound on a frame's payload length.  Appends refuse a larger record, so
+#: a larger declared length can only come from corruption, and trusting it
+#: would make the scan walk off the end of the file.
 MAX_FRAME_BYTES = 1 << 20
+
+
+def encode(record: dict) -> bytes:
+    """*record*'s frame payload: compact, key-sorted JSON."""
+    return json.dumps(record, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
 class WalError(Exception):
@@ -122,9 +145,8 @@ class WriteAheadLog:
 
     Construction touches nothing on disk; the file is created (with its
     magic header) on the first append.  Appends never fsync;
-    :meth:`flush` is the group commit.  ``appended`` / ``fsyncs`` are
-    this instance's telemetry counters (they do not include records
-    already on disk).
+    :meth:`flush` is the group commit.  ``fsyncs`` is this instance's
+    telemetry counter.
 
     ``sync_every`` is accepted only as ``1`` and ignored: the knob is
     gone, and this keyword stays only until the benchmark's server
@@ -140,7 +162,6 @@ class WriteAheadLog:
         self.path = Path(path)
         self._fd: int | None = None
         self._unsynced = False
-        self.appended = 0
         self.fsyncs = 0
 
     # -- reading ---------------------------------------------------------
@@ -228,19 +249,15 @@ class WriteAheadLog:
         while view:
             view = view[os.write(self._fd, view):]
 
-    def append(self, record: dict) -> None:
-        """Frame, checksum, and append one record (see :meth:`append_many`)."""
-        self.append_many((record,))
-
-    def append_many(self, records) -> None:
-        """Frame, checksum, and append *records* in order: all their frames
-        reach the file in one ``os.write`` before this returns.  No fsync —
-        :meth:`flush` commits."""
+    def append(self, *records) -> None:
+        """Frame, checksum, and append *records* in order — dicts, or
+        payloads :func:`encode` already made — all in one ``os.write``
+        before this returns.  A record over :data:`MAX_FRAME_BYTES` is
+        refused before anything is written.  No fsync — :meth:`flush`
+        commits."""
         frames = []
         for record in records:
-            payload = json.dumps(
-                record, separators=(",", ":"), sort_keys=True
-            ).encode("utf-8")
+            payload = record if isinstance(record, bytes) else encode(record)
             if len(payload) > MAX_FRAME_BYTES:
                 raise WalError(
                     f"record of {len(payload)} bytes exceeds the "
@@ -252,7 +269,6 @@ class WriteAheadLog:
             return
         self._ensure_open()
         self._write(b"".join(frames))
-        self.appended += len(frames) // 2
         self._unsynced = True
 
     def flush(self) -> None:

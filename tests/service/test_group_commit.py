@@ -5,12 +5,13 @@ one batch: one fsync, then one write of all the batch's replies.  These
 tests pin the two halves of that contract:
 
 * acked => durable: no reply byte is written before an fsync whose file
-  size covers the reply's WAL record (``os.fsync`` mocked to record the
-  log's size, the connection's writer recording each write — the
-  ``atomic_write`` tests' idiom);
+  size covers the WAL frame holding the reply's event (``os.fsync``
+  mocked to record the log's size, the connection's writer recording each
+  write — the ``atomic_write`` tests' idiom);
 * batching is invisible: one mixed request stream sent one request at a
   time, 128 deep, and cut at odd chunk boundaries gives byte-identical
-  replies, counters, digests and WAL files.
+  replies, counters and digests, and the same logged events (the WAL's
+  frames follow the batches, so its bytes differ).
 """
 
 import asyncio
@@ -21,7 +22,7 @@ import os
 import struct
 from unittest import mock
 
-from repro.service import AllocationService
+from repro.service import AllocationService, logged_events
 from repro.service.server import _serve_connection
 from repro.service.wal import WAL_MAGIC, WriteAheadLog
 
@@ -29,11 +30,16 @@ PEERS = [f"peer-{i}" for i in range(6)]
 SEED = 11
 MAX_LINE = 256
 
-#: sha256 of the WAL that the serial front end before group commit (one
-#: request at a time, one fsync per record) wrote for
-#: :func:`request_stream`.  Pins the log format: the batched front end
-#: writes the same bytes.
-SERIAL_WAL_SHA256 = "769e1c3dbb1fc69b4cd5c6b45a903ffeeca49a81cece0c3c163ce4e4451c71fa"
+#: sha256 of the WAL (format ``repro.service.wal/2``) written for
+#: :func:`request_stream` sent one request at a time: pins the log
+#: format.  Deeper pipelining writes the same events in fewer frames.
+SERIAL_WAL_SHA256 = "34d84a0cef1a30029a68c81fed4ef8fe0cb3f8163c6b7f4564112208514d0999"
+
+#: sha256 of the WAL the serial front end wrote for :func:`request_stream`
+#: in format ``repro.service.wal/1``, one frame per placement.  Framing the
+#: expanded events of a format /2 log that way again gives the same bytes: the
+#: logged events did not change with the format.
+PER_EVENT_WAL_SHA256 = "769e1c3dbb1fc69b4cd5c6b45a903ffeeca49a81cece0c3c163ce4e4451c71fa"
 
 
 def make_service(wal=None):
@@ -176,14 +182,16 @@ def serve_direct(service, blob: bytes, chunk: int, events):
                                   max_line_bytes=MAX_LINE))
 
 
-def frame_ends(path) -> list[int]:
-    """File offset just past each WAL frame (record 0 is the meta)."""
+def event_ends(path) -> list[int]:
+    """For each logged event after the meta record, the file offset just
+    past the frame that holds it."""
     blob, at, ends = path.read_bytes(), len(WAL_MAGIC), []
     while at < len(blob):
         length, _ = struct.unpack_from("<II", blob, at)
+        record = json.loads(blob[at + 8:at + 8 + length])
         at += 8 + length
-        ends.append(at)
-    return ends
+        ends += [at] * (len(record["k"]) if record["t"] == "allocs" else 1)
+    return ends[1:]
 
 
 def final_state(service):
@@ -213,8 +221,9 @@ class TestAckedImpliesDurable:
             serve_direct(service, b"".join(lines), 777, events)
         service.close_wal()
 
-        ends = frame_ends(path)[1:]  # skip the meta record
+        ends = event_ends(path)
         assert len(ends) == 129      # 128 allocs + the churn, in order
+        assert len(set(ends)) < 129  # frames holding several placements
         synced, replies = 0, []
         for kind, value in events:
             if kind == "fsync":
@@ -224,7 +233,7 @@ class TestAckedImpliesDurable:
                 replies.append(json.loads(reply))
                 if len(replies) <= 129:  # a mutating request's reply
                     assert ends[len(replies) - 1] <= synced, (
-                        f"reply {len(replies) - 1} left before its record "
+                        f"reply {len(replies) - 1} left before its frame "
                         f"was fsynced ({synced} < {ends[len(replies) - 1]})")
         assert len(replies) == 130 and all(r["ok"] for r in replies)
         assert replies[-1]["stats"]["requests"] == 128
@@ -259,8 +268,18 @@ class TestPipeliningDoesNotChangeResults:
         for service, _, _ in runs.values():
             service.close_wal()
         wal = ref_path.read_bytes()
-        for mode, (_, _, path) in runs.items():
-            assert path.read_bytes() == wal, mode
+        frames = {mode: WriteAheadLog(path).scan().records
+                  for mode, (_, _, path) in runs.items()}
+        for mode, records in frames.items():
+            assert logged_events(records) == logged_events(frames["depth-1"]), mode
+        # One batch: the allocs runs are placed together, in fewer frames.
+        assert len(frames["direct-65536"]) < len(frames["depth-1"])
+        events = logged_events(frames["depth-1"])
+        with WriteAheadLog(tmp_path / "per-event.wal") as per_event:
+            per_event.append(dict(events[0], format="repro.service.wal/1"),
+                             *events[1:])
+        assert (hashlib.sha256(per_event.path.read_bytes()).hexdigest()
+                == PER_EVENT_WAL_SHA256)
 
         # The stream exercised what it claims to.
         state = final_state(ref_service)
@@ -276,18 +295,18 @@ class TestFailedRunIsNotPlacedAgain:
         # placed: that is no refusal, so no key is placed a second time.
         service = make_service(wal=tmp_path / "svc.wal")
         service.allocate("warm-up")
-        real_append_many = WriteAheadLog.append_many
+        real_append = WriteAheadLog.append
         windows = []
 
-        def failing_append_many(wal, records):
-            windows.append(len(records))
+        def failing_append(wal, *frames):
+            windows.append(sum(len(json.loads(f)["k"]) for f in frames))
             if len(windows) == 2:
                 raise OSError(errno.ENOSPC, "No space left on device")
-            real_append_many(wal, records)
+            real_append(wal, *frames)
 
         lines = [_line({"op": "alloc", "key": f"obj-{i}"}) for i in range(40)]
         events = []
-        with mock.patch.object(WriteAheadLog, "append_many", failing_append_many):
+        with mock.patch.object(WriteAheadLog, "append", failing_append):
             serve_direct(service, b"".join(lines), 1 << 16, events)
         replies = [json.loads(r) for _, data in events for r in data.splitlines()]
         assert len(replies) == 40

@@ -17,6 +17,7 @@ from repro.service.wal import (
     WalError,
     WalScan,
     WriteAheadLog,
+    encode,
 )
 
 RECORDS = [
@@ -69,10 +70,10 @@ class TestDurabilityBatching:
             wal = WriteAheadLog(tmp_path / "a.wal")
             for rec in RECORDS:
                 wal.append(rec)
-            wal.append_many(RECORDS)
+            wal.append(*RECORDS)
             assert fsync.call_count == 0
             assert wal.fsyncs == 0
-            assert wal.appended == 2 * len(RECORDS)
+            assert len(wal.scan().records) == 2 * len(RECORDS)
             wal.close()
 
     def test_group_commit_batches_fsyncs(self, tmp_path):
@@ -87,7 +88,7 @@ class TestDurabilityBatching:
             assert (fsync.call_count, wal.fsyncs) == (1, 1)
             wal.flush()  # nothing unsynced since
             assert (fsync.call_count, wal.fsyncs) == (1, 1)
-            wal.append_many([{"i": 10}, {"i": 11}])
+            wal.append({"i": 10}, {"i": 11})
             wal.flush()
             assert (fsync.call_count, wal.fsyncs) == (2, 2)
             wal.close()
@@ -102,15 +103,16 @@ class TestDurabilityBatching:
             assert fsync.call_count == 1 and wal.fsyncs == 1
         assert [dict(r) for r in WriteAheadLog(path).scan().records] == [{"x": 1}]
 
-    def test_append_many_is_one_write_of_the_same_frames(self, tmp_path):
+    def test_several_records_are_one_write_of_the_same_frames(self, tmp_path):
         single, many = tmp_path / "single.wal", tmp_path / "many.wal"
         write_log(single)
         with WriteAheadLog(many) as wal:
-            wal.append_many([])  # no frames: the file is not even created
+            wal.append()  # no frames: the file is not even created
             assert not many.exists()
             wal.append(RECORDS[0])
             with mock.patch("os.write", wraps=os.write) as write:
-                wal.append_many(RECORDS[1:])
+                # A record may come already encoded: the same frame.
+                wal.append(RECORDS[1], encode(RECORDS[2]))
             assert write.call_count == 1
         assert many.read_bytes() == single.read_bytes()
 
@@ -263,4 +265,9 @@ class TestCorruption:
         wal = WriteAheadLog(tmp_path / "a.wal")
         with pytest.raises(WalError, match="frame bound"):
             wal.append({"blob": "x" * (MAX_FRAME_BYTES + 1)})
+        # One oversized record refuses the whole append: nothing written.
+        wal.append({"x": 1})
+        with pytest.raises(WalError, match="frame bound"):
+            wal.append({"y": 2}, {"blob": "x" * MAX_FRAME_BYTES})
         wal.close()
+        assert [dict(r) for r in wal.scan().records] == [{"x": 1}]
