@@ -18,7 +18,11 @@ Not a paper figure — this tracks the engine-level speedups:
   fallback is correctness-equivalent but has no floor to pin);
 * the **replication-parallel compiled** floor: the prange kernels at
   R = 256 over the serial compiled kernels, >= 2x with
-  threads = min(cores, R), measured only with numba and >= 4 cores.
+  threads = min(cores, R), measured only with numba and >= 4 cores;
+* the **row/lockstep crossover** (:func:`repro.core.policy.use_rows`):
+  on abl_d's d = 8 shape (R = 5) the rows tier is >= 3x the lockstep
+  kernel, and on fig04's R = 100 shape the lockstep kernel is >= 1.5x the
+  rows tier — driver-level, same draws, each side forced.
 
 Wavefront floors are pinned well below the measured ratios because the CI
 hardware's throughput fluctuates; the measured values (see ROADMAP
@@ -38,8 +42,10 @@ import numpy as np
 import pytest
 from conftest import BENCH_SEED, ENSEMBLE_BENCH_RS, record_bench
 
+from repro.bins.generators import two_class_bins, uniform_bins
 from repro.core.compiled import HAVE_NUMBA, run_batch_compiled, warmup
-from repro.core.ensemble import run_batch_ensemble
+from repro.core.ensemble import run_batch_ensemble, simulate_ensemble
+from repro.core.equivalence import forced_axis
 from repro.core.fast import run_batch
 from repro.core.wavefront import WavefrontWorkspace, run_batch_wavefront
 from repro.experiments import run_experiment
@@ -392,3 +398,61 @@ def test_compiled_parallel_floor_r256():
         f"R={R} with {threads} threads on the fig01-scaled configuration "
         f"(serial {serial * 1e3:.2f} ms vs parallel {parallel * 1e3:.2f} ms)"
     )
+
+
+# --------------------------------------------------------------------------
+# Row/lockstep crossover floors (driver level, both tiers forced)
+# --------------------------------------------------------------------------
+
+#: ``(bins, R, d, m)`` of the two sides of the crossover: abl_d's d = 8
+#: block (n = 2000, capacities 1 and 8, m = C) and fig04's R = 100 block
+#: at capacity 4 (n = 32, m = 100 C).
+ROWS_SHAPES = {
+    "abl_d_d8": (two_class_bins(1000, 1000, 1, 8), 5, 8, 9000),
+    "fig04_c4": (uniform_bins(32, 4), 100, 2, 12_800),
+}
+
+
+def _tier_seconds(config, rows, rounds=3):
+    bins, R, d, m = ROWS_SHAPES[config]
+
+    def run():
+        return simulate_ensemble(bins, repetitions=R, m=m, d=d,
+                                 seed=BENCH_SEED, seed_mode="blocked")
+
+    with forced_axis("rows", rows):
+        run()  # untimed warmup
+        return _best(run, rounds)
+
+
+def _assert_tier_floor(config, faster, floor):
+    """*faster* (``"rows"`` or ``"lockstep"``) must beat the other tier by
+    *floor* on the *config* shape (same draws, min-of-rounds timing)."""
+    _, R, _, _ = ROWS_SHAPES[config]
+    rows = _tier_seconds(config, "on")
+    lockstep = _tier_seconds(config, "off")
+    slower = "lockstep" if faster == "rows" else "rows"
+    times = {"rows": rows, "lockstep": lockstep}
+    speedup = times[slower] / times[faster]
+    print(f"\n{config} R={R}: rows {rows * 1e3:.2f} ms, lockstep "
+          f"{lockstep * 1e3:.2f} ms, {faster} x{speedup:.2f}")
+    record_bench(config, R, "rows", "off", rows)
+    record_bench(config, R, "lockstep", "off", lockstep)
+    record_bench(config, R, f"{faster}_over_{slower}", "n/a", None,
+                 ratio=speedup, floor=floor)
+    assert speedup >= floor, (
+        f"{faster} tier regressed on {config}: x{speedup:.2f} < x{floor} "
+        f"(rows {rows * 1e3:.2f} ms vs lockstep {lockstep * 1e3:.2f} ms)"
+    )
+
+
+def test_rows_floor_abl_d():
+    """Below the crossover: the rows tier is >= 3x the lockstep kernel on
+    abl_d's d = 8 shape (measured ~6x)."""
+    _assert_tier_floor("abl_d_d8", "rows", 3.0)
+
+
+def test_lockstep_floor_fig04():
+    """Above the crossover: the lockstep kernel is >= 1.5x the rows tier at
+    fig04's R = 100 (measured ~2.1–2.6x)."""
+    _assert_tier_floor("fig04_c4", "lockstep", 1.5)

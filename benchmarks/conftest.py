@@ -70,6 +70,8 @@ _EXPECTED_SPEEDUP_KINDS = {
     "wavefront_over_per_ball",
     "wavefront_over_fast",
     "fabric_over_serial",
+    "rows_over_lockstep",
+    "lockstep_over_rows",
 }
 if HAVE_NUMBA:  # pragma: no cover - only where numba is installed
     _EXPECTED_SPEEDUP_KINDS.add("compiled_over_wavefront")

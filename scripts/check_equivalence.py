@@ -10,16 +10,18 @@ Runs, from :mod:`repro.core.equivalence`:
   heights;
 * the spawn-mode row parity sweep, once per lockstep driver (plain,
   stale-view batched, weighted balls, ring allocation): row ``r`` of an
-  R-row run must equal the ``R = 1`` run, which takes the driver's row
-  kernel, on child seed ``r``;
-* the dispatch-identity matrix: along each selected kernel-policy axis,
+  R-row run, forced onto the lockstep kernels and onto the rows tier,
+  must equal the ``R = 1`` run, which takes the driver's row kernel, on
+  child seed ``r``;
+* the dispatch-identity matrix: along each selected dispatch axis,
   randomised driver runs and every registered experiment on both engines
   must be bit-identical for every value of the axis;
 * the per-experiment cross-engine matrix (every registered experiment on
   both engines, optionally at a ``--rep-factor`` multiple of the pinned
   repetition counts, within its pinned tolerance).
 
-The matrix always covers the ``wavefront`` (on/off) and ``backend``
+The matrix always covers the ``wavefront`` (on/off), ``rows`` (the rows
+tier at every R vs the lockstep kernels at every R > 1) and ``backend``
 (compiled/numpy) axes; ``--threads`` adds the ``threads`` axis (compiled
 tier forced to 1 vs 2 vs 7 threads).  ``--backend MODE`` pins the ambient
 backend for the whole run, so CI can repeat the sweep once per available
@@ -67,7 +69,8 @@ from repro.core.policy import CHOICES, HAVE_NUMBA, set_policy
 
 #: Master-seed salts, so each sweep draws its own instances.
 _KERNEL_SALTS = {"wavefront": 0xAFE1, "compiled": 0xC0DE}
-_DRIVER_SALTS = {"wavefront": 0x0FF0, "backend": 0xBACC, "threads": 0x7EAD}
+_DRIVER_SALTS = {"wavefront": 0x0FF0, "rows": 0x2055, "backend": 0xBACC,
+                 "threads": 0x7EAD}
 _ROW_SALTS = {"plain": 0xD41E, "batched": 0xBA7C, "weighted": 0x3E16, "ring": 0x21F6}
 
 
@@ -101,7 +104,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     budget = SweepBudget(draws=args.draws, max_m=args.max_m, max_r=args.max_r)
-    axes = ["wavefront", "backend"] + (["threads"] if args.threads else [])
+    axes = ["wavefront", "rows", "backend"] + (["threads"] if args.threads else [])
     started = time.perf_counter()
     if args.backend:
         # The script owns its process, so a plain process-wide override is
@@ -131,7 +134,8 @@ def main(argv=None) -> int:
                 driver, args.seed ^ _ROW_SALTS[driver], trials=args.driver_trials
             )
             print(f"{driver + ' rows:':20s}{trials} trials OK "
-                  f"(lockstep row r == R = 1 row kernel on child_r)")
+                  f"(lockstep and rows tiers: row r == R = 1 row kernel "
+                  f"on child_r)")
         fabric = None
         if args.fabric:
             from repro.runtime.fabric import FabricSession

@@ -56,8 +56,8 @@
 #      R-row run == the R = 1 row kernel on child seed r), and the
 #      dispatch-identity matrix — randomised driver runs and every
 #      registered experiment on both engines, bit-identical along the
-#      wavefront (on/off) and backend (compiled/numpy) axes of the kernel
-#      policy.  Where numba is present the compiled pass repeats once under
+#      wavefront (on/off), rows (rows tier vs lockstep) and backend
+#      (compiled/numpy) dispatch axes.  Where numba is present the compiled pass repeats once under
 #      REPRO_THREADS=4 with --threads, adding the threads axis (1 vs 2 vs 7)
 #      so the prange compile runs under a real thread pool routinely.
 #

@@ -43,27 +43,33 @@ The same single drive loop exists for each protocol variant:
 :func:`repro.core.rounds.simulate_batched_ensemble` (stale-view batches),
 :func:`repro.core.weighted.simulate_weighted_ensemble` (weighted balls) and
 :func:`repro.p2p.workload.allocate_requests_ensemble` (ring allocation),
-each with its scalar function as the ``R = 1`` call.  At ``R = 1`` every
-driver runs a *row kernel* on Python lists, which beats any array kernel
-one row wide: :func:`repro.core.fast.run_batch` (plain and ring),
-:func:`repro.core.rounds.stale_choice` (stale views) and the weighted list
-loop.  At ``R > 1`` they run the lockstep kernels.
+each with its scalar function as the ``R = 1`` call.  Every driver has
+a *row kernel* on Python lists, which beats any array kernel one row
+wide: :func:`repro.core.fast.run_batch` (plain and ring),
+:func:`repro.core.rounds.stale_choice` (stale views) and the weighted
+list loop.  Below a measured crossover in ``(R, d)``
+(:func:`repro.core.policy.use_rows`) the plain, ring and weighted drivers
+run that kernel once per row on the ``(R, k, d)`` chunk they already
+drew (the *rows* tier); above it, and always in the stale-view driver,
+they run the lockstep kernels.  ``R = 1`` is the rows tier with one row.
 
 Kernel dispatch
 ---------------
-Three kernel tiers implement the identical decision sequence, and
+Four kernel tiers implement the identical decision sequence, and
 :func:`simulate_ensemble` asks :func:`repro.core.policy.dispatch` once
 per run which one takes its chunks, in priority order **compiled >
-wavefront > per-ball**: :func:`repro.core.compiled.run_batch_compiled`
+wavefront > rows > lockstep**: :func:`repro.core.compiled.run_batch_compiled`
 when the compiled backend is in force (``REPRO_BACKEND``; ``auto``
 selects it exactly when Numba is available), else the conflict-free
 wavefront kernels of :mod:`repro.core.wavefront` when the expected
-conflict rate is low enough (``n_eff / (R * d * d)``, with a
-realised-free-fraction runtime fallback; ``REPRO_WAVEFRONT``), else the
-per-ball loops below (the row kernel at ``R = 1``).  All tiers are
-*bit-identical* — every kernel consumes the same pre-drawn choices and tie
-uniforms, so dispatch can never change a number; the equivalence suite
-forces each path and compares exactly.
+conflict rate is low enough and the shape clears the floor of the
+per-ball tier it would replace (``REPRO_WAVEFRONT``, with a
+realised-free-fraction runtime fallback to that tier), else
+:func:`repro.core.fast.run_batch` once per row while ``R`` is below the
+row/lockstep crossover, else the lockstep loops below.  All tiers are
+*bit-identical* — every kernel consumes the same pre-drawn choices and
+tie uniforms, so dispatch can never change a number; the equivalence
+suite forces each path and compares exactly.
 
 Shared parameters per block
 ---------------------------
@@ -108,7 +114,13 @@ from ..sampling.distributions import probability_model
 from ..sampling.rngutils import make_rng, spawn_seed_sequences
 from .compiled import run_batch_compiled
 from .fast import run_batch
-from .policy import RUNTIME_MIN_FREE_FRACTION, current_policy, dispatch, effective_bins
+from .policy import (
+    RUNTIME_MIN_FREE_FRACTION,
+    current_policy,
+    dispatch,
+    effective_bins,
+    use_rows,
+)
 from .wavefront import (
     WavefrontStats,
     WavefrontWorkspace,
@@ -562,19 +574,18 @@ def simulate_ensemble(
     total_capacity = bins.total_capacity
     heights = np.empty((R, m), dtype=np.float64) if track_heights else None
     kept = [] if keep_choices else None
-    # At R = 1 the per-ball tier is the row kernel, fast.run_batch on a
-    # Python-list row that persists across chunks (at R = 1 a list loop
-    # beats every array kernel); `counts` is brought up to date from it
-    # for snapshots and at the end.
-    row: list[int] | None = None
+    # The rows tier keeps one Python-list row per replication across
+    # chunks (a list loop per row beats the lockstep kernel at small R);
+    # `counts` is brought up to date from them for snapshots and at the end.
+    rows: list[list[int]] | None = None
 
     snap_points = _normalise_snapshot_points(snapshot_at, m)
     snapshots: list[EnsembleSnapshot] = []
     loads_buf = np.empty((R, n), dtype=np.float64) if snap_points else None
 
     def take_snapshot(balls_thrown: int) -> None:
-        if row is not None:
-            counts[0] = row
+        if rows is not None:
+            counts[:] = rows
         np.divide(counts, caps_arr, out=loads_buf)
         snapshots.append(
             EnsembleSnapshot(
@@ -592,12 +603,12 @@ def simulate_ensemble(
 
     # The kernel policy picks the tier once per run: compiled, the
     # conflict-free wavefront (keyed on the collision-equivalent bin count
-    # of the selection distribution, with a fall back to the per-ball
-    # kernels for the rest of the run if the realised free fraction
-    # disappoints), or per-ball.  Every tier consumes the identical
-    # pre-drawn randomness, so no dispatch decision can change the results.
-    # The kernels are called through this module's globals, where a tracer
-    # can wrap them.
+    # of the selection distribution, with a fall back to the per-ball tier
+    # for the rest of the run if the realised free fraction disappoints),
+    # rows (the list row kernel once per row) or lockstep.  Every tier
+    # consumes the identical pre-drawn randomness, so no dispatch decision
+    # can change the results.  The kernels are called through this
+    # module's globals, where a tracer can wrap them.
     workspace = WavefrontWorkspace()
     wf_stats = WavefrontStats()
     p = getattr(sampler, "probabilities", None)
@@ -635,16 +646,17 @@ def simulate_ensemble(
             )
             if (policy.wavefront == "auto"
                     and wf_stats.free_fraction < RUNTIME_MIN_FREE_FRACTION):
-                tier = "per_ball"
-        elif R == 1:
-            if row is None:
-                row = counts[0].tolist()
+                tier = "rows" if use_rows(R, d) else "lockstep"
+        elif tier == "rows":
+            if rows is None:
+                rows = counts.tolist()
                 caps_list = caps_arr.tolist()
-            row_heights = None if heights is None else []
-            run_batch(row, caps_list, choices[0], tie_u[0],
-                      tie_break=tie_break, heights=row_heights)
-            if row_heights is not None:
-                chunk_heights[0] = row_heights
+            for r, row in enumerate(rows):
+                row_heights = None if heights is None else []
+                run_batch(row, caps_list, choices[r], tie_u[r],
+                          tie_break=tie_break, heights=row_heights)
+                if row_heights is not None:
+                    chunk_heights[r] = row_heights
         else:
             # Sub-batch the kernel (not the sampling!) so temporaries stay
             # bounded; RNG consumption is untouched by this split.
@@ -667,8 +679,8 @@ def simulate_ensemble(
         while pending and pending[0] == thrown:
             take_snapshot(thrown)
             pending.pop(0)
-    if row is not None:
-        counts[0] = row
+    if rows is not None:
+        counts[:] = rows
 
     return EnsembleResult(
         bins=bins,

@@ -9,8 +9,9 @@ waves) and :func:`repro.core.compiled.run_batch_compiled` (Numba tier with
 interpreter fallback) — under one contract: given the same candidate matrix
 and the same position-aligned tie-uniform stream, all of them produce the
 same counts, ball for ball.  Each protocol (plain, stale-view batches,
-weighted balls, ring allocation) has one lockstep driver, whose ``R = 1``
-row kernel and ``R > 1`` lockstep kernel carry the same contract.
+weighted balls, ring allocation) has one lockstep driver, whose list row
+kernel (run once per row by the rows tier, and at ``R = 1``) and
+lockstep kernel carry the same contract.
 
 This module has three layers:
 
@@ -18,9 +19,10 @@ This module has three layers:
   drivers (:func:`check_kernel_equivalence`,
   :func:`check_lockstep_kernel_equivalence`, and :func:`check_row_parity`
   over :data:`ROW_DRIVERS`);
-* the *dispatch-identity matrix*: each kernel-policy axis
-  (:data:`DISPATCH_AXES` — wavefront on/off, backend compiled/numpy,
-  compiled threads 1/2/7) forced through every value, on randomised driver
+* the *dispatch-identity matrix*: each dispatch axis
+  (:data:`DISPATCH_AXES` — wavefront on/off, rows on/off, backend
+  compiled/numpy, compiled threads 1/2/7) forced through every value
+  (:func:`forced_axis`), on randomised driver
   runs (:func:`check_driver_dispatch_identity`) and on every registered
   experiment on both engines (:func:`check_dispatch_identity`), with
   bit-identical results required;
@@ -38,12 +40,15 @@ and the larger-budget smoke script (``scripts/check_equivalence.py``).
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..bins.arrays import BinArray
 from ..sampling.rngutils import spawn_seed_sequences
+from . import policy
 from .compiled import run_batch_compiled
 from .ensemble import run_batch_ensemble, simulate_ensemble
 from .fast import run_batch
@@ -59,6 +64,7 @@ __all__ = [
     "check_kernel_equivalence",
     "check_lockstep_kernel_equivalence",
     "DISPATCH_AXES",
+    "forced_axis",
     "check_driver_dispatch_identity",
     "ROW_DRIVERS",
     "check_row_parity",
@@ -200,37 +206,61 @@ def check_lockstep_kernel_equivalence(
     return budget.draws
 
 
-#: Every kernel-policy axis with the values the dispatch-identity matrix
+#: Every dispatch axis with the values the dispatch-identity matrix
 #: forces; the first value is the baseline the others must reproduce.
+#: ``rows`` is not a policy field: ``"on"`` runs the rows tier at every
+#: ``R``, ``"off"`` the lockstep kernels at every ``R > 1``.
 DISPATCH_AXES = {
     "wavefront": ("on", "off"),
+    "rows": ("on", "off"),
     "backend": ("compiled", "numpy"),
     "threads": (1, 2, 7),
 }
 
 
-def _axis_policy(axis: str, value) -> dict:
-    """Policy fields that force *axis* to *value*.  Threads only exist on
-    the compiled tier, so the threads axis also forces that backend."""
-    fields = {axis: value}
-    if axis == "threads":
-        fields["backend"] = "compiled"
-    return fields
+@contextmanager
+def forced_axis(axis: str, value):
+    """Force one :data:`DISPATCH_AXES` *axis* to *value* for a block.
+
+    Policy fields go through :func:`~repro.core.policy.forced_policy`;
+    threads only exist on the compiled tier, so that axis also forces the
+    backend.  The rows axis patches the row/lockstep crossovers
+    (:data:`~repro.core.policy.ROWS_CROSSOVER`,
+    :data:`~repro.core.policy.WEIGHTED_ROWS_CROSSOVER`) to plus or minus
+    infinity, with the NumPy backend and the wavefront off so that the
+    per-ball tier is what runs.  Everything is restored on exit.
+    """
+    if axis != "rows":
+        fields = {axis: value}
+        if axis == "threads":
+            fields["backend"] = "compiled"
+        with forced_policy(**fields):
+            yield
+        return
+    crossover = math.inf if value == "on" else -math.inf
+    saved = policy.ROWS_CROSSOVER, policy.WEIGHTED_ROWS_CROSSOVER
+    policy.ROWS_CROSSOVER = policy.WEIGHTED_ROWS_CROSSOVER = crossover
+    try:
+        with forced_policy(backend="numpy", wavefront="off"):
+            yield
+    finally:
+        policy.ROWS_CROSSOVER, policy.WEIGHTED_ROWS_CROSSOVER = saved
 
 
 def check_driver_dispatch_identity(
     axis: str, values, master_seed: int, trials: int = 6
 ) -> int:
-    """Driver-level bit-identity sweep along one kernel-policy axis.
+    """Driver-level bit-identity sweep along one dispatch axis.
 
     Each trial runs :func:`~repro.core.ensemble.simulate_ensemble` (both
     seed modes) and :func:`~repro.core.simulation.simulate` with the
-    *axis* forced to each of *values* on the same configuration — cycling
-    all three tie-break modes — and requires every value to reproduce the
-    first one's counts, heights and snapshots exactly.  This is the
+    *axis* forced to each of *values* (:func:`forced_axis`) on the same
+    configuration — cycling all three tie-break modes — and requires
+    every value to reproduce the first one's counts, heights and
+    snapshots exactly.  This is the
     guarantee dispatch relies on: every tier consumes identical pre-drawn
-    randomness, so no policy setting can leak into the numbers.  Returns
-    the number of trials checked.
+    randomness, so no dispatch decision can leak into the numbers.
+    Returns the number of trials checked.
     """
     rng = np.random.default_rng(master_seed)
     for trial in range(trials):
@@ -246,7 +276,7 @@ def check_driver_dispatch_identity(
 
         runs = []
         for value in values:
-            with forced_policy(**_axis_policy(axis, value)):
+            with forced_axis(axis, value):
                 runs.append((
                     simulate_ensemble(
                         bins, repetitions=R, m=m, d=d, seed=master,
@@ -358,38 +388,44 @@ def check_row_parity(
     """Spawn-mode parity sweep of one lockstep *driver* (:data:`ROW_DRIVERS`).
 
     Each trial draws a random configuration and requires row ``r`` of the
-    R-row lockstep run (``seed=master``, spawn mode) to equal the
-    ``R = 1`` run on ``seeds=[child_r]`` — which runs the driver's row
-    kernel — bit for bit: counts, plus heights, every snapshot and the
-    float masses wherever the driver reports them.  Returns the number of
-    trials checked; raises ``AssertionError`` on the first mismatch.
+    R-row run (``seed=master``, spawn mode) — once forced onto the
+    lockstep kernels and once onto the rows tier
+    (``forced_axis("rows", "off")`` / ``"on"``) — to equal the ``R = 1``
+    run on ``seeds=[child_r]``, which runs the driver's row kernel, bit
+    for bit: counts, plus heights, every snapshot and the float masses
+    wherever the driver reports them.  Returns the number of trials
+    checked; raises ``AssertionError`` on the first mismatch.
     """
     case = ROW_DRIVERS[driver]
     rng = np.random.default_rng(master_seed)
     for trial in range(trials):
         run, config = case(rng)
         master = int(rng.integers(0, 2**31))
-        lockstep = run(repetitions=repetitions, seed=master)
+        wide = {}
+        for value, tier in (("off", "lockstep"), ("on", "rows")):
+            with forced_axis("rows", value):
+                wide[tier] = run(repetitions=repetitions, seed=master)
         for r, child in enumerate(spawn_seed_sequences(master, repetitions)):
             single = run(seeds=[child])
-            label = f"{driver} trial={trial} rep={r} {config}"
-            assert np.array_equal(lockstep.counts[r], single.counts[0]), (
-                f"{label}: counts"
-            )
-            for name in ("heights", "masses"):
-                rows = getattr(lockstep, name, None)
-                if rows is not None:
-                    np.testing.assert_array_equal(
-                        rows[r], getattr(single, name)[0],
-                        err_msg=f"{label}: {name}",
-                    )
-            snaps = getattr(lockstep, "snapshots", [])
-            single_snaps = getattr(single, "snapshots", [])
-            assert len(snaps) == len(single_snaps), f"{label}: snapshot count"
-            for a, b in zip(snaps, single_snaps):
-                assert a.balls_thrown == b.balls_thrown, label
-                assert a.average_load == b.average_load, label
-                assert a.max_loads[r] == b.max_loads[0], f"{label}: snapshot max"
+            for tier, full in wide.items():
+                label = f"{driver} trial={trial} rep={r} {tier} {config}"
+                assert np.array_equal(full.counts[r], single.counts[0]), (
+                    f"{label}: counts"
+                )
+                for name in ("heights", "masses"):
+                    rows = getattr(full, name, None)
+                    if rows is not None:
+                        np.testing.assert_array_equal(
+                            rows[r], getattr(single, name)[0],
+                            err_msg=f"{label}: {name}",
+                        )
+                snaps = getattr(full, "snapshots", [])
+                single_snaps = getattr(single, "snapshots", [])
+                assert len(snaps) == len(single_snaps), f"{label}: snapshot count"
+                for a, b in zip(snaps, single_snaps):
+                    assert a.balls_thrown == b.balls_thrown, label
+                    assert a.average_load == b.average_load, label
+                    assert a.max_loads[r] == b.max_loads[0], f"{label}: snapshot max"
     return trials
 
 
@@ -568,14 +604,14 @@ def check_experiment_equivalence(
 
 
 def check_dispatch_identity(experiment_id: str, axis: str, values) -> int:
-    """Run one experiment with a kernel-policy *axis* forced to each of
-    *values*, on both engines, and require every value to reproduce the
+    """Run one experiment with a dispatch *axis* forced to each of
+    *values* (:func:`forced_axis`), on both engines, and require every value to reproduce the
     first one's figures *bit-identically*.
 
     Unlike the cross-engine comparison (bounded deviation between
     independent streams), this is exact: every tier consumes the same
-    pre-drawn randomness, so no wavefront mode, backend or thread budget
-    may change a series value — heights and snapshot series included,
+    pre-drawn randomness, so no wavefront mode, row/lockstep choice,
+    backend or thread budget may change a series value — heights and snapshot series included,
     since the cases' series are computed from them.  The threads axis runs
     under the compiled backend, the only tier with threads (without Numba
     ``prange`` is ``range``, same arithmetic).  Uses the pinned
@@ -591,7 +627,7 @@ def check_dispatch_identity(experiment_id: str, axis: str, values) -> int:
     for engine in ("scalar", "ensemble"):
         base = None
         for value in values:
-            with forced_policy(**_axis_policy(axis, value)):
+            with forced_axis(axis, value):
                 result = run_experiment(
                     experiment_id, seed=case.seed, engine=engine, **kwargs
                 )

@@ -1,13 +1,13 @@
 """Kernel policy: which tier decides Algorithm 1, and on how many threads.
 
-Three kernel tiers implement the identical decision sequence — the
+Four kernel tiers implement the identical decision sequence — the
 compiled loops (:mod:`repro.core.compiled`), the conflict-free wavefront
-kernels (:mod:`repro.core.wavefront`) and the per-ball kernels
-(:func:`repro.core.fast.run_batch` on a list row at ``R = 1``,
-:func:`repro.core.ensemble.run_batch_ensemble` over ``R > 1`` lanes).
-Every tier consumes the same pre-drawn choices and tie uniforms, so no
-setting here can change a number; the equivalence suite runs each axis
-both ways and compares bit for bit
+kernels (:mod:`repro.core.wavefront`), the *rows* tier (a driver's list
+row kernel, e.g. :func:`repro.core.fast.run_batch`, called once per row)
+and the *lockstep* tier (:func:`repro.core.ensemble.run_batch_ensemble`
+over all ``R`` lanes at once).  Every tier consumes the same pre-drawn
+choices and tie uniforms, so no setting here can change a number; the
+equivalence suite runs each axis both ways and compares bit for bit
 (:func:`repro.core.equivalence.check_dispatch_identity`).
 
 One frozen :class:`KernelPolicy` carries the three settings:
@@ -25,12 +25,23 @@ One frozen :class:`KernelPolicy` carries the three settings:
 knob degrades and never crashes a run — with the process override of
 :func:`set_policy` / :func:`forced_policy` on top.  :func:`dispatch`
 turns a policy and a run's shape into ``(tier, threads)``, in priority
-order compiled > wavefront > per-ball; both engine drivers call it once
+order compiled > wavefront > rows > lockstep; the drivers call it once
 per run and then call the kernel themselves.
 
 Fleet safety: pool and fabric children run with
 :attr:`KernelPolicy.worker_threads` — ``1`` unless the parent chose a
 budget — so ``workers × threads`` never oversubscribes the cores.
+
+Rows or lockstep
+----------------
+Below the wavefront, a driver has two per-ball tiers.  The lockstep
+kernel pays one round of NumPy calls per ball for all ``R`` lanes; the
+rows tier pays one list-loop decision per ball *per row*.  One lockstep
+step costs about as much as 25–50 list-loop decisions, so rows win at
+small ``R`` and the lockstep kernel once its call overhead is spread over
+enough lanes.  :func:`use_rows` holds the measured crossovers; there is
+no policy field for it, because the choice is pure cost, and ``R = 1`` is
+always rows.
 
 Wavefront cost model
 --------------------
@@ -39,11 +50,14 @@ that share a bin with an earlier tile ball; the deferred fraction is
 about ``d^2 * W / (2 * n_eff)``, where ``n_eff`` is the
 collision-equivalent bin count of the selection distribution
 (:func:`effective_bins`).  ``"auto"`` enters the wavefront when most
-balls commit in the first wave *and* ``n_eff / (R * d * d)`` clears a
-floor set by the per-ball kernel it replaces: the NumPy per-ball kernel
-amortises its call overhead over ``R`` lanes
-(:data:`MIN_BINS_PER_LANE`), and the ``R = 1`` row kernel, a list loop,
-is about 20x faster than that kernel (:data:`SCALAR_MIN_BINS_PER_LANE`).
+balls commit in the first wave *and* the shape clears a floor set by the
+per-ball tier it replaces.  The lockstep kernel amortises its call
+overhead over ``R`` lanes, so against it the floor is on
+``n_eff / (R * d * d)`` (:data:`MIN_BINS_PER_LANE`).  The rows tier costs
+``R`` times a single row, while one wavefront tile spans ``R * W`` balls
+with ``W ~ sqrt(n_eff / R) / d``, so against rows the floor is on
+``n_eff * R / (d * d)`` (:data:`MIN_ROW_BINS`) — at ``R = 1`` the same
+``n_eff / d^2`` floor as always.
 """
 
 from __future__ import annotations
@@ -72,6 +86,7 @@ __all__ = [
     "forced_policy",
     "cpu_budget",
     "dispatch",
+    "use_rows",
     "effective_bins",
     "expected_free_fraction",
     "tile_width",
@@ -209,6 +224,41 @@ def forced_policy(**fields):
 
 
 # --------------------------------------------------------------------------
+# Rows or lockstep.
+# --------------------------------------------------------------------------
+
+#: Row/lockstep crossover of the plain and ring drivers: ``R`` row-kernel
+#: calls beat one lockstep run while ``R < ROWS_CROSSOVER + 2 * d``.
+#: Measured on identical draws (lockstep time over rows time, 2 vCPUs):
+#: n = 32 uniform d = 2 x2.1 at R = 16, x0.80 at R = 24; capacities 1..4
+#: d = 2 x1.28 at R = 32, x0.95 at R = 48; n = 2000 capacities 1/8 d = 2
+#: x1.28 at R = 24, x0.97 at R = 32, d = 8 x1.22 at R = 32, x1.01 at
+#: R = 40.  The general-d lockstep step grows with ``d`` faster than the
+#: list loop does, hence the slope; the specialised uniform d = 2 kernel
+#: crosses earlier, near R = 20.
+ROWS_CROSSOVER = 24
+
+#: The weighted driver's crossover: rows while ``R <
+#: WEIGHTED_ROWS_CROSSOVER``.  Its lockstep kernel is the general-d float
+#: pipeline at every ``d``, so rows win longer: x3.1–3.8 at R = 16,
+#: x1.13–2.1 at R = 32, x0.8–1.2 at R = 64 (d in 1..8, n = 40 and 200).
+WEIGHTED_ROWS_CROSSOVER = 48
+
+
+def use_rows(repetitions: int, d: int, *, weighted: bool = False) -> bool:
+    """Whether a driver runs its list row kernel once per row (the rows
+    tier) rather than the lockstep kernel over all ``repetitions`` lanes.
+    ``R = 1`` is always rows; otherwise the measured crossover decides
+    (:data:`ROWS_CROSSOVER`, or :data:`WEIGHTED_ROWS_CROSSOVER` for the
+    weighted driver)."""
+    if repetitions == 1:
+        return True
+    if weighted:
+        return repetitions < WEIGHTED_ROWS_CROSSOVER
+    return repetitions < ROWS_CROSSOVER + 2 * d
+
+
+# --------------------------------------------------------------------------
 # Wavefront cost model.
 # --------------------------------------------------------------------------
 
@@ -216,23 +266,30 @@ def forced_policy(**fields):
 #: heuristic tile width; below it, deferred waves dominate.
 MIN_FREE_FRACTION = 0.5
 
-#: ...and at least this ``n_eff / (R * d * d)`` against the NumPy per-ball
-#: kernel.  The free fraction is per replication — it cannot see the
+#: ...and at least this ``n_eff / (R * d * d)`` against the lockstep
+#: tier.  The free fraction is per replication — it cannot see the
 #: lockstep width — but that kernel amortises its fixed call overhead over
 #: ``R`` lanes, so wide ensembles shrink the wavefront's edge; measured on
 #: the fig01-scaled configuration the crossover sits near 20.
 MIN_BINS_PER_LANE = 25.0
 
-#: The same floor at ``R = 1``, against the row kernel it replaces there,
-#: the :func:`repro.core.fast.run_batch` list loop.  Measured with uniform
-#: bins and 200k balls (best of 3, 2 vCPUs), the wavefront overtakes the
-#: list loop between ``n / d^2 = 1500`` (x0.89) and ``2000`` (x1.16) at
-#: ``d = 2``, and near ``1333`` (x1.03) at ``d = 3``.
-SCALAR_MIN_BINS_PER_LANE = 2000.0
+#: ...and, against the rows tier, at least this ``n_eff * R / (d * d)``.
+#: Calibrated at ``R = 1`` with uniform bins and 200k balls (best of 3,
+#: 2 vCPUs): the wavefront overtakes the list loop between
+#: ``n / d^2 = 1500`` (x0.89) and ``2000`` (x1.16) at ``d = 2``.  At
+#: ``R > 1`` (identical draws, m = C) the crossover sits near 1200–1500
+#: on uniform bins and near 5000 on capacities 1/8, whose wavefront takes
+#: the slower general path.  The floor keeps the ``R = 1`` value, so no
+#: ``R = 1`` decision moved; the shapes between the two crossovers lose
+#: at most x1.8 (uniform, rows kept) or x1.4 (1/8, wavefront taken).
+#: abl_d's d = 2 shape (1558) takes rows at x2.1, fig11's (>= 22k) the
+#: wavefront at x2.1–3.6.
+MIN_ROW_BINS = 2000.0
 
 #: Runtime guard threshold: a driver that observes a realised free
-#: fraction below this after a chunk falls back to the per-ball kernels
-#: for the rest of the run (auto mode only — forcing "on" stays on).
+#: fraction below this after a chunk falls back, for the rest of the run,
+#: to the per-ball tier :func:`use_rows` picks (auto mode only — forcing
+#: "on" stays on).
 RUNTIME_MIN_FREE_FRACTION = 0.4
 
 #: Tile-width scale: ``W ~ TILE_SCALE * sqrt(n_eff / R) / d`` balances
@@ -289,15 +346,20 @@ def use_wavefront(
 
     ``"on"``/``"off"`` force the decision (*mode* defaults to the current
     policy's); ``"auto"`` requires both a high expected free fraction at
-    the heuristic tile width and ``n_eff / (R * d * d)`` above the floor
-    of the per-ball kernel being replaced — :data:`SCALAR_MIN_BINS_PER_LANE`
-    at ``R = 1``, :data:`MIN_BINS_PER_LANE` otherwise.
+    the heuristic tile width and a shape past the floor of the per-ball
+    tier being replaced — ``n_eff * R / d^2 >= MIN_ROW_BINS`` against the
+    rows tier, ``n_eff / (R * d^2) >= MIN_BINS_PER_LANE`` against
+    lockstep (:func:`use_rows` names that tier).
     """
     mode = current_policy().wavefront if mode is None else mode
     if mode != "auto":
         return mode == "on"
-    floor = SCALAR_MIN_BINS_PER_LANE if repetitions == 1 else MIN_BINS_PER_LANE
-    if n_eff / (max(1, repetitions) * d * d) < floor:
+    R = max(1, repetitions)
+    if use_rows(R, d):
+        clears_floor = n_eff * R / (d * d) >= MIN_ROW_BINS
+    else:
+        clears_floor = n_eff / (R * d * d) >= MIN_BINS_PER_LANE
+    if not clears_floor:
         return False
     width = tile_width(n_eff, repetitions, d)
     return (
@@ -311,13 +373,13 @@ def dispatch(
 ) -> tuple[str, int]:
     """``(tier, threads)`` for one driver run of ``repetitions`` rows.
 
-    *tier* is ``"compiled"``, ``"wavefront"`` or ``"per_ball"``, in that
-    priority order; *threads* is the compiled tier's budget for *work*
-    total balls (``1`` on the NumPy tier).  A scalar run is the
-    ``R = 1`` ensemble.  The caller runs the kernel.
+    *tier* is ``"compiled"``, ``"wavefront"``, ``"rows"`` or
+    ``"lockstep"``, in that priority order; *threads* is the compiled
+    tier's budget for *work* total balls (``1`` on the NumPy tiers).  A
+    scalar run is the ``R = 1`` ensemble.  The caller runs the kernel.
     """
     if policy.compiled:
         return "compiled", policy.thread_budget(repetitions, work)
     if use_wavefront(n_eff, repetitions, d, mode=policy.wavefront):
         return "wavefront", 1
-    return "per_ball", 1
+    return ("rows" if use_rows(repetitions, d) else "lockstep"), 1

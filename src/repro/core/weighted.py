@@ -23,6 +23,7 @@ import numpy as np
 from ..bins.arrays import BinArray
 from ..sampling.distributions import probability_model
 from .ensemble import lockstep_streams
+from .policy import use_rows
 
 __all__ = [
     "WeightedResult",
@@ -103,7 +104,7 @@ def simulate_weighted(
 
 
 def _weighted_row(masses, counts, caps, sizes, rows, tie_u):
-    """The ``R = 1`` row kernel: the sequential weighted loop on lists.
+    """The row kernel: the sequential weighted loop on lists.
 
     Ball ``j`` of size ``sizes[j]`` compares the candidate loads-after
     ``(masses[b] + s) / caps[b]`` over ``rows[j]``: a strict improvement
@@ -221,7 +222,10 @@ def simulate_weighted_ensemble(
     """Allocate one shared ball-size sequence, ``R`` replications in lockstep.
 
     The one drive loop of the weighted game (:func:`simulate_weighted` is
-    its ``R = 1`` call, run by :func:`_weighted_row` on lists).
+    its ``R = 1`` call).  Below its row/lockstep crossover
+    (:func:`repro.core.policy.use_rows` with ``weighted=True``) every
+    replication runs :func:`_weighted_row` on lists; above it
+    :func:`_weighted_lockstep` runs them all at once.
     Parameters mirror :func:`simulate_weighted` plus the ensemble seeding
     knobs of :func:`repro.core.ensemble.simulate_ensemble`: with
     ``seed_mode="spawn"`` (or explicit ``seeds=``) replication ``r``
@@ -249,18 +253,21 @@ def simulate_weighted_ensemble(
     # Every replication draws all of its choices, then all of its tie
     # uniforms, in one call each.
     choices, tie_u = draw(sampler.sample, sizes.size, d)
-    if R == 1:
-        masses_row = [0.0] * bins.n
-        counts_row = [0] * bins.n
-        _weighted_row(
-            masses_row, counts_row, bins.capacities.tolist(), sizes.tolist(),
-            choices[0].tolist(), tie_u[0].tolist(),
-        )
-        masses = np.asarray([masses_row], dtype=np.float64)
-        counts = np.asarray([counts_row], dtype=np.int64)
+    masses = np.zeros((R, bins.n), dtype=np.float64)
+    counts = np.zeros((R, bins.n), dtype=np.int64)
+    if use_rows(R, d, weighted=True):
+        caps_list = bins.capacities.tolist()
+        sizes_list = sizes.tolist()
+        for r in range(R):
+            masses_row = [0.0] * bins.n
+            counts_row = [0] * bins.n
+            _weighted_row(
+                masses_row, counts_row, caps_list, sizes_list,
+                choices[r].tolist(), tie_u[r].tolist(),
+            )
+            masses[r] = masses_row
+            counts[r] = counts_row
     else:
-        masses = np.zeros((R, bins.n), dtype=np.float64)
-        counts = np.zeros((R, bins.n), dtype=np.int64)
         _weighted_lockstep(
             masses, counts, bins.capacities, sizes.tolist(), choices, tie_u
         )

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..core.ensemble import lockstep_streams, run_batch_ensemble
 from ..core.fast import run_batch
+from ..core.policy import use_rows
 from .ring import ConsistentHashRing
 
 __all__ = [
@@ -175,11 +176,13 @@ def allocate_requests_ensemble(
     owners = ring.lookup_batch(points).astype(np.int64)
 
     counts = np.zeros((R, ring.n_peers), dtype=np.int64)
-    if R == 1:
-        # The row kernel: the list loop is the fastest kernel at R = 1.
-        row = [0] * ring.n_peers
-        run_batch(row, caps.tolist(), owners[0], tie_u[0], tie_break="max_capacity")
-        counts[0] = row
+    if use_rows(R, d):
+        # The rows tier: the list row kernel once per replication.
+        caps_list = caps.tolist()
+        rows = [[0] * ring.n_peers for _ in range(R)]
+        for row, own, u in zip(rows, owners, tie_u):
+            run_batch(row, caps_list, own, u, tie_break="max_capacity")
+        counts[:] = rows
     else:
         run_batch_ensemble(counts, caps, owners, tie_u, tie_break="max_capacity")
     return RingEnsembleResult(

@@ -13,7 +13,9 @@ same choices and tie-uniform stream —
 * every lockstep driver (plain, ``simulate_batched_ensemble``,
   ``simulate_weighted_ensemble``, ``allocate_requests_ensemble``) carries
   the same spawn-mode parity: row ``r`` equals the driver's ``R = 1`` run
-  (its row kernel) under ``seeds=[child_r]``.
+  (its row kernel) under ``seeds=[child_r]``;
+* the rows tier (the row kernel once per row, below the crossover) equals
+  the lockstep kernels on the same draws, on both sides of the crossover.
 
 On top of the bit-level sweeps, the per-experiment cross-engine matrix
 (:data:`repro.core.equivalence.EXPERIMENT_CASES`) runs **every** registered
@@ -36,11 +38,14 @@ from repro.core.equivalence import (
     EXPERIMENT_CASES,
     check_kernel_equivalence,
     check_dispatch_identity,
+    check_driver_dispatch_identity,
     check_experiment_equivalence,
     check_row_parity,
+    forced_axis,
 )
 from repro.core.fast import run_batch
-from repro.core.policy import forced_policy
+from repro.core.policy import ROWS_CROSSOVER, forced_policy, use_rows
+from repro.core.protocol import TIE_BREAKS
 from repro.sampling.rngutils import spawn_seed_sequences
 
 
@@ -235,31 +240,152 @@ def _driver_cases():
     }
 
 
+def _kernel_calls(driver, R, monkeypatch, *, rows=None):
+    """``(row kernel, lockstep kernel, calls)`` after one *driver* run of
+    *R* rows on the per-ball tiers; *rows* forces the rows axis."""
+    module, row_kernel, lockstep_kernel, run = _driver_cases()[driver]
+    calls = {row_kernel: 0, lockstep_kernel: 0}
+    for name in calls:
+        real = getattr(module, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    # The per-ball tiers, where the row and lockstep kernels live.
+    with forced_policy(wavefront="off", backend="numpy"):
+        if rows is None:
+            run(R)
+        else:
+            with forced_axis("rows", rows):
+                run(R)
+    return row_kernel, lockstep_kernel, calls
+
+
 class TestOneDriveLoop:
-    """Each process has one drive loop: at R = 1 it runs its row kernel
-    and never the lockstep kernel; at R = 2 the reverse holds."""
+    """Each process has one drive loop with a row kernel and a lockstep
+    kernel: at R = 1 it runs the row kernel and never the lockstep kernel;
+    at R = 2 with the rows tier switched off the reverse holds."""
 
     @pytest.mark.parametrize("R", [1, 2])
     @pytest.mark.parametrize("driver", ["plain", "batched", "weighted", "ring"])
     def test_row_kernel_exactly_at_one_row(self, driver, R, monkeypatch):
-        module, row_kernel, lockstep_kernel, run = _driver_cases()[driver]
-        calls = {row_kernel: 0, lockstep_kernel: 0}
-        for name in calls:
-            real = getattr(module, name)
-
-            def spy(*args, _name=name, _real=real, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, spy)
-        # The per-ball tier, where the row and lockstep kernels live.
-        with forced_policy(wavefront="off", backend="numpy"):
-            run(R)
+        row_kernel, lockstep_kernel, calls = _kernel_calls(
+            driver, R, monkeypatch, rows=None if R == 1 else "off"
+        )
         used, unused = (
             (row_kernel, lockstep_kernel) if R == 1 else (lockstep_kernel, row_kernel)
         )
         assert calls[used] > 0, f"{driver} R={R} never called {used}"
         assert calls[unused] == 0, f"{driver} R={R} called {unused}"
+
+    @pytest.mark.parametrize("R", [2, 5, 64])
+    @pytest.mark.parametrize("driver", ["plain", "batched", "weighted", "ring"])
+    def test_tier_follows_the_crossover(self, driver, R, monkeypatch):
+        """Left alone, the plain, weighted and ring drivers run the row
+        kernel once per row below their crossover and the lockstep kernel
+        above it; the stale-view driver has no rows tier."""
+        row_kernel, lockstep_kernel, calls = _kernel_calls(driver, R, monkeypatch)
+        rows = driver != "batched" and use_rows(R, 2, weighted=driver == "weighted")
+        assert rows == (driver != "batched" and R < 64)
+        if rows:
+            assert calls[row_kernel] == R, f"{driver} R={R}: {calls}"
+            assert calls[lockstep_kernel] == 0, f"{driver} R={R}: {calls}"
+        else:
+            assert calls[lockstep_kernel] > 0, f"{driver} R={R}: {calls}"
+            assert calls[row_kernel] == 0, f"{driver} R={R}: {calls}"
+
+
+#: Capacity profiles of the rows-vs-lockstep identity tests.
+_ROW_CAPACITIES = {
+    "uniform": [3] * 12,
+    "two_class": [1] * 6 + [8] * 6,
+}
+
+
+def _assert_same_run(a, b, label):
+    """Counts, heights, kept choices and every snapshot, bit for bit."""
+    np.testing.assert_array_equal(a.counts, b.counts, err_msg=f"{label}: counts")
+    np.testing.assert_array_equal(a.heights, b.heights, err_msg=f"{label}: heights")
+    np.testing.assert_array_equal(a.choices, b.choices, err_msg=f"{label}: choices")
+    assert len(a.snapshots) == len(b.snapshots), label
+    for x, y in zip(a.snapshots, b.snapshots):
+        assert x.balls_thrown == y.balls_thrown, label
+        np.testing.assert_array_equal(
+            x.max_loads, y.max_loads, err_msg=f"{label}: snapshot"
+        )
+
+
+class TestRowsTier:
+    """The rows tier (the list row kernel once per row on the drawn
+    ``(R, k, d)`` chunk) is bit-identical to the lockstep kernels: on
+    either side of the crossover, the tier auto picks equals the one
+    forced the other way."""
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("profile", sorted(_ROW_CAPACITIES))
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_rows_equal_lockstep(self, d, profile, side):
+        R = 5 if side == "below" else ROWS_CROSSOVER + 2 * d
+        assert use_rows(R, d) == (side == "below")
+        bins = BinArray(_ROW_CAPACITIES[profile])
+        m = 150
+        for tie_break in TIE_BREAKS:
+            for seed_mode in SEED_MODES:
+                kwargs = dict(
+                    repetitions=R, m=m, d=d, seed=d * 1000 + R,
+                    seed_mode=seed_mode, tie_break=tie_break,
+                    track_heights=True, keep_choices=True,
+                    snapshot_at=[0, 50, 120, m], chunk_size=40,
+                )
+                with forced_policy(wavefront="off", backend="numpy"):
+                    auto = simulate_ensemble(bins, **kwargs)
+                with forced_axis("rows", "off" if side == "below" else "on"):
+                    forced = simulate_ensemble(bins, **kwargs)
+                _assert_same_run(
+                    auto, forced, f"d={d} {profile} R={R} {tie_break} {seed_mode}"
+                )
+
+    def test_randomised_driver_sweep(self):
+        """simulate / simulate_ensemble with rows forced on == forced off,
+        counts, heights and snapshots, across tie modes and seed modes."""
+        assert check_driver_dispatch_identity(
+            "rows", ("on", "off"), 0x2055, trials=8
+        ) == 8
+
+    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENT_CASES))
+    def test_experiment_rows_equal_lockstep(self, experiment_id):
+        """Every registered experiment, both engines: rows forced on and
+        forced off give bit-identical series."""
+        assert check_dispatch_identity(experiment_id, "rows", ("on", "off")) == 2
+
+    def test_runtime_fallback_lands_on_rows(self, monkeypatch):
+        """At R = 5 the wavefront's runtime guard hands the rest of the run
+        to the tier the same rule picks — rows — without changing a bit."""
+        bins = BinArray([1] * 2000)
+        kwargs = dict(repetitions=5, m=2000, d=2, seed=13, seed_mode="blocked",
+                      track_heights=True, keep_choices=True,
+                      snapshot_at=[500, 1500, 2000], chunk_size=500)
+        with forced_axis("rows", "off"):
+            reference = simulate_ensemble(bins, **kwargs)
+        calls = {"run_batch_wavefront": 0, "run_batch": 0, "run_batch_ensemble": 0}
+        for name in calls:
+            real = getattr(ens_module, name)
+
+            def spy(*args, _name=name, _real=real, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(ens_module, name, spy)
+        # An impossible threshold trips the guard right after the first
+        # chunk, so chunk 1 runs the wavefront and chunks 2-4 the rows.
+        monkeypatch.setattr(ens_module, "RUNTIME_MIN_FREE_FRACTION", 2.0)
+        with forced_policy(wavefront="auto", backend="numpy"):
+            res = simulate_ensemble(bins, **kwargs)
+        assert calls == {"run_batch_wavefront": 1, "run_batch": 5 * 3,
+                         "run_batch_ensemble": 0}
+        _assert_same_run(res, reference, "R=5 fallback")
 
 
 class TestWavefrontExperimentIdentity:

@@ -216,7 +216,7 @@ class TestDispatch:
         assert not use_wavefront(2000.0, 1, 2, mode="auto")
         assert not use_wavefront(4000.0, 1, 3, mode="auto")
         assert use_wavefront(10_000.0, 1, 2, mode="auto")  # bench floor config
-        assert use_wavefront(2000.0, 5, 2, mode="auto")  # R > 1 unchanged
+        assert use_wavefront(2000.0, 5, 2, mode="auto")  # n_eff * R / d^2 = 2500
 
     def test_effective_bins(self):
         assert effective_bins(np.full(100, 0.01)) == pytest.approx(100.0)
