@@ -22,7 +22,10 @@ Not a paper figure — this tracks the engine-level speedups:
 * the **row/lockstep crossover** (:func:`repro.core.policy.use_rows`):
   on abl_d's d = 8 shape (R = 5) the rows tier is >= 3x the lockstep
   kernel, and on fig04's R = 100 shape the lockstep kernel is >= 1.5x the
-  rows tier — driver-level, same draws, each side forced.
+  rows tier — driver-level, same draws, each side forced;
+* the **native tier** (:mod:`repro.native`) on the same two shapes:
+  floors over the tier it replaces there (rows at abl_d's d = 8, lockstep
+  at fig04's R = 100), skipped where the library does not load.
 
 Wavefront floors are pinned well below the measured ratios because the CI
 hardware's throughput fluctuates; the measured values (see ROADMAP
@@ -42,6 +45,7 @@ import numpy as np
 import pytest
 from conftest import BENCH_SEED, ENSEMBLE_BENCH_RS, record_bench
 
+from repro import native
 from repro.bins.generators import two_class_bins, uniform_bins
 from repro.core.compiled import HAVE_NUMBA, run_batch_compiled, warmup
 from repro.core.ensemble import run_batch_ensemble, simulate_ensemble
@@ -413,14 +417,20 @@ ROWS_SHAPES = {
 }
 
 
-def _tier_seconds(config, rows, rounds=3):
+#: How each timed tier is forced: the rows axis for the two per-ball
+#: tiers, the native axis for the C tier.
+_TIER_AXES = {"rows": ("rows", "on"), "lockstep": ("rows", "off"),
+              "native": ("native", "on")}
+
+
+def _tier_seconds(config, tier, rounds=3):
     bins, R, d, m = ROWS_SHAPES[config]
 
     def run():
         return simulate_ensemble(bins, repetitions=R, m=m, d=d,
                                  seed=BENCH_SEED, seed_mode="blocked")
 
-    with forced_axis("rows", rows):
+    with forced_axis(*_TIER_AXES[tier]):
         run()  # untimed warmup
         return _best(run, rounds)
 
@@ -429,8 +439,8 @@ def _assert_tier_floor(config, faster, floor):
     """*faster* (``"rows"`` or ``"lockstep"``) must beat the other tier by
     *floor* on the *config* shape (same draws, min-of-rounds timing)."""
     _, R, _, _ = ROWS_SHAPES[config]
-    rows = _tier_seconds(config, "on")
-    lockstep = _tier_seconds(config, "off")
+    rows = _tier_seconds(config, "rows")
+    lockstep = _tier_seconds(config, "lockstep")
     slower = "lockstep" if faster == "rows" else "rows"
     times = {"rows": rows, "lockstep": lockstep}
     speedup = times[slower] / times[faster]
@@ -456,3 +466,53 @@ def test_lockstep_floor_fig04():
     """Above the crossover: the lockstep kernel is >= 1.5x the rows tier at
     fig04's R = 100 (measured ~2.1–2.6x)."""
     _assert_tier_floor("fig04_c4", "lockstep", 1.5)
+
+
+# --------------------------------------------------------------------------
+# Native tier floors (driver level, same shapes, same draws)
+# --------------------------------------------------------------------------
+
+_NO_NATIVE_REASON = (
+    "native tier unavailable: the drivers run today's NumPy tiers, which "
+    "have no native floor to pin (correctness is covered in tests/core)"
+)
+
+
+def _assert_native_floor(config, slower, floor):
+    """The native tier must beat the *slower* NumPy tier by *floor* on the
+    *config* shape (min-of-rounds timing); the runs must agree."""
+    bins, R, d, m = ROWS_SHAPES[config]
+    with forced_axis("native", "on"):
+        fast = simulate_ensemble(bins, repetitions=R, m=m, d=d,
+                                 seed=BENCH_SEED, seed_mode="blocked")
+    with forced_axis(*_TIER_AXES[slower]):
+        base = simulate_ensemble(bins, repetitions=R, m=m, d=d,
+                                 seed=BENCH_SEED, seed_mode="blocked")
+    np.testing.assert_array_equal(fast.counts, base.counts)
+    tier = _tier_seconds(config, slower)
+    nat = _tier_seconds(config, "native")
+    speedup = tier / nat
+    print(f"\n{config} R={R}: {slower} {tier * 1e3:.2f} ms, native "
+          f"{nat * 1e3:.2f} ms, native x{speedup:.2f}")
+    record_bench(config, R, "native", "n/a", nat)
+    record_bench(config, R, f"native_over_{slower}", "n/a", None,
+                 ratio=speedup, floor=floor)
+    assert speedup >= floor, (
+        f"native tier regressed on {config}: x{speedup:.2f} < x{floor} "
+        f"({slower} {tier * 1e3:.2f} ms vs native {nat * 1e3:.2f} ms)"
+    )
+
+
+@pytest.mark.skipif(not native.available(), reason=_NO_NATIVE_REASON)
+def test_native_floor_abl_d():
+    """abl_d's d = 8 shape (R = 5): the native tier is >= 4x the rows
+    tier it replaces (measured x16–x19)."""
+    _assert_native_floor("abl_d_d8", "rows", 4.0)
+
+
+@pytest.mark.skipif(not native.available(), reason=_NO_NATIVE_REASON)
+def test_native_floor_fig04():
+    """fig04's R = 100 shape: the native tier is >= 1.5x the lockstep
+    kernel it replaces (measured x2.6–x3.4; both sides pay the same
+    random draws, which bound the ratio)."""
+    _assert_native_floor("fig04_c4", "lockstep", 1.5)

@@ -19,6 +19,7 @@ except ModuleNotFoundError:  # pragma: no cover
 import numpy as np
 import pytest
 
+from repro import native
 from repro.core.compiled import HAVE_NUMBA
 
 #: Global multiplier on the per-bench repetition counts (env override).
@@ -64,7 +65,8 @@ def record_bench(config, R, engine, wavefront, seconds, *, ratio=None,
 #: them (single-test selection, a failed floor) must not overwrite the
 #: committed perf-trajectory document with a partial one.  The compiled
 #: kind is expected only where numba is installed — its floor tests skip
-#: cleanly otherwise, and a skip must not block the write.
+#: cleanly otherwise, and a skip must not block the write; the native kinds
+#: likewise only where the native library loads.
 _EXPECTED_SPEEDUP_KINDS = {
     "ensemble_over_scalar",
     "wavefront_over_per_ball",
@@ -73,6 +75,8 @@ _EXPECTED_SPEEDUP_KINDS = {
     "rows_over_lockstep",
     "lockstep_over_rows",
 }
+if native.available():  # the native floors skip where it does not load
+    _EXPECTED_SPEEDUP_KINDS |= {"native_over_rows", "native_over_lockstep"}
 if HAVE_NUMBA:  # pragma: no cover - only where numba is installed
     _EXPECTED_SPEEDUP_KINDS.add("compiled_over_wavefront")
     if (os.cpu_count() or 1) >= 4:  # the parallel floor also needs cores

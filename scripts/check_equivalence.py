@@ -8,6 +8,10 @@ Runs, from :mod:`repro.core.equivalence`:
   kernels (jitted, or without numba the same source through the
   interpreter) each against the per-ball ensemble kernel, bit-exact incl.
   heights;
+* the randomised native sweep: the C row loops against
+  ``protocol.reference_run`` (d in 1..8, every tie-break, heights,
+  capacities just below the int64 guard), and the plain driver with the
+  native tier on against off in both seed modes;
 * the spawn-mode row parity sweep, once per lockstep driver (plain,
   stale-view batched, weighted balls, ring allocation): row ``r`` of an
   R-row run, forced onto the lockstep kernels and onto the rows tier,
@@ -21,11 +25,14 @@ Runs, from :mod:`repro.core.equivalence`:
   repetition counts, within its pinned tolerance).
 
 The matrix always covers the ``wavefront`` (on/off), ``rows`` (the rows
-tier at every R vs the lockstep kernels at every R > 1) and ``backend``
-(compiled/numpy) axes; ``--threads`` adds the ``threads`` axis (compiled
-tier forced to 1 vs 2 vs 7 threads).  ``--backend MODE`` pins the ambient
-backend for the whole run, so CI can repeat the sweep once per available
-backend (see ``scripts/ci.sh``).  ``--fabric N`` additionally runs every
+tier at every R vs the lockstep kernels at every R > 1), ``backend``
+(compiled/numpy) and ``native`` (the C tier vs today's auto dispatch;
+left out of a pass pinned with ``--native off``) axes; ``--threads``
+adds the ``threads`` axis (compiled tier forced to 1 vs 2 vs 7
+threads).  ``--backend MODE`` pins the ambient backend for the
+whole run, and ``--native on|off`` the ambient native tier, so CI can
+repeat the sweep once per available backend and native value (see
+``scripts/ci.sh``).  ``--fabric N`` additionally runs every
 experiment over an N-worker sweep fabric and requires bit-identity
 against the local serial run.
 
@@ -52,6 +59,7 @@ try:
 except ModuleNotFoundError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro import native
 from repro.core.equivalence import (
     DISPATCH_AXES,
     EXPERIMENT_CASES,
@@ -63,6 +71,7 @@ from repro.core.equivalence import (
     check_fabric_serial_identity,
     check_kernel_equivalence,
     check_lockstep_kernel_equivalence,
+    check_native_equivalence,
     check_row_parity,
 )
 from repro.core.policy import CHOICES, HAVE_NUMBA, set_policy
@@ -70,7 +79,8 @@ from repro.core.policy import CHOICES, HAVE_NUMBA, set_policy
 #: Master-seed salts, so each sweep draws its own instances.
 _KERNEL_SALTS = {"wavefront": 0xAFE1, "compiled": 0xC0DE}
 _DRIVER_SALTS = {"wavefront": 0x0FF0, "rows": 0x2055, "backend": 0xBACC,
-                 "threads": 0x7EAD}
+                 "threads": 0x7EAD, "native": 0x7A7E}
+_NATIVE_SALT = 0xC7A1
 _ROW_SALTS = {"plain": 0xD41E, "batched": 0xBA7C, "weighted": 0x3E16, "ring": 0x21F6}
 
 
@@ -98,13 +108,20 @@ def main(argv=None) -> int:
     parser.add_argument("--backend", choices=CHOICES["backend"], default=None,
                         help="pin the ambient backend for the whole run "
                              "(default: leave REPRO_BACKEND in force)")
+    parser.add_argument("--native", choices=("on", "off"), default=None,
+                        help="pin the ambient native tier for the whole run "
+                             "(default: on wherever the library loads)")
     parser.add_argument("--threads", action="store_true",
                         help="add the threads axis (compiled tier forced to "
                              "1 vs 2 vs 7 threads) to the dispatch matrix")
     args = parser.parse_args(argv)
 
     budget = SweepBudget(draws=args.draws, max_m=args.max_m, max_r=args.max_r)
-    axes = ["wavefront", "rows", "backend"] + (["threads"] if args.threads else [])
+    # A pass pinned to native off leaves the native axis (which forces
+    # both values itself) to the pass that runs with it on.
+    axes = (["wavefront", "rows", "backend"]
+            + (["native"] if args.native != "off" else [])
+            + (["threads"] if args.threads else []))
     started = time.perf_counter()
     if args.backend:
         # The script owns its process, so a plain process-wide override is
@@ -112,6 +129,9 @@ def main(argv=None) -> int:
         set_policy(backend=args.backend)
         jit = "numba" if HAVE_NUMBA else "interpreter fallback"
         print(f"backend pinned:     {args.backend} ({jit})")
+    if args.native:
+        native.ENABLED = args.native == "on"
+        print(f"native pinned:      {args.native} ({native.status()})")
     try:
         kernel = check_kernel_equivalence(args.seed, budget)
         print(f"kernel equivalence: {kernel} draws OK "
@@ -120,6 +140,13 @@ def main(argv=None) -> int:
             draws = check_lockstep_kernel_equivalence(name, args.seed ^ salt, budget)
             print(f"{name + ' kernel:':20s}{draws} draws OK "
                   f"(run_batch_{name} == run_batch_ensemble, counts + heights)")
+        draws = check_native_equivalence(
+            args.seed ^ _NATIVE_SALT, budget, trials=args.driver_trials
+        )
+        print(f"{'native kernel:':20s}"
+              + (f"{draws} draws OK (native == reference, counts + heights; "
+                 f"driver native on == off)" if draws
+                 else f"skipped ({native.status()})"))
         for axis in axes:
             values = DISPATCH_AXES[axis]
             trials = check_driver_dispatch_identity(

@@ -47,17 +47,21 @@
 #      SIGKILLed at a seeded request: every reply it received must be in
 #      the recovered log (acked => durable, the group-commit contract);
 #   9. a reduced-budget cross-engine equivalence sweep, run once per
-#      *available* backend pinned as the ambient one (numpy always;
-#      compiled additionally when numba is importable — without numba the
-#      backend axis already runs the compiled source through the
-#      interpreter): kernel three-way bit-exactness, the wavefront and
-#      compiled lockstep kernel sweeps, the row parity sweep of each
+#      *available* backend pinned as the ambient one with the native tier
+#      off (numpy always; compiled additionally when numba is importable —
+#      without numba the backend axis already runs the compiled source
+#      through the interpreter), then once more on the auto policy with
+#      the native tier on (the C kernels, wherever they build): kernel
+#      three-way bit-exactness, the wavefront and compiled lockstep kernel
+#      sweeps, the native sweep (C row loops == protocol.reference_run,
+#      d 1..8, near the int64 guard; skipped where the library does not
+#      load), the row parity sweep of each
 #      lockstep driver (plain, stale-view, weighted, ring: row r of an
 #      R-row run == the R = 1 row kernel on child seed r), and the
 #      dispatch-identity matrix — randomised driver runs and every
 #      registered experiment on both engines, bit-identical along the
-#      wavefront (on/off), rows (rows tier vs lockstep) and backend
-#      (compiled/numpy) dispatch axes.  Where numba is present the compiled pass repeats once under
+#      wavefront (on/off), rows (rows tier vs lockstep), backend
+#      (compiled/numpy) and native (on/off) dispatch axes.  Where numba is present the compiled pass repeats once under
 #      REPRO_THREADS=4 with --threads, adding the threads axis (1 vs 2 vs 7)
 #      so the prange compile runs under a real thread pool routinely.
 #
@@ -135,10 +139,12 @@ if python -c "import numba" 2>/dev/null; then
     BACKENDS="numpy compiled"
 fi
 for backend in $BACKENDS; do
-    echo "== reduced-budget cross-engine equivalence sweep [backend=$backend] =="
+    echo "== reduced-budget cross-engine equivalence sweep [backend=$backend, native=off] =="
     python scripts/check_equivalence.py --draws 60 --driver-trials 8 \
-        --backend "$backend"
+        --backend "$backend" --native off
 done
+echo "== reduced-budget cross-engine equivalence sweep [auto, native=on] =="
+python scripts/check_equivalence.py --draws 60 --driver-trials 8 --native on
 
 if python -c "import numba" 2>/dev/null; then
     echo "== reduced equivalence sweep under REPRO_THREADS=4 (thread identity) =="

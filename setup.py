@@ -10,6 +10,9 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # The native tier (repro/native.py) compiles this source on first use;
+    # an installed copy without it falls back to the NumPy tiers.
+    package_data={"repro": ["native.c"]},
     python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={

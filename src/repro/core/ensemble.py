@@ -55,10 +55,15 @@ they run the lockstep kernels.  ``R = 1`` is the rows tier with one row.
 
 Kernel dispatch
 ---------------
-Four kernel tiers implement the identical decision sequence, and
+Five kernel tiers implement the identical decision sequence, and
 :func:`simulate_ensemble` asks :func:`repro.core.policy.dispatch` once
-per run which one takes its chunks, in priority order **compiled >
-wavefront > rows > lockstep**: :func:`repro.core.compiled.run_batch_compiled`
+per run which one takes its chunks, in priority order **native >
+compiled > wavefront > rows > lockstep**: the C row loops of
+:mod:`repro.native` (``run_rows``, every row of a chunk in one call,
+with the alias column-or-alias select done in C as well) whenever the
+policy is left on ``auto``, the library loads and the run fits int64
+(:func:`repro.native.fits`); else
+:func:`repro.core.compiled.run_batch_compiled`
 when the compiled backend is in force (``REPRO_BACKEND``; ``auto``
 selects it exactly when Numba is available), else the conflict-free
 wavefront kernels of :mod:`repro.core.wavefront` when the expected
@@ -66,10 +71,12 @@ conflict rate is low enough and the shape clears the floor of the
 per-ball tier it would replace (``REPRO_WAVEFRONT``, with a
 realised-free-fraction runtime fallback to that tier), else
 :func:`repro.core.fast.run_batch` once per row while ``R`` is below the
-row/lockstep crossover, else the lockstep loops below.  All tiers are
-*bit-identical* — every kernel consumes the same pre-drawn choices and
-tie uniforms, so dispatch can never change a number; the equivalence
-suite forces each path and compares exactly.
+row/lockstep crossover, else the lockstep loops below.  An explicit
+``REPRO_BACKEND`` or ``REPRO_WAVEFRONT`` runs the tier it names, never
+the native one.  All tiers are *bit-identical* — every kernel consumes
+the same pre-drawn choices and tie uniforms, drawn by the same generator
+calls, so dispatch can never change a number; the equivalence suite
+forces each path and compares exactly.
 
 Shared parameters per block
 ---------------------------
@@ -109,7 +116,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import native
 from ..bins.arrays import BinArray
+from ..sampling.alias import AliasSampler
 from ..sampling.distributions import probability_model
 from ..sampling.rngutils import make_rng, spawn_seed_sequences
 from .compiled import run_batch_compiled
@@ -211,6 +220,22 @@ def lockstep_streams(repetitions, seed, seeds, seed_mode):
         return np.stack([c for c, _ in rows]), np.stack([u for _, u in rows])
 
     return R, draw
+
+
+def _native_pick(sampler):
+    """The native tier's draw: :meth:`AliasSampler.sample` with the
+    column-or-alias select done in C.  It makes the same ``integers`` and
+    ``random`` calls in the same order, so it returns the same bits."""
+    if type(sampler) is not AliasSampler:
+        return sampler.sample
+    n, prob, alias = sampler.n, sampler._prob, sampler._alias
+
+    def pick(shape, gen):
+        cols = gen.integers(0, n, size=shape, dtype=np.int64)
+        native.alias_select(cols, gen.random(size=shape), prob, alias)
+        return cols
+
+    return pick
 
 
 #: Upper bound on ``R * k`` elements handled by one kernel call; the driver
@@ -601,28 +626,35 @@ def simulate_ensemble(
         take_snapshot(0)
         pending.pop(0)
 
-    # The kernel policy picks the tier once per run: compiled, the
-    # conflict-free wavefront (keyed on the collision-equivalent bin count
-    # of the selection distribution, with a fall back to the per-ball tier
-    # for the rest of the run if the realised free fraction disappoints),
-    # rows (the list row kernel once per row) or lockstep.  Every tier
-    # consumes the identical pre-drawn randomness, so no dispatch decision
-    # can change the results.  The kernels are called through this
-    # module's globals, where a tracer can wrap them.
+    # The kernel policy picks the tier once per run: native (the C row
+    # loops, whenever the library loads and the run fits int64), compiled,
+    # the conflict-free wavefront (keyed on the collision-equivalent bin
+    # count of the selection distribution, with a fall back to the
+    # per-ball tier for the rest of the run if the realised free fraction
+    # disappoints), rows (the list row kernel once per row) or lockstep.
+    # Every tier consumes the identical pre-drawn randomness, so no
+    # dispatch decision can change the results.  The kernels are called
+    # through this module's globals, where a tracer can wrap them.
     workspace = WavefrontWorkspace()
     wf_stats = WavefrontStats()
     p = getattr(sampler, "probabilities", None)
     n_eff = effective_bins(p) if p is not None else float(n)
     policy = current_policy()
-    tier, threads = dispatch(policy, n_eff, R, d, R * m)
+    tier, threads = dispatch(
+        policy, n_eff, R, d, R * m,
+        native_fits=native.fits(m, caps_arr.max(), track_heights),
+    )
+    pick = _native_pick(sampler) if tier == "native" else sampler.sample
 
     kernel_block = max(1, _KERNEL_TARGET // max(R, 1))
     while thrown < m:
         upper = pending[0] if pending else m
         batch = min(chunk_size, upper - thrown)
-        choices, tie_u = draw(sampler.sample, batch, d)
+        choices, tie_u = draw(pick, batch, d)
         chunk_heights = None if heights is None else heights[:, thrown : thrown + batch]
-        if tier == "compiled":
+        if tier == "native":
+            native.run_rows(counts, caps_arr, choices, tie_u, tie_break, chunk_heights)
+        elif tier == "compiled":
             run_batch_compiled(
                 counts,
                 caps_arr,

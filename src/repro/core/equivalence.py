@@ -5,8 +5,9 @@ Several implementations of the paper's protocol coexist —
 :func:`repro.core.fast.run_batch` (optimised scalar),
 :func:`repro.core.ensemble.run_batch_ensemble` (lockstep ensemble),
 :func:`repro.core.wavefront.run_batch_wavefront` (vectorised conflict-free
-waves) and :func:`repro.core.compiled.run_batch_compiled` (Numba tier with
-interpreter fallback) — under one contract: given the same candidate matrix
+waves), :func:`repro.core.compiled.run_batch_compiled` (Numba tier with
+interpreter fallback) and the C row loops of :mod:`repro.native` —
+under one contract: given the same candidate matrix
 and the same position-aligned tie-uniform stream, all of them produce the
 same counts, ball for ball.  Each protocol (plain, stale-view batches,
 weighted balls, ring allocation) has one lockstep driver, whose list row
@@ -18,10 +19,12 @@ This module has three layers:
 * randomised *bit-exactness* sweeps over the kernels and the spawn-mode
   drivers (:func:`check_kernel_equivalence`,
   :func:`check_lockstep_kernel_equivalence`, and :func:`check_row_parity`
-  over :data:`ROW_DRIVERS`);
+  over :data:`ROW_DRIVERS`), plus the native sweep against the reference
+  (:func:`check_native_equivalence`);
 * the *dispatch-identity matrix*: each dispatch axis
   (:data:`DISPATCH_AXES` — wavefront on/off, rows on/off, backend
-  compiled/numpy, compiled threads 1/2/7) forced through every value
+  compiled/numpy, compiled threads 1/2/7, native on/off) forced through
+  every value
   (:func:`forced_axis`), on randomised driver
   runs (:func:`check_driver_dispatch_identity`) and on every registered
   experiment on both engines (:func:`check_dispatch_identity`), with
@@ -46,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import native
 from ..bins.arrays import BinArray
 from ..sampling.rngutils import spawn_seed_sequences
 from . import policy
@@ -64,7 +68,9 @@ __all__ = [
     "check_kernel_equivalence",
     "check_lockstep_kernel_equivalence",
     "DISPATCH_AXES",
+    "forced_native",
     "forced_axis",
+    "check_native_equivalence",
     "check_driver_dispatch_identity",
     "ROW_DRIVERS",
     "check_row_parity",
@@ -206,16 +212,110 @@ def check_lockstep_kernel_equivalence(
     return budget.draws
 
 
+def _near_guard_capacities(rng, n: int, m: int) -> np.ndarray:
+    """Capacities in the top half of what a run of *m* balls may use
+    under the native guard, ``(m + 1) * max(capacity) < 2^62``."""
+    top = (native.LOAD_LIMIT - 1) // (m + 1)
+    return rng.integers(top // 2, top + 1, size=n, dtype=np.int64)
+
+
+def check_native_equivalence(
+    master_seed: int, budget: SweepBudget = SweepBudget(), trials: int = 6
+) -> int:
+    """Randomised bit-exactness sweep of the native tier.
+
+    Kernel level: each draw runs the C row loops (``d`` in 1..8, all three
+    tie-breaks, heights) on an ``(R, k, d)`` chunk and requires every row
+    to equal :func:`~repro.core.protocol.reference_run` on the same
+    candidates and tie uniforms, counts and heights.  Every third draw
+    uses capacities just below the int64 guard (with ``m > 512`` so the
+    heights stay exact in double).  Driver level: *trials* runs of
+    :func:`~repro.core.ensemble.simulate_ensemble`, alternating seed modes
+    and including near-guard capacities, native on equal native off.
+    Returns the number of kernel draws checked; ``0`` when the native
+    library does not load here (:func:`repro.native.status` says why).
+    """
+    if not native.available():
+        return 0
+    rng = np.random.default_rng(master_seed)
+    for trial in range(budget.draws):
+        near = trial % 3 == 2
+        n = int(rng.integers(1, budget.max_n + 1))
+        m = int(rng.integers(513, 900)) if near else int(rng.integers(0, budget.max_m + 1))
+        d = int(rng.integers(1, 9))
+        R = int(rng.integers(1, budget.max_r + 1))
+        caps = _near_guard_capacities(rng, n, m) if near else _random_capacities(rng, n)
+        tie_break = TIE_BREAKS[trial % len(TIE_BREAKS)]
+        choices = rng.integers(0, n, size=(R, m, d))
+        tie_u = rng.random((R, m))
+        counts = np.zeros((R, n), dtype=np.int64)
+        heights = np.empty((R, m), dtype=np.float64)
+        assert native.fits(m, caps.max(), heights=True)
+        native.run_rows(counts, caps, choices, tie_u, tie_break, heights)
+        label = f"native trial={trial} n={n} m={m} d={d} R={R} tie={tie_break}"
+        for r in range(R):
+            ref_heights: list[float] = []
+            ref_counts = reference_run(
+                caps.tolist(), choices[r], tie_break=tie_break,
+                tie_uniforms=tie_u[r], heights=ref_heights,
+            )
+            assert np.array_equal(counts[r], ref_counts), f"{label} rep={r}: counts"
+            np.testing.assert_array_equal(
+                heights[r], np.asarray(ref_heights), err_msg=f"{label} rep={r}: heights"
+            )
+    for trial in range(trials):
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(513, 1500))
+        d = int(rng.integers(1, 9))
+        R = int(rng.integers(1, 6))
+        caps = (_near_guard_capacities(rng, n, m) if trial % 2
+                else _random_capacities(rng, n))
+        kwargs = dict(
+            repetitions=R, m=m, d=d, seed=int(rng.integers(0, 2**31)),
+            tie_break=TIE_BREAKS[trial % len(TIE_BREAKS)],
+            seed_mode=("spawn", "blocked")[(trial // 2) % 2],
+            track_heights=True, keep_choices=True,
+            snapshot_at=[0, m // 3, m], chunk_size=int(rng.integers(50, 700)),
+        )
+        runs = []
+        for value in DISPATCH_AXES["native"]:
+            with forced_axis("native", value):
+                runs.append(simulate_ensemble(BinArray(caps), **kwargs))
+        label = (f"native driver trial={trial} n={n} m={m} d={d} R={R} "
+                 f"{kwargs['tie_break']} {kwargs['seed_mode']}")
+        on, off = runs
+        assert np.array_equal(on.counts, off.counts), f"{label}: counts"
+        np.testing.assert_array_equal(on.heights, off.heights, err_msg=f"{label}: heights")
+        np.testing.assert_array_equal(on.choices, off.choices, err_msg=f"{label}: choices")
+        for a, b in zip(on.snapshots, off.snapshots):
+            np.testing.assert_array_equal(a.max_loads, b.max_loads, err_msg=label)
+    return budget.draws
+
+
 #: Every dispatch axis with the values the dispatch-identity matrix
 #: forces; the first value is the baseline the others must reproduce.
 #: ``rows`` is not a policy field: ``"on"`` runs the rows tier at every
-#: ``R``, ``"off"`` the lockstep kernels at every ``R > 1``.
+#: ``R``, ``"off"`` the lockstep kernels at every ``R > 1``.  ``native``
+#: is not one either: ``"on"`` runs the C tier wherever it loads and the
+#: run fits, ``"off"`` today's auto dispatch without it.
 DISPATCH_AXES = {
     "wavefront": ("on", "off"),
     "rows": ("on", "off"),
     "backend": ("compiled", "numpy"),
     "threads": (1, 2, 7),
+    "native": ("on", "off"),
 }
+
+
+@contextmanager
+def forced_native(enabled: bool):
+    """Switch the native tier (:data:`repro.native.ENABLED`) for a block."""
+    saved = native.ENABLED
+    native.ENABLED = enabled
+    try:
+        yield
+    finally:
+        native.ENABLED = saved
 
 
 @contextmanager
@@ -228,20 +328,28 @@ def forced_axis(axis: str, value):
     (:data:`~repro.core.policy.ROWS_CROSSOVER`,
     :data:`~repro.core.policy.WEIGHTED_ROWS_CROSSOVER`) to plus or minus
     infinity, with the NumPy backend and the wavefront off so that the
-    per-ball tier is what runs.  Everything is restored on exit.
+    per-ball tier is what runs.  The native axis switches the C tier with
+    the policy on ``auto``; every other axis runs with it off, so each
+    axis tests the tier it names.  Everything is restored on exit.
     """
+    if axis == "native":
+        with forced_native(value == "on"), forced_policy(
+            backend="auto", wavefront="auto"
+        ):
+            yield
+        return
     if axis != "rows":
         fields = {axis: value}
         if axis == "threads":
             fields["backend"] = "compiled"
-        with forced_policy(**fields):
+        with forced_native(False), forced_policy(**fields):
             yield
         return
     crossover = math.inf if value == "on" else -math.inf
     saved = policy.ROWS_CROSSOVER, policy.WEIGHTED_ROWS_CROSSOVER
     policy.ROWS_CROSSOVER = policy.WEIGHTED_ROWS_CROSSOVER = crossover
     try:
-        with forced_policy(backend="numpy", wavefront="off"):
+        with forced_native(False), forced_policy(backend="numpy", wavefront="off"):
             yield
     finally:
         policy.ROWS_CROSSOVER, policy.WEIGHTED_ROWS_CROSSOVER = saved

@@ -1,7 +1,9 @@
 """Kernel policy: which tier decides Algorithm 1, and on how many threads.
 
-Four kernel tiers implement the identical decision sequence — the
-compiled loops (:mod:`repro.core.compiled`), the conflict-free wavefront
+Five kernel tiers implement the identical decision sequence — the
+native C row loops (:mod:`repro.native`, built with the system compiler
+on first use), the compiled loops (:mod:`repro.core.compiled`), the
+conflict-free wavefront
 kernels (:mod:`repro.core.wavefront`), the *rows* tier (a driver's list
 row kernel, e.g. :func:`repro.core.fast.run_batch`, called once per row)
 and the *lockstep* tier (:func:`repro.core.ensemble.run_batch_ensemble`
@@ -25,8 +27,12 @@ One frozen :class:`KernelPolicy` carries the three settings:
 knob degrades and never crashes a run — with the process override of
 :func:`set_policy` / :func:`forced_policy` on top.  :func:`dispatch`
 turns a policy and a run's shape into ``(tier, threads)``, in priority
-order compiled > wavefront > rows > lockstep; the drivers call it once
-per run and then call the kernel themselves.
+order native > compiled > wavefront > rows > lockstep; the drivers call
+it once per run and then call the kernel themselves.  The native tier has
+no setting of its own: it runs when both ``backend`` and ``wavefront``
+are ``"auto"``, the library loads and the run fits int64
+(:func:`use_native`); an explicit setting runs the tier it names, and
+without a compiler every run takes the tier it took before.
 
 Fleet safety: pool and fabric children run with
 :attr:`KernelPolicy.worker_threads` — ``1`` unless the parent chose a
@@ -68,6 +74,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .. import native
+
 try:  # pragma: no cover - exercised only where numba is installed
     import numba  # noqa: F401
 
@@ -86,6 +94,7 @@ __all__ = [
     "forced_policy",
     "cpu_budget",
     "dispatch",
+    "use_native",
     "use_rows",
     "effective_bins",
     "expected_free_fraction",
@@ -368,16 +377,31 @@ def use_wavefront(
     )
 
 
+def use_native(policy: KernelPolicy, fits: bool) -> bool:
+    """Whether a driver runs the native tier (:mod:`repro.native`): the
+    run *fits* int64 (:func:`repro.native.fits`), the policy leaves both
+    the backend and the wavefront on ``"auto"`` (an explicit setting runs
+    the tier it names) and the library loads.  The load happens here, at
+    the first run that may use it."""
+    return (fits and policy.backend == "auto" and policy.wavefront == "auto"
+            and native.available())
+
+
 def dispatch(
-    policy: KernelPolicy, n_eff: float, repetitions: int, d: int, work: int
+    policy: KernelPolicy, n_eff: float, repetitions: int, d: int, work: int,
+    *, native_fits: bool = False,
 ) -> tuple[str, int]:
     """``(tier, threads)`` for one driver run of ``repetitions`` rows.
 
-    *tier* is ``"compiled"``, ``"wavefront"``, ``"rows"`` or
+    *tier* is ``"native"``, ``"compiled"``, ``"wavefront"``, ``"rows"`` or
     ``"lockstep"``, in that priority order; *threads* is the compiled
-    tier's budget for *work* total balls (``1`` on the NumPy tiers).  A
-    scalar run is the ``R = 1`` ensemble.  The caller runs the kernel.
+    tier's budget for *work* total balls (``1`` on the other tiers).
+    *native_fits* says whether the run is exact in int64; a driver
+    without a native kernel leaves it ``False``.  A scalar run is the
+    ``R = 1`` ensemble.  The caller runs the kernel.
     """
+    if use_native(policy, native_fits):
+        return "native", 1
     if policy.compiled:
         return "compiled", policy.thread_budget(repetitions, work)
     if use_wavefront(n_eff, repetitions, d, mode=policy.wavefront):

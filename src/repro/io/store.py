@@ -37,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import native
 from .atomicio import atomic_write
 from .jsonio import to_jsonable
 
@@ -427,13 +428,17 @@ class ResultStore:
 
 
 def _environment_provenance() -> dict:
-    """What produced a store entry (for audits, not for the cache key)."""
+    """What produced a store entry (for audits, not for the cache key).
+    ``native`` is ``"on"`` when the C kernels are loaded in this process
+    (auto dispatch runs them), else the reason they fell back; the
+    numbers are the same either way."""
     try:
         from .. import __version__ as repro_version
     except Exception:  # pragma: no cover - package metadata missing
         repro_version = "unknown"
     return {
         "repro": repro_version,
+        "native": native.status(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import native
 from ..core.ensemble import lockstep_streams, run_batch_ensemble
 from ..core.fast import run_batch
-from ..core.policy import use_rows
+from ..core.policy import current_policy, use_native, use_rows
 from .ring import ConsistentHashRing
 
 __all__ = [
@@ -176,7 +177,10 @@ def allocate_requests_ensemble(
     owners = ring.lookup_batch(points).astype(np.int64)
 
     counts = np.zeros((R, ring.n_peers), dtype=np.int64)
-    if use_rows(R, d):
+    if use_native(current_policy(), native.fits(m, caps.max())):
+        # The native tier takes the same (R, m, d) owner chunk.
+        native.run_rows(counts, caps, owners, tie_u, "max_capacity")
+    elif use_rows(R, d):
         # The rows tier: the list row kernel once per replication.
         caps_list = caps.tolist()
         rows = [[0] * ring.n_peers for _ in range(R)]

@@ -17,9 +17,35 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import native
 from .rngutils import make_rng
 
 __all__ = ["AliasSampler"]
+
+
+def _vose(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vose's two-stack build over ``scaled = p * n``: ``(prob, alias)``."""
+    n = scaled.size
+    prob = np.ones(n, dtype=np.float64)
+    alias = np.arange(n, dtype=np.int64)
+    small: list[int] = []
+    large: list[int] = []
+    for i, s in enumerate(scaled):
+        (small if s < 1.0 else large).append(i)
+    scaled = scaled.copy()
+    while small and large:
+        lo = small.pop()
+        hi = large.pop()
+        prob[lo] = scaled[lo]
+        alias[lo] = hi
+        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
+        (small if scaled[hi] < 1.0 else large).append(hi)
+    # Leftovers are 1.0 up to float error.
+    for i in large:
+        prob[i] = 1.0
+    for i in small:
+        prob[i] = 1.0
+    return prob, alias
 
 
 class AliasSampler:
@@ -59,26 +85,12 @@ class AliasSampler:
 
         # Vose's two-stack construction.  `prob[i]` is the probability of
         # returning `i` itself when column `i` is hit; otherwise the alias.
-        prob = np.ones(n, dtype=np.float64)
-        alias = np.arange(n, dtype=np.int64)
-        small: list[int] = []
-        large: list[int] = []
-        for i, s in enumerate(scaled):
-            (small if s < 1.0 else large).append(i)
-        scaled = scaled.copy()
-        while small and large:
-            lo = small.pop()
-            hi = large.pop()
-            prob[lo] = scaled[lo]
-            alias[lo] = hi
-            scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
-            (small if scaled[hi] < 1.0 else large).append(hi)
-        # Leftovers are 1.0 up to float error.
-        for i in large:
-            prob[i] = 1.0
-        for i in small:
-            prob[i] = 1.0
-
+        # The native build runs the same loop in the same order, so the
+        # tables are byte-identical either way.
+        if native.available():
+            prob, alias = native.vose(scaled)
+        else:
+            prob, alias = _vose(scaled)
         self._n = n
         self._prob = prob
         self._alias = alias

@@ -42,6 +42,7 @@ from repro.core.equivalence import (
     check_experiment_equivalence,
     check_row_parity,
     forced_axis,
+    forced_native,
 )
 from repro.core.fast import run_batch
 from repro.core.policy import ROWS_CROSSOVER, forced_policy, use_rows
@@ -254,7 +255,7 @@ def _kernel_calls(driver, R, monkeypatch, *, rows=None):
 
         monkeypatch.setattr(module, name, spy)
     # The per-ball tiers, where the row and lockstep kernels live.
-    with forced_policy(wavefront="off", backend="numpy"):
+    with forced_native(False), forced_policy(wavefront="off", backend="numpy"):
         if rows is None:
             run(R)
         else:
@@ -381,7 +382,7 @@ class TestRowsTier:
         # An impossible threshold trips the guard right after the first
         # chunk, so chunk 1 runs the wavefront and chunks 2-4 the rows.
         monkeypatch.setattr(ens_module, "RUNTIME_MIN_FREE_FRACTION", 2.0)
-        with forced_policy(wavefront="auto", backend="numpy"):
+        with forced_native(False), forced_policy(wavefront="auto", backend="numpy"):
             res = simulate_ensemble(bins, **kwargs)
         assert calls == {"run_batch_wavefront": 1, "run_batch": 5 * 3,
                          "run_batch_ensemble": 0}

@@ -1,0 +1,395 @@
+"""The native tier: build, fallback, guards and bit-identity.
+
+The C kernels (``repro/native.c``) must reproduce the Python and NumPy
+paths bit for bit, and every way the build can fail must land on those
+paths with the same numbers.  Tests that need the library skip where it
+does not load; the fallback tests run everywhere.
+"""
+
+import ast
+import hashlib
+import importlib.resources
+import json
+import os
+import shutil
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro import native
+from repro.bins import BinArray
+from repro.core import policy
+from repro.core.ensemble import simulate_ensemble
+from repro.core.equivalence import (
+    DISPATCH_AXES,
+    EXPERIMENT_CASES,
+    SweepBudget,
+    check_dispatch_identity,
+    check_driver_dispatch_identity,
+    check_native_equivalence,
+    forced_axis,
+    forced_native,
+)
+from repro.core.policy import KernelPolicy, dispatch, forced_policy
+from repro.experiments import run_experiment
+from repro.sampling.alias import AliasSampler, _vose
+from repro.service.traces import TraceSpec, _zipf_weights, generate_trace
+
+REPO = Path(__file__).resolve().parents[2]
+
+needs_native = pytest.mark.skipif(
+    not native.available(), reason=f"native tier unavailable: {native.status()}"
+)
+
+#: The three experiments of the `figures` benchmark, at their pinned tiny
+#: cross-engine configurations.
+FIGURE_IDS = ("fig04", "fig11", "abl_d")
+
+
+def _digest(result) -> str:
+    h = hashlib.sha256(np.ascontiguousarray(result.x_values).tobytes())
+    for name in sorted(result.series):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(result.series[name]).tobytes())
+    return h.hexdigest()
+
+
+def _figure_digests():
+    return {
+        eid: _digest(run_experiment(eid, seed=EXPERIMENT_CASES[eid].seed,
+                                    engine="ensemble", **EXPERIMENT_CASES[eid].kwargs))
+        for eid in FIGURE_IDS
+    }
+
+
+@pytest.fixture
+def fresh_load(monkeypatch, tmp_path):
+    """Forget this process's library, with an empty build cache."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(native, "_loaded", None)
+    monkeypatch.setattr(native, "ENABLED", True)
+    return tmp_path / "cache" / "repro-native"
+
+
+def _fake_compiler(tmp_path, body: str) -> str:
+    """A shell script that answers ``--version`` and runs *body* otherwise
+    (with ``$out`` the ``-o`` target); each build appends to ``builds``."""
+    script = tmp_path / "fakecc"
+    script.write_text(
+        "#!/bin/sh\n"
+        'if [ "$1" = --version ]; then echo "fakecc 1.0"; exit 0; fi\n'
+        f'echo build >> "{tmp_path}/builds"\n'
+        'out=""\n'
+        'while [ $# -gt 0 ]; do [ "$1" = -o ] && out="$2"; shift; done\n'
+        f"{body}\n"
+    )
+    script.chmod(0o755)
+    return str(script)
+
+
+def _load_in_subprocess(cache, wait=True):
+    """Load the library in a child process with *cache* as
+    ``XDG_CACHE_HOME``: ``[status, path, sha256 of the file]``, or the
+    running process when not *wait*."""
+    code = (
+        "import hashlib, json; from repro import native; "
+        "lib = native.library(); "
+        "print(json.dumps([native.status(), lib._name, "
+        "hashlib.sha256(open(lib._name, 'rb').read()).hexdigest()]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"),
+           "XDG_CACHE_HOME": str(cache)}
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                            stdout=subprocess.PIPE, text=True)
+    if not wait:
+        return proc
+    out = proc.communicate(timeout=300)[0]
+    assert proc.returncode == 0
+    return json.loads(out)
+
+
+class TestPackaging:
+    def test_source_is_found_through_the_package(self):
+        source = importlib.resources.files("repro").joinpath("native.c")
+        assert source.is_file()
+        assert Path(str(source)) == native.SOURCE
+
+    def test_setup_ships_the_source(self):
+        tree = ast.parse((REPO / "setup.py").read_text())
+        data = [kw.value for node in ast.walk(tree) if isinstance(node, ast.Call)
+                for kw in node.keywords if kw.arg == "package_data"]
+        assert data and "native.c" in ast.literal_eval(data[0])["repro"]
+
+    def test_not_loaded_at_import(self):
+        code = ("import repro, repro.experiments, repro.service; "
+                "from repro import native; print(native._loaded is None)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, cwd=REPO,
+                             env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        assert out.stdout.strip() == "True"
+
+
+class TestFallback:
+    """Every way the build can fail leaves today's tiers running, with
+    identical numbers."""
+
+    @pytest.mark.parametrize("compiler", ["missing", "false", "failing"])
+    def test_no_compiler_lands_on_numpy_tiers(self, compiler, fresh_load,
+                                              monkeypatch, tmp_path):
+        with forced_native(True):
+            expected = _figure_digests()
+        cc = {"missing": None, "false": shutil.which("false"),
+              "failing": _fake_compiler(tmp_path, "exit 1")}[compiler]
+        if compiler == "false" and cc is None:
+            pytest.skip("no `false` on this system")
+        monkeypatch.setattr(native, "_loaded", None)
+        monkeypatch.setattr(native, "_compiler", lambda: cc)
+        calls = []
+        monkeypatch.setattr(native, "run_rows", lambda *a, **k: calls.append(a))
+        assert not native.available()
+        assert native.status() != "on"
+        assert _figure_digests() == expected
+        assert calls == []
+
+    def test_truncated_cache_is_rebuilt(self, tmp_path):
+        """Each load runs in its own process: a library mapped here must
+        never be truncated under this process's feet."""
+        if native._compiler() is None:
+            pytest.skip("no C compiler")
+        first = _load_in_subprocess(tmp_path)
+        path = Path(first[1])
+        size = path.stat().st_size
+        with open(path, "r+b") as fh:
+            fh.truncate(64)
+        second = _load_in_subprocess(tmp_path)
+        assert first == second and second[0] == "on"
+        assert path.stat().st_size == size
+
+    def test_unloadable_build_falls_back_after_one_rebuild(
+            self, fresh_load, monkeypatch, tmp_path):
+        cc = _fake_compiler(tmp_path, 'echo junk > "$out"')
+        monkeypatch.setattr(native, "_compiler", lambda: cc)
+        assert native.library() is None
+        assert native.status().startswith("build or load failed")
+        assert (tmp_path / "builds").read_text().count("build") == 2
+
+    def test_concurrent_builds_share_one_library(self, tmp_path):
+        if native._compiler() is None:
+            pytest.skip("no C compiler")
+        procs = [_load_in_subprocess(tmp_path, wait=False) for _ in range(2)]
+        outs = [json.loads(p.communicate(timeout=300)[0]) for p in procs]
+        assert all(p.returncode == 0 for p in procs)
+        assert outs[0] == outs[1] and outs[0][0] == "on"
+        files = sorted(os.listdir(tmp_path / "repro-native"))
+        assert len(files) == 1 and files[0].endswith(".so")
+
+    def test_threads_share_one_first_load(self, fresh_load):
+        if native._compiler() is None:
+            pytest.skip("no C compiler")
+        libs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: libs.append(native.library()))
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(libs) == 8 and all(lib is libs[0] for lib in libs)
+        assert native.status() == "on"
+        assert [p.suffix for p in fresh_load.iterdir()] == [".so"]
+
+    @pytest.mark.parametrize("problem", ["writable by others", "not a directory"])
+    def test_unusable_cache_dir_falls_back_to_a_private_one(self, problem,
+                                                           fresh_load):
+        if problem == "not a directory":
+            fresh_load.parent.mkdir(parents=True)
+            fresh_load.write_text("")
+        else:
+            fresh_load.mkdir(parents=True)
+            fresh_load.chmod(0o777)
+        chosen = native.cache_dir()
+        assert Path(chosen) != fresh_load
+        assert os.stat(chosen).st_mode & 0o077 == 0
+
+
+class TestGuard:
+    def test_fits_boundary(self):
+        m = 1000
+        top = (native.LOAD_LIMIT - 1) // (m + 1)
+        assert native.fits(m, top) and not native.fits(m, top + 1)
+        assert native.fits(10, native.EXACT_LIMIT)
+        assert not native.fits(10, native.EXACT_LIMIT, heights=True)
+        assert native.fits(10, native.EXACT_LIMIT - 1, heights=True)
+
+    @needs_native
+    @pytest.mark.parametrize("heights", [False, True])
+    def test_driver_refuses_a_run_past_the_guard(self, heights, monkeypatch):
+        cap = native.EXACT_LIMIT if heights else native.LOAD_LIMIT // 4
+        bins = BinArray([cap, cap - 1, 3])
+        kwargs = dict(repetitions=2, m=5, d=2, seed=3, track_heights=heights)
+        with forced_native(False):
+            expected = simulate_ensemble(bins, **kwargs)
+        calls = []
+        monkeypatch.setattr(native, "run_rows", lambda *a, **k: calls.append(a))
+        res = simulate_ensemble(bins, **kwargs)
+        assert calls == []
+        np.testing.assert_array_equal(res.counts, expected.counts)
+        if heights:
+            np.testing.assert_array_equal(res.heights, expected.heights)
+
+
+@needs_native
+class TestKernelChecks:
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_out_of_range_candidate_raises(self, bad, d):
+        choices = np.zeros((2, 5, d), dtype=np.int64)
+        choices[1, 3, d - 1] = bad
+        with pytest.raises(IndexError):
+            native.run_rows(np.zeros((2, 4), dtype=np.int64),
+                            np.ones(4, dtype=np.int64), choices,
+                            np.zeros((2, 5)), "max_capacity")
+
+    def test_alias_select_out_of_range_raises(self):
+        cols = np.array([0, 1, 5], dtype=np.int64)
+        with pytest.raises(IndexError):
+            native.alias_select(cols, np.zeros(3), np.ones(3), np.arange(3))
+
+    def test_wrong_layout_is_refused(self):
+        counts = np.zeros((2, 4), dtype=np.int64)
+        choices = np.zeros((2, 5, 2), dtype=np.int64)
+        with pytest.raises(ValueError):
+            native.run_rows(counts, np.ones(4, dtype=np.int32), choices,
+                            np.zeros((2, 5)), "max_capacity")
+        with pytest.raises(ValueError):
+            native.run_rows(counts, np.ones(4, dtype=np.int64),
+                            choices[:, ::2], np.zeros((2, 3)), "max_capacity")
+        with pytest.raises(ValueError):
+            native.run_rows(counts, np.ones(4, dtype=np.int64), choices,
+                            np.zeros((2, 5)), "nope")
+
+
+@needs_native
+class TestVoseTables:
+    """The C build of the alias tables is byte-identical to the Python
+    one, so trace generation (and the service determinism contract) does
+    not depend on whether the library loads."""
+
+    @staticmethod
+    def _same(weights):
+        w = np.asarray(weights, dtype=np.float64)
+        scaled = (w / w.sum()) * w.size
+        p1, a1 = _vose(scaled)
+        p2, a2 = native.vose(scaled)
+        assert p1.tobytes() == p2.tobytes() and a1.tobytes() == a2.tobytes()
+
+    def test_random_weights(self):
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            n = int(rng.integers(1, 2000))
+            w = rng.random(n) ** float(rng.uniform(0.2, 8.0))
+            if w.sum() > 0:
+                self._same(w)
+
+    @pytest.mark.parametrize("weights", [
+        [1.0], [0.0, 0.0, 5.0], [3.0, 0.0], [1.0] * 64, [1e-300, 1.0, 1e300],
+        [0.0] * 99 + [1.0],
+    ])
+    def test_degenerate_weights(self, weights):
+        self._same(weights)
+
+    @pytest.mark.parametrize("s", [None, 0.6, 1.1, 2.5])
+    def test_trace_zipf_weights(self, s):
+        rng = np.random.default_rng(7)
+        for count in (1, 10, 5000):
+            self._same(_zipf_weights(count, s, rng))
+
+    def test_trace_digest(self):
+        spec = TraceSpec(requests=2000, objects=500, seed=11)
+        with forced_native(False):
+            expected = generate_trace(spec).digest()
+        assert generate_trace(spec).digest() == expected
+
+    def test_sampler_tables(self):
+        w = np.random.default_rng(3).random(300)
+        with forced_native(False):
+            slow = AliasSampler(w)
+        fast = AliasSampler(w)
+        assert slow._prob.tobytes() == fast._prob.tobytes()
+        assert slow._alias.tobytes() == fast._alias.tobytes()
+
+
+class TestDispatch:
+    def test_auto_resolves_to_native(self):
+        tier = dispatch(KernelPolicy(), 100.0, 5, 2, 500, native_fits=True)
+        assert tier == (("native", 1) if native.available() else tier)
+        assert dispatch(KernelPolicy(), 100.0, 5, 2, 500)[0] != "native"
+
+    @pytest.mark.parametrize("fields", [
+        {"backend": "numpy"}, {"backend": "compiled"},
+        {"wavefront": "on"}, {"wavefront": "off"},
+    ])
+    def test_explicit_setting_runs_its_tier(self, fields):
+        assert dispatch(KernelPolicy(**fields), 100.0, 5, 2, 500,
+                        native_fits=True)[0] != "native"
+
+    @needs_native
+    @pytest.mark.parametrize("driver", ["plain", "ring"])
+    def test_drivers_call_the_native_kernel(self, driver, monkeypatch):
+        from repro.p2p.ring import ConsistentHashRing
+        from repro.p2p.workload import allocate_requests_ensemble
+
+        calls = []
+        real = native.run_rows
+
+        def spy(*args, **kwargs):
+            calls.append(args[2].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(native, "run_rows", spy)
+        with forced_policy(backend="auto", wavefront="auto"):
+            if driver == "plain":
+                simulate_ensemble(BinArray([1, 2, 3, 4]), repetitions=3, m=90,
+                                  seed=1, chunk_size=40)
+                assert calls == [(3, 40, 2), (3, 40, 2), (3, 10, 2)]
+            else:
+                ring = ConsistentHashRing.random(12, seed=2)
+                allocate_requests_ensemble(ring, 50, repetitions=4, seed=1)
+                assert calls == [(4, 50, 2)]
+
+    def test_other_axes_force_native_off(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(policy, "use_native",
+                            lambda p, fits: seen.append(native.ENABLED) or False)
+        for axis, values in DISPATCH_AXES.items():
+            if axis != "native":
+                with forced_axis(axis, values[0]):
+                    simulate_ensemble(BinArray([1, 2]), repetitions=2, m=4, seed=1)
+        assert seen and not any(seen)
+
+
+class TestIdentity:
+    @needs_native
+    def test_native_equals_reference(self):
+        budget = SweepBudget(draws=60, max_n=12, max_m=150, max_r=5)
+        assert check_native_equivalence(0x7A7E, budget, trials=4) == 60
+
+    def test_driver_sweep(self):
+        assert check_driver_dispatch_identity(
+            "native", DISPATCH_AXES["native"], 0x7A7E, trials=8
+        ) == 8
+
+    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENT_CASES))
+    def test_experiment_native_equals_numpy_tiers(self, experiment_id):
+        assert check_dispatch_identity(
+            experiment_id, "native", DISPATCH_AXES["native"]
+        ) == 2

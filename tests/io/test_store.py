@@ -71,6 +71,22 @@ class TestResultStore:
         assert stored.provenance["numpy"] == np.__version__
         assert "python" in stored.provenance
 
+    def test_provenance_records_native_status_not_in_the_key(self, store):
+        """The native tier is an audit field: it never changes a key."""
+        from repro import native
+        from repro.core.equivalence import forced_native
+
+        request = RunRequest("figx", seed=1, overrides={"repetitions": 3})
+        keys = {}
+        for enabled in (True, False):
+            with forced_native(enabled):
+                keys[enabled] = request.cache_key(version=1)
+                store.put(keys[enabled], make_result(), request=request)
+                recorded = store.get(keys[enabled]).provenance["native"]
+                assert recorded == native.status()
+        assert keys[True] == keys[False]
+        assert recorded == "disabled"
+
     def test_contains_and_evict(self, store):
         key = "a" * 64
         assert not store.contains(key)
