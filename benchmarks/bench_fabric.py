@@ -1,15 +1,17 @@
-"""Sweep-fabric dispatch overhead vs the in-process serial ensemble path.
+"""Sweep-fabric wall time vs the in-process serial ensemble path.
 
-The fabric is a *distribution* mechanism — broker-leased blocks over a
-worker fleet, park-file resume after worker deaths — not a local speedup
-device: at CI scale its per-block costs (spec/park pickling, socket
-round trips, completion polling) are visible next to fig02's cheap
-blocks.  What this bench pins is that those costs stay *bounded*: the
-2-worker fabric must complete the same run at no worse than
-``1/FABRIC_FLOOR`` times the serial wall time (measured 0.35–0.6x serial
-on CI hardware depending on load; floor 0.2x).  A protocol or
-launcher regression that makes dispatch pathologically chatty trips the
-floor long before it would hurt a real fleet.
+The fabric distributes blocks — broker-leased over a worker fleet, with
+park-file resume after worker deaths — and since its cold path pays only
+for the blocks (held requests woken by submit, one round trip per block,
+unfsynced parks, one driver checkpoint per run) it is also a local
+speedup: 2 workers finish fig02 R=4096 at 1.09–1.93x the serial wall time
+(46 runs on 2 vCPUs; before that change it measured 0.49–0.80x).  The
+spread is the machine's: both vCPUs drift independently over seconds, and
+a serial round that lands on a fast phase sets a short best-of-3.
+``FABRIC_FLOOR`` pins 0.8x — the largest tenth that holds with a 1.3
+margin under the lowest run — so the 2-worker fabric must stay close to
+serial; a protocol or launcher regression that makes dispatch chatty again
+(a polling tick, a second round trip, an fsync per block) trips it.
 
 Both timings run the identical request, and the results are asserted
 bit-identical — the fabric clause of the seed contract, measured rather
@@ -33,8 +35,8 @@ FABRIC_R = 4096
 FABRIC_BLOCK = 512
 FABRIC_WORKERS = 2
 
-#: Wall-time ratio floor: fabric must finish within 1/0.2 of serial.
-FABRIC_FLOOR = 0.2
+#: Wall-time ratio floor: fabric must finish within 1/0.8 of serial.
+FABRIC_FLOOR = 0.8
 
 
 def _fig02():

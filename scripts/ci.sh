@@ -12,11 +12,12 @@
 #      floors on the fig01-scaled n=10^4 configuration (R=16/R=64 over the
 #      per-ball ensemble kernel, R=1 over fast.run_batch), the compiled
 #      floors and — with numba and >= 4 cores — the 2x compiled-parallel
-#      floor at R=256, plus the sweep fabric's dispatch-overhead floor
-#      (2-worker fabric within 0.2x of serial on fig02 R=4096, results
-#      bit-identical); the run emits BENCH_ensemble.json at the repo root
-#      (schema repro.bench_ensemble/2: rows carry threads + cpu_count),
-#      validated right after;
+#      floor at R=256, plus the sweep fabric's floor (2-worker fabric at
+#      no worse than 0.8x the serial speed on fig02 R=4096, measured
+#      1.09-1.93x; results bit-identical); the run emits
+#      BENCH_ensemble.json at the repo root (schema
+#      repro.bench_ensemble/2: rows carry threads + cpu_count), validated
+#      right after;
 #   3. the adaptive-precision smoke (quick-mode bench_adaptive.py): the
 #      rel=2% fig02 run must early-stop at <= 50% of the fixed budget,
 #      match the fixed-budget estimate, and round-trip the store;

@@ -73,7 +73,9 @@ realised-free-fraction runtime fallback to that tier), else
 :func:`repro.core.fast.run_batch` once per row while ``R`` is below the
 row/lockstep crossover, else the lockstep loops below.  An explicit
 ``REPRO_BACKEND`` or ``REPRO_WAVEFRONT`` runs the tier it names, never
-the native one.  All tiers are *bit-identical* — every kernel consumes
+the native one — except that a run that does not fit int64 (or, with
+heights, float64) runs the rows tier in Python ints whatever is forced:
+exactness outranks tier choice.  All tiers are *bit-identical* — every kernel consumes
 the same pre-drawn choices and tie uniforms, drawn by the same generator
 calls, so dispatch can never change a number; the equivalence suite
 forces each path and compares exactly.
@@ -640,9 +642,9 @@ def simulate_ensemble(
     p = getattr(sampler, "probabilities", None)
     n_eff = effective_bins(p) if p is not None else float(n)
     policy = current_policy()
+    fits = native.fits(m, caps_arr.max(), track_heights)
     tier, threads = dispatch(
-        policy, n_eff, R, d, R * m,
-        native_fits=native.fits(m, caps_arr.max(), track_heights),
+        policy, n_eff, R, d, R * m, native_fits=fits, exact=fits,
     )
     pick = _native_pick(sampler) if tier == "native" else sampler.sample
 

@@ -389,7 +389,7 @@ def use_native(policy: KernelPolicy, fits: bool) -> bool:
 
 def dispatch(
     policy: KernelPolicy, n_eff: float, repetitions: int, d: int, work: int,
-    *, native_fits: bool = False,
+    *, native_fits: bool = False, exact: bool = True,
 ) -> tuple[str, int]:
     """``(tier, threads)`` for one driver run of ``repetitions`` rows.
 
@@ -399,7 +399,17 @@ def dispatch(
     *native_fits* says whether the run is exact in int64; a driver
     without a native kernel leaves it ``False``.  A scalar run is the
     ``R = 1`` ensemble.  The caller runs the kernel.
+
+    Exactness outranks tier choice: a run with *exact* ``False`` (the
+    plain driver passes :func:`repro.native.fits`) is one the int64 and
+    float64 tiers cannot compute exactly — the d = 2 lockstep product
+    overflows once ``(m + 1) * max capacity >= 2^62``, and lockstep
+    heights round differently once a capacity passes 2^53 — so it takes
+    the rows tier, whose list kernel works in Python ints, whatever ``R``
+    or the forced tier.
     """
+    if not exact:
+        return "rows", 1
     if use_native(policy, native_fits):
         return "native", 1
     if policy.compiled:

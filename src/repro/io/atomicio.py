@@ -7,6 +7,22 @@ written to a call-unique ``*.tmp-<pid>-<seq>`` sibling, flushed and fsynced,
 and renamed into place only once the write completed.  ``os.replace`` is
 atomic on POSIX and Windows for same-directory renames.
 
+Durability
+----------
+By default the payload is fsynced before the rename, so once
+:func:`atomic_write` returns the new content survives a machine crash.
+``durable=False`` keeps the rename atomicity and skips the fsync: a reader
+still sees the old file or the whole new one, but a crash shortly after
+the write may leave the old file, no file, or a zero-length or truncated
+one in its place.  Only the sweep fabric's scratch namespace
+(:meth:`repro.io.store.ResultStore.fabric_dir`: the ``spec.pkl`` and the
+parked block reducers) is written that way.  Each of those files is a pure
+function of ``(work_token, block)``; a torn or missing park fails its
+fingerprint or unpickling and reads as "not done", so the broker leases
+the block again and it is recomputed bit-identically; the driver
+rewrites the spec at every submission.  Result entries and driver checkpoints stay
+durable: they are not recomputable from a token alone.
+
 The temp suffix is unique per *call*, not just per process: two threads (or
 a re-entrant writer) targeting the same path each get their own sibling, so
 neither can truncate the other's half-written payload or unlink a file the
@@ -29,13 +45,14 @@ _tmp_counter = itertools.count()
 
 
 @contextmanager
-def atomic_write(path, mode: str = "w", **open_kwargs):
+def atomic_write(path, mode: str = "w", *, durable: bool = True, **open_kwargs):
     """Context manager yielding a file handle whose content appears at
     *path* atomically on successful exit.
 
     The parent directory is created if missing.  The handle is flushed and
-    fsynced before the rename, so a crash straddling the replace can leave
-    the old content or the new — never an empty or truncated file.  On an
+    (unless ``durable=False``, see the module docstring) fsynced before the
+    rename, so a crash straddling the replace can leave the old content or
+    the new — never an empty or truncated file.  On an
     exception inside the block the temporary file is removed and *path* is
     left untouched (its previous content, if any, survives).
     """
@@ -48,7 +65,8 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
         with _open_in_place(tmp, mode, **open_kwargs) as fh:
             yield fh
             fh.flush()
-            os.fsync(fh.fileno())
+            if durable:
+                os.fsync(fh.fileno())
         _replace_into_place(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

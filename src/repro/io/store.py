@@ -115,11 +115,14 @@ class CheckpointSlot:
     checkpoint whose fingerprint does not match the requesting call is
     ignored, so changed experiment internals start fresh instead of
     resuming unsoundly.  State is pickled (the streaming reducers round-trip
-    bit-exactly) and written atomically.
+    bit-exactly) and written atomically; ``durable=False`` skips the fsync
+    (for the fabric's recomputable parks only, see
+    :mod:`repro.io.atomicio`).
     """
 
-    def __init__(self, path: Path):
+    def __init__(self, path: Path, *, durable: bool = True):
         self.path = Path(path)
+        self.durable = durable
 
     def load(self, fingerprint: str):
         """Return ``(reducer, blocks_done, monitor)`` or ``None``.
@@ -156,7 +159,7 @@ class CheckpointSlot:
             },
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        with atomic_write(self.path, "wb") as fh:
+        with atomic_write(self.path, "wb", durable=self.durable) as fh:
             fh.write(blob)
 
 
@@ -286,7 +289,9 @@ class ResultStore:
             self.misses += 1
             return None
         try:
-            with np.load(path, allow_pickle=False) as npz:
+            # np.load opens a path itself and leaks the handle when the
+            # archive is unreadable; an open file object is always closed.
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
                 meta = json.loads(str(npz[_META_MEMBER][()]))
                 if meta.get("format_version") != FORMAT_VERSION:
                     self.misses += 1
@@ -404,7 +409,8 @@ class ResultStore:
         its own parked blocks and two different runs can never share state.
         Files inside are ordinary :class:`CheckpointSlot` pickles written
         through :func:`atomic_write`, so concurrent workers are safe by the
-        same argument as result entries.
+        same argument as result entries; they skip the fsync
+        (``durable=False``), because each is recomputable from the token.
         """
         return self.root / "fabric" / token
 

@@ -356,7 +356,10 @@ def run_ensemble_reduced(
     call claims the next slot via ``checkpoint.slot()`` — call order inside
     an experiment is deterministic, so slot numbering is stable across
     retries — and after every completed block the merged-so-far reducer is
-    persisted with ``slot.save(reducer, blocks_done, fingerprint)``.  On the
+    persisted with ``slot.save(reducer, blocks_done, fingerprint)``.  (On
+    an activated fabric the parked blocks are the per-block state, so the
+    merged reducer is saved once, with every block done, before the
+    fabric drops its parks.)  On the
     next attempt ``slot.load(fingerprint)`` hands back that state and only
     the remaining blocks run.  Soundness rests on the seed contract (module
     docstring): block boundaries and each block's child seeds are functions
@@ -410,12 +413,15 @@ def run_ensemble_reduced(
 
     holder = {"reducer": merged}
 
-    def _absorb(i: int, block_reducer) -> bool:
-        """Merge pending block *i*; observe + checkpoint; report stop."""
+    def _merge(block_reducer) -> None:
         if holder["reducer"] is None:
             holder["reducer"] = block_reducer
         else:
             holder["reducer"].merge(block_reducer)
+
+    def _absorb(i: int, block_reducer) -> bool:
+        """Merge pending block *i*; observe + checkpoint; report stop."""
+        _merge(block_reducer)
         stop = False
         if until is not None:
             # pending[i] ends at global repetition index i1 == reps done.
@@ -433,23 +439,28 @@ def run_ensemble_reduced(
         fabric = _active_fabric()
         if fabric is not None and pending:
             # Fixed-budget blocks are leased to fabric workers; the parked
-            # block reducers come back in deterministic block order and run
-            # through the same `_absorb` closure the local paths use, so the
-            # merge (and any checkpointing) is bit-identical to a serial
-            # run regardless of worker placement or deaths.
-            for i, block_reducer in enumerate(
-                fabric.run_blocks(
-                    task,
-                    pending,
-                    seed=seed,
-                    repetitions=repetitions,
-                    block_size=block_size,
-                    kwargs=kwargs,
-                    label=label,
-                    progress=progress,
-                )
-            ):
-                _absorb(i, block_reducer)
+            # block reducers come back in deterministic block order and are
+            # merged exactly as the serial path merges them, so the result
+            # is bit-identical regardless of worker placement or deaths.
+            # The parks are the per-block resume state, so the driver
+            # checkpoints once, before the fabric drops them.
+            def _collected(reducers) -> None:
+                for block_reducer in reducers:
+                    _merge(block_reducer)
+                if slot is not None:
+                    slot.save(holder["reducer"], len(bounds), fingerprint)
+
+            fabric.run_blocks(
+                task,
+                pending,
+                seed=seed,
+                repetitions=repetitions,
+                block_size=block_size,
+                kwargs=kwargs,
+                label=label,
+                progress=progress,
+                on_collected=_collected,
+            )
             return holder["reducer"]
         children = spawn_seed_sequences(seed, repetitions)
         payloads = [(task, children[i0:i1], kwargs) for i0, i1 in pending]

@@ -3,15 +3,27 @@
 A single-threaded ``selectors`` event loop (running in a daemon thread)
 owns all connection state, the work queue, and the lease table — worker
 messages and lease-expiry ticks are serialised through it, so there are no
-locks around the scheduling decisions themselves.  Driver-side calls
-(:meth:`Broker.submit`, :meth:`Broker.finish`) touch the shared structures
-under one re-entrant lock.
+locks around the scheduling decisions themselves, and every socket write
+happens on the loop thread.  Driver-side calls (:meth:`Broker.submit`,
+:meth:`Broker.finish`, :meth:`Broker.drain`) touch the shared structures
+under one re-entrant lock and, where the loop has something new to say,
+wake it through a self-pipe (a ``socketpair`` registered in the selector)
+instead of writing to a worker themselves.
+
+A ``request`` (or the ``done``/``failed`` that ends a block, whose reply is
+the worker's next instruction) that finds the queue empty is *held*: the
+worker gets no reply until work arrives — a :meth:`~Broker.submit` or a
+re-queue answers it with a lease at once — or the fleet drains
+(``shutdown``).  A request held for one heartbeat interval is answered
+``idle {delay: 0}``, so an idle worker re-asks once per heartbeat
+interval and never trips its reply deadline.  ``tick`` is only the
+lease-expiry granularity.
 
 Lease lifecycle::
 
-    queued --request--> leased --done/park-detected--> done
-       ^                  |
-       +--expiry/death----+   (park file valid? -> done, else re-queue)
+    queued --request/done--> leased --done/park-detected--> done
+       ^                       |
+       +-----expiry/death------+   (park file valid? -> done, else re-queue)
 
 Two failure ledgers are kept per block, because death and failure mean
 different things:
@@ -23,6 +35,10 @@ different things:
 * an explicit ``failed`` message means the task itself raised — that is a
   bug in the task, not the fabric, so it caps out at ``max_task_failures``
   and aborts the whole work set with the worker's traceback.
+
+:meth:`Broker.stats` counts leases, completions, failures, expiries,
+re-queues, lease-holding disconnects and held requests — per message or
+per lease, never per repetition.
 """
 
 from __future__ import annotations
@@ -45,6 +61,26 @@ MAX_TASK_FAILURES = 3
 #: the work set aborts — a backstop against a block that kills every worker
 #: it touches.
 MAX_REQUEUES = 16
+
+#: Longest a request is held, whatever the heartbeat interval: a third of
+#: the worker's default reply deadline (``--recv-deadline 30``).
+MAX_HOLD = 10.0
+
+#: The :meth:`Broker.stats` counters.
+STAT_NAMES = (
+    "leases_granted",     # lease replies sent
+    "blocks_done",        # blocks completed (done message or park found)
+    "task_failures",      # failed messages
+    "lease_expiries",     # leases whose worker went silent past lease_ttl
+    "requeues",           # blocks put back on the queue, any cause
+    "lease_disconnects",  # workers that disconnected while holding a lease
+    "requests_held",      # requests that found the queue empty
+    "held_woken",         # held requests answered with a lease
+    "held_released",      # held requests answered idle after a hold period
+)
+
+#: Selector tag of the self-pipe's read end.
+_WAKE = object()
 
 
 class WorkSet:
@@ -91,8 +127,11 @@ class Broker:
 
     ``lease_ttl`` bounds how long a silent worker may sit on a block before
     it re-queues; heartbeats (sent every ``lease_ttl / 3``, as told to the
-    worker in ``welcome``) extend the deadline.  ``tick`` is the event-loop
-    poll interval and therefore the expiry-detection granularity.
+    worker in ``welcome``) extend the deadline, and a request held on an
+    empty queue is released ``idle`` after the same interval (at most
+    :data:`MAX_HOLD`).  ``tick`` is the event loop's longest sleep and
+    therefore the expiry-detection granularity; new work and draining wake
+    the loop at once.
     """
 
     def __init__(
@@ -108,17 +147,25 @@ class Broker:
         self.tick = float(tick)
         self.max_task_failures = int(max_task_failures)
         self.max_requeues = int(max_requeues)
+        self._hold = min(self.lease_ttl / 3.0, MAX_HOLD)
         self._listen = socket.create_server((host, 0))
         self._listen.setblocking(False)
         self.address: tuple[str, int] = self._listen.getsockname()[:2]
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
         self._sel = selectors.DefaultSelector()
         self._sel.register(self._listen, selectors.EVENT_READ, None)
+        self._sel.register(self._wake_r, selectors.EVENT_READ, _WAKE)
         self._lock = threading.RLock()
         self._worksets: dict[str, WorkSet] = {}
         self._queue: deque[tuple[str, int]] = deque()
         #: (token, i0) -> (conn, monotonic deadline)
         self._leases: dict[tuple[str, int], tuple[_Conn, float]] = {}
         self._conns: list[_Conn] = []
+        #: conn -> monotonic time its request was held (insertion = FIFO).
+        self._held: dict[_Conn, float] = {}
+        self._stats = dict.fromkeys(STAT_NAMES, 0)
         self._draining = False
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -133,7 +180,8 @@ class Broker:
         return self
 
     def submit(self, token: str, directory, blocks) -> WorkSet:
-        """Register *blocks* of one work set and queue them for leasing."""
+        """Register *blocks* of one work set, queue them for leasing, and
+        wake the loop so held requests get them at once."""
         ws = WorkSet(token, directory, blocks)
         with self._lock:
             self._worksets[token] = ws
@@ -141,6 +189,7 @@ class Broker:
                 ws.event.set()
             else:
                 self._queue.extend((token, i0) for i0 in sorted(ws.blocks))
+        self._wake()
         return ws
 
     def finish(self, token: str) -> None:
@@ -162,38 +211,76 @@ class Broker:
                 self._fail(ws, reason)
 
     def drain(self) -> None:
-        """Answer every subsequent ``request`` with ``shutdown``."""
+        """Answer held and every subsequent request with ``shutdown``."""
         with self._lock:
             self._draining = True
+        self._wake()
 
     def worker_count(self) -> int:
         """Connected workers that completed the hello handshake."""
         with self._lock:
             return sum(1 for c in self._conns if c.worker is not None)
 
+    def stats(self) -> dict[str, int]:
+        """The lease-health counters (:data:`STAT_NAMES`) since start."""
+        with self._lock:
+            return dict(self._stats)
+
     def stop(self) -> None:
         self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        if self._thread is None:  # never started: no loop to clean up
+            self._close()
+            return
+        self._wake()
+        self._thread.join(timeout=5.0)
+
+    def _wake(self) -> None:
+        """Nudge the loop out of ``select`` (any thread)."""
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # buffer full (a wake is pending) or closed
+            pass
 
     # -- event loop -------------------------------------------------------
 
     def _serve(self) -> None:
         try:
             while not self._stop.is_set():
-                for key, _ in self._sel.select(self.tick):
+                for key, _ in self._sel.select(self._timeout()):
                     if key.data is None:
                         self._accept()
+                    elif key.data is _WAKE:
+                        self._drain_wake()
                     else:
                         self._service(key.data)
                 self._expire_leases()
+                self._answer_held()
         finally:
-            with self._lock:
-                for conn in list(self._conns):
-                    self._drop(conn, reap_leases=False)
-            self._sel.close()
-            self._listen.close()
+            self._close()
+
+    def _close(self) -> None:
+        with self._lock:
+            for conn in list(self._conns):
+                self._drop(conn, reap_leases=False)
+        self._sel.close()
+        self._listen.close()
+        self._wake_r.close()
+        self._wake_w.close()
+
+    def _timeout(self) -> float:
+        """Sleep until the next tick or the oldest hold's release."""
+        with self._lock:
+            if not self._held:
+                return self.tick
+            since = next(iter(self._held.values()))
+        return max(0.0, min(self.tick, since + self._hold - time.monotonic()))
+
+    def _drain_wake(self) -> None:
+        try:
+            while self._wake_r.recv(4096):
+                pass
+        except OSError:  # drained (EAGAIN)
+            pass
 
     def _accept(self) -> None:
         try:
@@ -218,12 +305,40 @@ class Broker:
         messages, conn.buffer = split_lines(conn.buffer)
         for message in messages:
             reply = self._handle(conn, message)
-            if reply is not None:
-                try:
-                    conn.sock.sendall(encode(reply))
-                except OSError:
-                    self._drop(conn)
-                    return
+            if reply is not None and not self._send(conn, reply):
+                return
+
+    def _send(self, conn: _Conn, reply: dict) -> bool:
+        try:
+            conn.sock.sendall(encode(reply))
+        except OSError:
+            self._drop(conn)
+            return False
+        return True
+
+    def _answer_held(self) -> None:
+        """Reply to held requests that now have an answer: a lease once
+        work is queued, ``shutdown`` once draining, ``idle`` once held for
+        a heartbeat interval."""
+        replies = []
+        with self._lock:
+            if not self._held:
+                return
+            now = time.monotonic()
+            for conn, since in list(self._held.items()):
+                reply = self._next_instruction(conn, hold=False)
+                if reply is not None:
+                    if reply["type"] == "lease":
+                        self._stats["held_woken"] += 1
+                elif now - since >= self._hold:
+                    reply = {"type": "idle", "delay": 0}
+                    self._stats["held_released"] += 1
+                else:
+                    continue
+                del self._held[conn]
+                replies.append((conn, reply))
+        for conn, reply in replies:
+            self._send(conn, reply)
 
     def _drop(self, conn: _Conn, *, reap_leases: bool = True) -> None:
         try:
@@ -237,7 +352,10 @@ class Broker:
         with self._lock:
             if conn in self._conns:
                 self._conns.remove(conn)
+            self._held.pop(conn, None)
             if reap_leases:
+                if conn.leases:
+                    self._stats["lease_disconnects"] += 1
                 for key in list(conn.leases):
                     self._leases.pop(key, None)
                     conn.leases.discard(key)
@@ -246,6 +364,8 @@ class Broker:
     # -- message handling (broker-loop thread only) -----------------------
 
     def _handle(self, conn: _Conn, message: dict):
+        """The reply to *message*, or ``None`` (a heartbeat, or a request
+        held until there is something to say)."""
         kind = message.get("type")
         with self._lock:
             if kind == "hello":
@@ -257,18 +377,27 @@ class Broker:
                     self._leases[key] = (conn, deadline)
                 return None  # fire-and-forget by protocol contract
             if kind == "request":
-                return self._lease_next(conn)
+                return self._next_instruction(conn)
             if kind == "done":
                 self._mark_done(conn, message)
-                return {"type": "ok"}
+                return self._next_instruction(conn)
             if kind == "failed":
                 self._mark_failed(conn, message)
-                return {"type": "ok"}
+                return self._next_instruction(conn)
         return {"type": "error", "error": f"unknown message type {kind!r}"}
 
-    def _lease_next(self, conn: _Conn):
+    def _next_instruction(self, conn: _Conn, *, hold: bool = True):
+        """``shutdown`` when draining, else a lease; with nothing queued,
+        hold the request (``None``) when *hold*."""
         if self._draining:
             return {"type": "shutdown"}
+        lease = self._lease_next(conn)
+        if lease is None and hold:
+            self._held.setdefault(conn, time.monotonic())
+            self._stats["requests_held"] += 1
+        return lease
+
+    def _lease_next(self, conn: _Conn):
         while self._queue:
             token, i0 = self._queue.popleft()
             ws = self._worksets.get(token)
@@ -279,6 +408,7 @@ class Broker:
                 continue
             self._leases[key] = (conn, time.monotonic() + self.lease_ttl)
             conn.leases.add(key)
+            self._stats["leases_granted"] += 1
             i0, i1 = ws.blocks[i0]
             return {
                 "type": "lease",
@@ -287,7 +417,7 @@ class Broker:
                 "i0": i0,
                 "i1": i1,
             }
-        return {"type": "idle", "delay": self.tick}
+        return None
 
     def _release(self, conn: _Conn, token: str, i0) -> tuple[WorkSet, int] | None:
         """Drop the lease named by a done/failed message; resolve its set."""
@@ -309,11 +439,17 @@ class Broker:
             return
         ws, i0 = resolved
         if i0 in ws.blocks:
+            self._complete(ws, i0)
+
+    def _complete(self, ws: WorkSet, i0: int) -> None:
+        if i0 not in ws.done:
             ws.done.add(i0)
-            if ws.finished():
-                ws.event.set()
+            self._stats["blocks_done"] += 1
+        if ws.finished():
+            ws.event.set()
 
     def _mark_failed(self, conn: _Conn, message: dict) -> None:
+        self._stats["task_failures"] += 1
         resolved = self._release(conn, str(message.get("token")), message.get("i0"))
         if resolved is None:
             return
@@ -329,7 +465,11 @@ class Broker:
                 f"{ws.failures[i0]} times; last error:\n{error}",
             )
         else:
-            self._queue.appendleft((ws.token, i0))
+            self._requeue(ws.token, i0)
+
+    def _requeue(self, token: str, i0: int) -> None:
+        self._queue.appendleft((token, i0))
+        self._stats["requeues"] += 1
 
     # -- lease loss -------------------------------------------------------
 
@@ -340,6 +480,7 @@ class Broker:
             for key in expired:
                 conn, _ = self._leases.pop(key)
                 conn.leases.discard(key)
+                self._stats["lease_expiries"] += 1
                 self._lost(key, "lease expired")
 
     def _lost(self, key: tuple[str, int], reason: str) -> None:
@@ -347,7 +488,7 @@ class Broker:
 
         The work may well have completed with only the ``done`` message
         lost — the park file is the ground truth, so check it before
-        re-queueing (atomic writes mean it is either whole and
+        re-queueing (rename-atomic writes mean it is either whole and
         fingerprint-valid or effectively absent).
         """
         token, i0 = key
@@ -357,9 +498,7 @@ class Broker:
         i0, i1 = ws.blocks[i0]
         slot = CheckpointSlot(park_path(ws.directory, i0))
         if slot.load(park_fingerprint(token, i0, i1)) is not None:
-            ws.done.add(i0)
-            if ws.finished():
-                ws.event.set()
+            self._complete(ws, i0)
             return
         ws.requeues[i0] = ws.requeues.get(i0, 0) + 1
         if ws.requeues[i0] > self.max_requeues:
@@ -369,7 +508,7 @@ class Broker:
                 f"({reason}) — giving up",
             )
         else:
-            self._queue.appendleft((token, i0))
+            self._requeue(token, i0)
 
     def _fail(self, ws: WorkSet, reason: str) -> None:
         ws.error = reason

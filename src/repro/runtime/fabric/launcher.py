@@ -12,9 +12,11 @@ Bit-identity argument (the fabric clause of the seed contract): block
 boundaries and child seeds are pure functions of ``(seed, repetitions,
 block_size)``; workers rebuild each block's seeds from the pickled spawn
 spec, so block ``[i0, i1)`` computes the same reducer on any worker; the
-driver absorbs the parked reducers in block order through the same merge
-closure the serial path uses.  Which worker ran a block, how many workers
-there were, and how many died are all invisible to the numbers.
+driver merges the parked reducers in block order, exactly as the serial
+path merges its blocks, and saves its checkpoint once for the whole run
+(the parks are the per-block resume state).  Which worker ran a block,
+how many workers there were, and how many died are all invisible to the
+numbers.
 
 Adaptive (``until=``) runs do **not** dispatch to the fabric — their
 stopping decision consumes the block stream sequentially, which is what
@@ -175,14 +177,18 @@ class FabricSession:
         kwargs,
         label=None,
         progress=None,
+        on_collected=None,
     ) -> list:
         """Run *pending* blocks on the fleet; return reducers in block order.
 
         Content-addressed end to end: blocks already parked under this
         work set's token (an earlier attempt that died, another driver of
-        the same run) are collected without recomputation, the rest are
-        leased out, and the scratch namespace is dropped only once every
-        reducer is safely in hand.  Raises
+        the same run) are collected without recomputation, and the rest
+        are leased out.  Once every reducer is in hand,
+        ``on_collected(reducers)`` (the executor's merge and its one
+        checkpoint save) runs, and only after it returns is the work set's
+        scratch namespace dropped — a driver that dies or raises in
+        between leaves the parks for its rerun to collect.  Raises
         :class:`~repro.runtime.executor.TaskError` when a block's task
         keeps failing or the whole fleet dies.
         """
@@ -209,19 +215,19 @@ class FabricSession:
                 todo.append((i0, i1))
 
         if todo:
-            path = spec_path(directory)
-            if not path.exists():  # token-determined: attempts agree on it
-                with atomic_write(path, "wb") as fh:
-                    pickle.dump(
-                        {
-                            "task": task,
-                            "kwargs": kwargs or {},
-                            "seed_spec": spec,
-                            "label": label,
-                        },
-                        fh,
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
+            # Token-determined, so attempts agree on it; rewritten on every
+            # submission because it is not fsynced (a crash may tear it).
+            with atomic_write(spec_path(directory), "wb", durable=False) as fh:
+                pickle.dump(
+                    {
+                        "task": task,
+                        "kwargs": kwargs or {},
+                        "seed_spec": spec,
+                        "label": label,
+                    },
+                    fh,
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
             ws = self.broker.submit(token, directory, todo)
             try:
                 self._wait(ws, reporter, prefix)
@@ -238,8 +244,20 @@ class FabricSession:
                     )
                 results[i0] = state[0]
         reporter.finish()
+        reducers = [results[i0] for i0, _ in pending]
+        if on_collected is not None:
+            on_collected(reducers)
         self.store.clear_fabric(token)
-        return [results[i0] for i0, _ in pending]
+        return reducers
+
+    def stats(self) -> dict[str, int]:
+        """The broker's lease-health counters as a plain dict (see
+        :data:`~.broker.STAT_NAMES`): leases granted, blocks done, task
+        failures, lease expiries, re-queues, disconnects while holding a
+        lease, and requests held / woken by work / released idle.  They
+        count messages and leases, never repetitions, and enter no digest,
+        work token or cache key."""
+        return self.broker.stats()
 
     def _wait(self, ws, reporter, prefix: str) -> None:
         """Block until the work set completes; surface progress + failures."""
@@ -268,8 +286,9 @@ class FabricSession:
     # -- teardown ---------------------------------------------------------
 
     def close(self, timeout: float = 5.0) -> None:
-        """Drain the fleet (workers exit on their next request), stop the
-        broker, and drop a session-owned temporary store."""
+        """Drain the fleet (held workers are told to shut down at once,
+        busy ones after their block), stop the broker, and drop a
+        session-owned temporary store."""
         if self._closed:
             return
         self._closed = True

@@ -3,24 +3,30 @@
 Wire format
 -----------
 One JSON object per line (``\\n``-terminated, UTF-8) over a TCP stream.
-Every worker→broker message carries exactly one reply **except**
-``heartbeat``, which is fire-and-forget — the worker's heartbeat thread
-shares the socket with its request loop, and an unreplied heartbeat is
-what keeps the request/reply pairing trivial (one reply per non-heartbeat
+Every worker→broker message gets at most one reply.  ``heartbeat`` gets
+none — it is fire-and-forget: the worker's heartbeat thread shares the
+socket with its request loop, and an unreplied heartbeat is what keeps
+the request/reply pairing trivial (at most one reply per non-heartbeat
 send, read by the one thread that sent it).
 
 Message types (worker → broker → reply):
 
 =============  =====================================  ======================
 ``hello``      ``{worker}``                           ``welcome {heartbeat}``
-``request``    ``{worker}``                           ``lease {token, dir,
-                                                      i0, i1}`` | ``idle
-                                                      {delay}`` |
-                                                      ``shutdown {}``
-``done``       ``{worker, token, i0}``                ``ok {}``
-``failed``     ``{worker, token, i0, error}``         ``ok {}``
+``request``    ``{worker}``                           *instruction*
+``done``       ``{worker, token, i0}``                *instruction*
+``failed``     ``{worker, token, i0, error}``         *instruction*
 ``heartbeat``  ``{worker}``                           *(no reply)*
 =============  =====================================  ======================
+
+An *instruction* is ``lease {token, dir, i0, i1}``, ``idle {delay}`` or
+``shutdown {}``.  The reply to ``done``/``failed`` is the worker's next
+instruction, so one block costs one round trip.  While the queue is empty
+the broker *holds* the message and replies later: with a lease as soon as
+work is submitted (or re-queued), with ``shutdown`` when the fleet drains,
+and with ``idle {delay: 0}`` after one heartbeat interval, so that a held
+worker never waits past its reply deadline.  A worker answers ``idle`` by
+sleeping ``delay`` seconds and sending ``request``.
 
 Shared medium
 -------------
@@ -35,6 +41,10 @@ never share state.  Inside ``store.fabric_dir(token)``:
 * ``block-<i0>.pkl`` — one :class:`~repro.io.store.CheckpointSlot` per
   completed block, fingerprinted by :func:`park_fingerprint` so a torn or
   foreign file reads as "not done" rather than as a wrong result.
+
+Both are rename-atomic but not fsynced (:mod:`repro.io.atomicio`): each
+is a pure function of ``(work_token, block)``, so one lost to a crash is
+recomputed, never misread.
 """
 
 from __future__ import annotations

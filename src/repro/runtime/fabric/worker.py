@@ -1,12 +1,22 @@
 """Fabric worker process: lease blocks, run them, park the reducers.
 
 Run as ``python -m repro.runtime.fabric.worker --address HOST:PORT``.  The
-worker is deliberately dumb: it holds no scheduling state, just a loop of
+worker is deliberately dumb: it holds no scheduling state.  It sends one
+``request``, then loops over the broker's instructions:
 
-    request → (lease | idle | shutdown)
-    lease   → load spec → rebuild the block's child seeds → run the task
-            → park the reducer atomically → done (or failed, with the
-              traceback)
+    lease    → load spec → rebuild the block's child seeds → run the task
+             → park the reducer → done (or failed, with the traceback)
+    idle     → sleep ``delay`` → request
+    shutdown → exit 0
+
+The reply to ``done``/``failed`` *is* the next instruction, so a block
+costs one round trip; the broker holds a request (or a ``done``) while
+its queue is empty, so an idle worker waits in ``recv`` rather than
+polling, and is woken by the lease itself.
+
+Parks are rename-atomic but not fsynced (``atomic_write(durable=False)``):
+a park is a pure function of ``(work_token, block)``, and one lost to a
+machine crash reads as "not done" and is recomputed.
 
 A heartbeat daemon thread keeps the broker's lease deadline ahead of a
 long-running block; it sends on the shared :class:`~.protocol.Wire` under
@@ -65,8 +75,23 @@ def _park(lease: dict, reducer) -> None:
     from ...io.store import CheckpointSlot
 
     i0, i1 = int(lease["i0"]), int(lease["i1"])
-    slot = CheckpointSlot(park_path(lease["dir"], i0))
+    slot = CheckpointSlot(park_path(lease["dir"], i0), durable=False)
     slot.save(reducer, 1, park_fingerprint(lease["token"], i0, i1))
+
+
+def _run_and_report(lease: dict, spec_cache: dict, worker_id: str) -> dict:
+    """Run and park one leased block; the ``done`` or ``failed`` report."""
+    report = {"worker": worker_id, "token": lease["token"], "i0": lease["i0"]}
+    try:
+        spec = spec_cache.get(lease["token"])
+        if spec is None:
+            spec = spec_cache[lease["token"]] = _load_spec(lease["dir"])
+        _park(lease, _run_lease(lease, spec))
+    except Exception as exc:  # noqa: BLE001 — reported to the broker
+        return {**report, "type": "failed",
+                "error": f"{exc!r}\n--- worker traceback ---\n"
+                         f"{traceback.format_exc()}"}
+    return {**report, "type": "done"}
 
 
 def _heartbeat_loop(wire: Wire, worker_id: str, interval: float, stop) -> None:
@@ -156,40 +181,17 @@ def run_worker(
             daemon=True,
         ).start()
         spec_cache: dict[str, dict] = {}
+        wire.send({"type": "request", "worker": worker_id})
         while True:
-            wire.send({"type": "request", "worker": worker_id})
             message = recv()
             kind = message.get("type")
             if kind == "shutdown":
                 return 0
-            if kind == "idle":
-                time.sleep(float(message.get("delay", 0.05)))
+            if kind != "lease":  # idle, or a future type: ask again
+                time.sleep(float(message.get("delay", 0)))
+                wire.send({"type": "request", "worker": worker_id})
                 continue
-            if kind != "lease":
-                continue  # future message types: ignore, keep serving
-            token = message["token"]
-            try:
-                spec = spec_cache.get(token)
-                if spec is None:
-                    spec = spec_cache[token] = _load_spec(message["dir"])
-                _park(message, _run_lease(message, spec))
-            except Exception as exc:  # noqa: BLE001 — reported to the broker
-                wire.send({
-                    "type": "failed",
-                    "worker": worker_id,
-                    "token": token,
-                    "i0": message["i0"],
-                    "error": f"{exc!r}\n--- worker traceback ---\n"
-                             f"{traceback.format_exc()}",
-                })
-            else:
-                wire.send({
-                    "type": "done",
-                    "worker": worker_id,
-                    "token": token,
-                    "i0": message["i0"],
-                })
-            recv()  # the ok for done/failed
+            wire.send(_run_and_report(message, spec_cache, worker_id))
     except (ConnectionError, OSError) as exc:
         print(f"fabric worker {worker_id}: broker lost ({exc}); exiting",
               file=sys.stderr)
@@ -221,7 +223,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--recv-deadline", type=float, default=30.0,
         help="give up after this many reply-less seconds even if the "
-             "broker pid still exists",
+             "broker pid still exists (keep it above the broker's hold on "
+             "an idle request: the heartbeat interval, at most 10 s)",
     )
     args = parser.parse_args(argv)
     host, _, port = args.address.rpartition(":")

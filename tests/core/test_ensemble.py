@@ -46,8 +46,9 @@ from repro.core.equivalence import (
 )
 from repro.core.fast import run_batch
 from repro.core.policy import ROWS_CROSSOVER, forced_policy, use_rows
-from repro.core.protocol import TIE_BREAKS
-from repro.sampling.rngutils import spawn_seed_sequences
+from repro.core.protocol import TIE_BREAKS, reference_run
+from repro.sampling.distributions import probability_model
+from repro.sampling.rngutils import make_rng, spawn_seed_sequences
 
 
 class TestRandomisedEquivalence:
@@ -387,6 +388,41 @@ class TestRowsTier:
         assert calls == {"run_batch_wavefront": 1, "run_batch": 5 * 3,
                          "run_batch_ensemble": 0}
         _assert_same_run(res, reference, "R=5 fallback")
+
+
+class TestExactnessOutranksTier:
+    """A plain-driver run the int64/float64 tiers cannot compute exactly
+    (``native.fits`` false) runs the rows tier in Python ints, whatever
+    ``R`` or the forced tier: every row equals ``protocol.reference_run``
+    on the same draws."""
+
+    @pytest.mark.parametrize("caps, heights", [
+        # (m + 1) * max capacity >= 2^62: the d = 2 lockstep product
+        # overflows int64.
+        ([2**61, 2**61 - 1, 5], False),
+        # capacities past 2^53: float64 heights round differently.
+        ([2**53 + 1, 2**53 + 3, 3], True),
+    ])
+    @pytest.mark.parametrize("axis, value", [
+        ("rows", "on"), ("rows", "off"), ("wavefront", "on"), ("wavefront", "off"),
+    ])
+    def test_rows_equal_the_reference(self, caps, heights, axis, value):
+        m, d, R, seed = 40, 2, 2, 5
+        bins = BinArray(caps)
+        with forced_axis(axis, value):
+            res = simulate_ensemble(bins, R, m, d, seed=seed,
+                                    track_heights=heights, keep_choices=True)
+        sampler = probability_model("proportional").sampler(bins.capacities)
+        for r, child in enumerate(spawn_seed_sequences(seed, R)):
+            gen = make_rng(child)  # one chunk: candidates, then ties
+            choices, tie_u = sampler.sample((m, d), gen), gen.random(m)
+            np.testing.assert_array_equal(res.choices[r], choices)
+            ref_heights = [] if heights else None
+            counts = reference_run(caps, choices, tie_uniforms=tie_u,
+                                   heights=ref_heights)
+            np.testing.assert_array_equal(res.counts[r], counts, err_msg=f"row {r}")
+            if heights:
+                assert res.heights[r].tolist() == ref_heights, f"row {r}"
 
 
 class TestWavefrontExperimentIdentity:

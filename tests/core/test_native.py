@@ -342,6 +342,15 @@ class TestDispatch:
         assert dispatch(KernelPolicy(**fields), 100.0, 5, 2, 500,
                         native_fits=True)[0] != "native"
 
+    @pytest.mark.parametrize("fields", [
+        {}, {"backend": "numpy"}, {"backend": "compiled"},
+        {"wavefront": "on"}, {"wavefront": "off"},
+    ])
+    @pytest.mark.parametrize("R", [1, 5, 100])
+    def test_inexact_run_takes_rows_whatever_is_forced(self, fields, R):
+        assert dispatch(KernelPolicy(**fields), 1e6, R, 2, R * 500,
+                        exact=False) == ("rows", 1)
+
     @needs_native
     @pytest.mark.parametrize("driver", ["plain", "ring"])
     def test_drivers_call_the_native_kernel(self, driver, monkeypatch):

@@ -5,7 +5,8 @@ Regression suite for two historical bugs: the temp name was unique per
 one truncated the other, and the loser's ``os.replace`` raised
 ``FileNotFoundError``), and nothing was fsynced before the rename (a crash
 straddling the replace could publish an empty file on journalled
-filesystems).
+filesystems).  Recomputable fabric scratch opts out of the fsync
+(``durable=False``) but keeps the atomic rename.
 """
 
 import json
@@ -111,6 +112,30 @@ class TestDurability:
                 fh.write("data")
         assert events == ["fsync", "replace"]
         assert target.read_text() == "data"
+
+    def test_non_durable_write_skips_only_the_fsync(self, tmp_path):
+        """``durable=False`` (recomputable fabric scratch) keeps the
+        rename-atomic publish and drops the fsync."""
+        target = tmp_path / "out.txt"
+        target.write_text("old")
+        events = []
+        real_replace = os.replace
+        with mock.patch(
+            "os.fsync", side_effect=lambda fd: events.append("fsync")
+        ), mock.patch(
+            "os.replace",
+            side_effect=lambda a, b: (events.append("replace"), real_replace(a, b)),
+        ):
+            with atomic_write(target, durable=False) as fh:
+                fh.write("data")
+            assert target.read_text() == "data"
+            with pytest.raises(RuntimeError):
+                with atomic_write(target, durable=False) as fh:
+                    fh.write("torn")
+                    raise RuntimeError("writer died")
+        assert events == ["replace"]
+        assert target.read_text() == "data"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestVanishingParent:

@@ -1,6 +1,8 @@
 """Tests for the content-addressed result store and its checkpoints."""
 
+import gc
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -301,7 +303,14 @@ class TestQuarantine:
         path = self.put_one(store)
         whole = path.read_bytes()
         path.write_bytes(whole[: len(whole) // 2])
-        self.assert_quarantined_miss(store, path)
+        # The failed load must close the file it opened: an unclosed
+        # handle shows as a ResourceWarning once it is collected.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            self.assert_quarantined_miss(store, path)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_zero_byte_entry_is_a_quarantined_miss(self, store):
         path = self.put_one(store)

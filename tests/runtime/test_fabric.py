@@ -41,7 +41,7 @@ from repro.runtime.fabric.protocol import (
     split_lines,
     work_token,
 )
-from repro.runtime.fabric.worker import _pid_alive, _recv_patiently
+from repro.runtime.fabric.worker import _pid_alive, _recv_patiently, run_worker
 
 REPS, BLOCK = 24, 3  # 8 blocks
 
@@ -105,6 +105,22 @@ def _proc_environ(pid):
     )
 
 
+def wait_until(predicate, deadline=10.0):
+    """Spin until *predicate()* holds; report whether it did in time."""
+    end = time.monotonic() + deadline
+    while time.monotonic() < end:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return False
+
+
+def wait_for_workers(session, count):
+    """Spin until *count* workers said hello: each has exec'd the worker
+    module (before that, /proc shows the forked driver's environment)."""
+    assert wait_until(lambda: session.broker.worker_count() >= count)
+
+
 @pytest.mark.skipif(not Path("/proc").exists(), reason="needs Linux procfs")
 class TestWorkerThreadBudget:
     """Oversubscription guard, fabric side: spawned workers are pinned to
@@ -113,12 +129,14 @@ class TestWorkerThreadBudget:
 
     def test_spawned_workers_pinned_to_one_thread(self):
         with FabricSession(1) as session:
+            wait_for_workers(session, 1)
             pid = session.worker_pids[0]
             assert _proc_environ(pid)[ENV_VARS["threads"].encode()] == b"1"
 
     def test_spawned_workers_inherit_forced_budget(self):
         with forced_policy(threads=3):
             with FabricSession(1) as session:
+                wait_for_workers(session, 1)
                 pid = session.worker_pids[0]
                 assert _proc_environ(pid)[ENV_VARS["threads"].encode()] == b"3"
 
@@ -506,8 +524,8 @@ class TestCheckpointInterplay:
                     checkpoint=store.checkpointer("f" * 64),
                 )
         assert_same_reducer(first, reference)
-        # the fabric run checkpointed every absorbed block, so a local
-        # rerun of the same call is a pure checkpoint replay
+        # the fabric run saved one checkpoint with every block done, so a
+        # local rerun of the same call is a pure checkpoint replay
         resumed = run_ensemble_reduced(
             scalar_block, REPS, seed=42, block_size=BLOCK,
             checkpoint=store.checkpointer("f" * 64),
@@ -536,3 +554,214 @@ class TestExperimentIdentity:
             a, b = plain.series[name], fabbed.series[name]
             both_nan = np.isnan(a) & np.isnan(b)
             assert np.array_equal(a[~both_nan], b[~both_nan]), name
+
+
+def _hello(broker):
+    """A raw protocol client that has completed the handshake."""
+    wire = Wire(socket.create_connection(broker.address, timeout=5.0))
+    wire.send({"type": "hello", "worker": "raw"})
+    assert wire.recv(timeout=5.0)["type"] == "welcome"
+    return wire
+
+
+class TestHeldRequests:
+    """A request that finds the queue empty is held, not answered idle:
+    new work wakes it at once, draining shuts it down at once, and a long
+    hold is released idle before the worker's reply deadline."""
+
+    def test_submit_wakes_a_held_request_well_under_the_tick(self, tmp_path):
+        broker = Broker(tick=2.0).start()
+        wire = _hello(broker)
+        try:
+            wire.send({"type": "request", "worker": "raw"})
+            with pytest.raises(TimeoutError):  # held: no idle poll reply
+                wire.recv(timeout=0.3)
+            start = time.monotonic()
+            broker.submit("tok", tmp_path, [(0, 3)])
+            lease = wire.recv(timeout=5.0)
+            elapsed = time.monotonic() - start
+            assert lease["type"] == "lease" and (lease["i0"], lease["i1"]) == (0, 3)
+            assert elapsed < 0.5, f"lease took {elapsed:.3f}s after submit"
+            stats = broker.stats()
+            assert stats["requests_held"] == 1 and stats["held_woken"] == 1
+            assert stats["leases_granted"] == 1
+        finally:
+            wire.close()
+            broker.stop()
+
+    def test_done_is_answered_with_the_next_lease(self, tmp_path):
+        broker = Broker().start()
+        wire = _hello(broker)
+        try:
+            broker.submit("tok", tmp_path, [(0, 3), (3, 6)])
+            wire.send({"type": "request", "worker": "raw"})
+            first = wire.recv(timeout=5.0)
+            wire.send({"type": "done", "worker": "raw", "token": "tok",
+                       "i0": first["i0"]})
+            second = wire.recv(timeout=5.0)
+            assert second["type"] == "lease"
+            assert {first["i0"], second["i0"]} == {0, 3}
+        finally:
+            wire.close()
+            broker.stop()
+
+    def test_long_hold_is_released_before_the_recv_deadline(self):
+        # lease_ttl 0.6 -> heartbeat interval and longest hold 0.2 s.
+        broker = Broker(lease_ttl=0.6).start()
+        wire = _hello(broker)
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(run_worker(
+            broker.address, worker_id="held", recv_tick=0.05,
+            recv_deadline=0.5)))
+        try:
+            wire.send({"type": "request", "worker": "raw"})
+            start = time.monotonic()
+            assert wire.recv(timeout=5.0) == {"type": "idle", "delay": 0}
+            assert 0.15 <= time.monotonic() - start < 0.5
+            worker.start()
+            time.sleep(1.5)  # several hold periods, each under the deadline
+            assert worker.is_alive() and broker.worker_count() == 2
+            assert broker.stats()["held_released"] >= 4
+            broker.drain()
+            worker.join(timeout=5.0)
+            assert codes == [0]
+        finally:
+            wire.close()
+            broker.drain()
+            worker.join(timeout=5.0)
+            broker.stop()
+
+    def test_close_with_held_workers_is_prompt(self):
+        session = FabricSession(workers=2)
+        try:
+            assert wait_until(lambda: session.stats()["requests_held"] >= 2)
+            procs = list(session._procs)
+            start = time.monotonic()
+        finally:
+            session.close()
+        assert time.monotonic() - start < 1.0
+        assert [p.returncode for p in procs] == [0, 0]
+
+
+class TestLeaseCounters:
+    def test_one_lease_per_block_and_a_wake_up(self, tmp_path):
+        from repro.experiments.request import RunRequest
+        from repro.experiments.runner import execute_request
+
+        request = RunRequest(
+            experiment_id="fig02", seed=2026, engine="ensemble", block_size=4,
+            overrides=(("repetitions", 16),),
+        )
+        with FabricSession(workers=2, store=ResultStore(tmp_path)) as session:
+            submitted = []
+            real_submit = session.broker.submit
+
+            def counting_submit(token, directory, blocks):
+                submitted.append(len(blocks))
+                return real_submit(token, directory, blocks)
+
+            session.broker.submit = counting_submit
+            assert wait_until(lambda: session.stats()["requests_held"] >= 2)
+            execute_request(request, fabric=session)
+            stats = session.stats()
+        blocks = sum(submitted)
+        assert blocks > len(submitted) > 1  # several runs, several blocks
+        assert stats["leases_granted"] == stats["blocks_done"] == blocks
+        assert stats["lease_expiries"] == stats["requeues"] == 0
+        assert stats["task_failures"] == stats["lease_disconnects"] == 0
+        assert stats["held_woken"] >= 1
+
+
+class TestScratchDurability:
+    """Fabric scratch (parks, spec.pkl) is rename-atomic but not fsynced;
+    result entries and the driver checkpoint still are."""
+
+    def test_park_skips_fsync_but_store_and_checkpoint_do_not(
+            self, tmp_path, monkeypatch):
+        from repro.runtime.fabric.worker import _park
+
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
+        reducer = scalar_block([np.random.SeedSequence(1)])
+        lease = {"token": "tok", "dir": str(tmp_path / "fab"), "i0": 0, "i1": 3}
+        _park(lease, reducer)
+        assert synced == []
+        state = CheckpointSlot(park_path(lease["dir"], 0)).load(
+            park_fingerprint("tok", 0, 3))
+        assert state is not None and state[0] == reducer
+
+        CheckpointSlot(tmp_path / "slot.pkl").save(reducer, 1, "fp")
+        assert len(synced) == 1
+        from repro.experiments import run_experiment
+
+        result = run_experiment("fig02", engine="ensemble", seed=1, repetitions=2)
+        ResultStore(tmp_path / "store").put("k" * 64, result)
+        assert len(synced) == 2
+
+    def test_a_fabric_run_makes_no_driver_fsync(self, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+        with FabricSession(workers=1) as session:
+            monkeypatch.setattr(
+                os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
+            with session.activate():
+                fabbed = run_ensemble_reduced(
+                    scalar_block, REPS, seed=42, block_size=BLOCK)
+            monkeypatch.undo()
+        assert synced == []  # spec.pkl skipped it; no checkpointer
+        assert_same_reducer(fabbed, reference_reducer())
+
+
+class TestOneDriverCheckpoint:
+    def _count_saves(self, monkeypatch):
+        saves = []
+        real_save = CheckpointSlot.save
+
+        def counting_save(self, *args, **kwargs):
+            saves.append(self.path)
+            return real_save(self, *args, **kwargs)
+
+        monkeypatch.setattr(CheckpointSlot, "save", counting_save)
+        return saves
+
+    def test_fabric_saves_once_local_saves_per_block(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        saves = self._count_saves(monkeypatch)
+        with FabricSession(workers=2, store=store) as session:
+            with session.activate():
+                fabbed = run_ensemble_reduced(
+                    scalar_block, REPS, seed=42, block_size=BLOCK,
+                    checkpoint=store.checkpointer("a" * 64))
+        assert len(saves) == 1  # workers' parks are other processes
+        local = run_ensemble_reduced(
+            scalar_block, REPS, seed=42, block_size=BLOCK,
+            checkpoint=store.checkpointer("b" * 64))
+        assert len(saves) == 1 + REPS // BLOCK
+        assert_same_reducer(fabbed, local)
+
+    def test_crash_before_the_save_keeps_the_parks(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        reference = reference_reducer()
+
+        def failing_save(self, *args, **kwargs):
+            raise OSError("disk full")
+
+        with FabricSession(workers=2, store=store) as session:
+            monkeypatch.setattr(CheckpointSlot, "save", failing_save)
+            with session.activate():
+                with pytest.raises(OSError, match="disk full"):
+                    run_ensemble_reduced(
+                        scalar_block, REPS, seed=42, block_size=BLOCK,
+                        checkpoint=store.checkpointer("c" * 64))
+            monkeypatch.undo()
+            parked = list((store.root / "fabric").rglob("block-*.pkl"))
+            assert len(parked) == REPS // BLOCK
+            before = session.stats()["leases_granted"]
+            with session.activate():
+                resumed = run_ensemble_reduced(
+                    scalar_block, REPS, seed=42, block_size=BLOCK,
+                    checkpoint=store.checkpointer("c" * 64))
+            assert session.stats()["leases_granted"] == before
+        assert_same_reducer(resumed, reference)
+        assert not list((store.root / "fabric").rglob("block-*.pkl"))
