@@ -158,6 +158,19 @@ def _best(f, rounds):
     return elapsed
 
 
+def _best_interleaved(first, second, rounds):
+    """Best-of-*rounds* seconds of *first* and *second*, timed in
+    alternating rounds, so a drift in machine speed (vCPU steal, clock
+    changes) hits both sides of a ratio alike."""
+    best = [float("inf"), float("inf")]
+    for _ in range(rounds):
+        for i, f in enumerate((first, second)):
+            start = time.perf_counter()
+            f()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best
+
+
 def _assert_wavefront_floor(R, floor, rounds=5):
     caps, choices, tie_u = _wavefront_inputs(R)
     n = WAVEFRONT_N
@@ -169,13 +182,10 @@ def _assert_wavefront_floor(R, floor, rounds=5):
     run_batch_ensemble(
         np.zeros((R, n), dtype=np.int64), caps, choices, tie_u
     )
-    per_ball = _best(
+    per_ball, wavefront = _best_interleaved(
         lambda: run_batch_ensemble(
             np.zeros((R, n), dtype=np.int64), caps, choices, tie_u
         ),
-        rounds,
-    )
-    wavefront = _best(
         lambda: run_batch_wavefront(
             np.zeros((R, n), dtype=np.int64), caps, choices, tie_u, workspace=ws
         ),
@@ -224,10 +234,8 @@ def test_wavefront_scalar_floor():
         np.zeros((1, n), dtype=np.int64), caps, choices, tie_u, workspace=ws
     )
     run_batch([0] * n, caps_list, choices[0], tie_u[0])
-    fast = _best(
-        lambda: run_batch([0] * n, caps_list, choices[0], tie_u[0]), 5
-    )
-    wavefront = _best(
+    fast, wavefront = _best_interleaved(
+        lambda: run_batch([0] * n, caps_list, choices[0], tie_u[0]),
         lambda: run_batch_wavefront(
             np.zeros((1, n), dtype=np.int64), caps, choices, tie_u, workspace=ws
         ),

@@ -2,7 +2,8 @@
 
 Replays one fixed open-loop trace (heavy-tailed popularity, diurnal rate,
 pinned seed) through the live service at each choice count ``d`` and
-records the balls-into-bins outcome — max load, max/mean — plus the
+records the balls-into-bins outcome — max load, the paper's max/mean of
+placements / capacity and the raw-count max/mean — plus the
 placement-latency percentiles into a schema-validated document at the
 repository root, next to ``BENCH_ensemble.json``.  The committed numbers
 are the *ratios* against the ``d = 1`` consistent-hashing baseline: the
@@ -21,10 +22,11 @@ Determinism is asserted in the same run: replaying the identical trace
 and seed twice must produce the same placement digest (the service's
 determinism contract, checked at bench scale rather than toy scale).
 
-A second test is the window-batching floor: ``replay()`` (one vectorised
-decision per staleness window) must be at least
+A second test is the window-batching floor: ``replay()`` (vectorised
+hashing and one window-kernel call per hash chunk) must be at least
 :data:`BATCHED_REPLAY_FLOOR` times faster than a per-key ``allocate``
-loop over the same trace and churn, with an equal digest.  It asserts
+loop over the same trace and churn (:data:`PYTHON_REPLAY_FLOOR` where the
+native library does not load), with an equal digest.  It asserts
 and prints; ``BENCH_service.json`` keeps its schema.
 
 Unlike the figure benches this module writes its document directly — the
@@ -40,6 +42,7 @@ from pathlib import Path
 
 from conftest import BENCH_SEED
 
+from repro import native
 from repro.io.benchjson import write_service_bench_json
 from repro.service import (
     AllocationService,
@@ -61,8 +64,13 @@ CHURN_EVENTS = 4
 
 #: ``replay()`` over the per-key ``allocate`` loop on the full-size pinned
 #: trace (quick mode too: a shorter one is dominated by per-call set-up),
-#: best of :data:`FLOOR_REPEATS` timings each.
-BATCHED_REPLAY_FLOOR = 4.0
+#: best of :data:`FLOOR_REPEATS` timings each, with the C window kernel:
+#: 23 quick sessions on a 2-vCPU Xeon read 8.0-14.7x (all but one >= 10x),
+#: so every one clears the floor by 1.3x.
+BATCHED_REPLAY_FLOOR = 6.0
+#: The same where the native library does not load (the Python window
+#: loop, which read 5.7-6.6x there).
+PYTHON_REPLAY_FLOOR = 4.0
 FLOOR_REPEATS = 5
 
 SPEC = TraceSpec(
@@ -114,6 +122,7 @@ def test_service_replay_records_bench(tmp_path):
             "max_load": int(report.max_load),
             "mean_load": float(report.mean_load),
             "max_over_mean": float(report.max_over_mean),
+            "max_over_mean_raw": float(report.max_over_mean_raw),
             "p50_ms": float(stats["latency"]["p50_ms"]),
             "p99_ms": float(stats["latency"]["p99_ms"]),
             "seconds": float(seconds),
@@ -177,6 +186,7 @@ def test_service_replay_records_bench(tmp_path):
         print(
             f"  d={row['d']}: max={row['max_load']} "
             f"max/mean={row['max_over_mean']:.3f} "
+            f"(raw {row['max_over_mean_raw']:.3f}) "
             f"p50={row['p50_ms']:.3f}ms p99={row['p99_ms']:.3f}ms "
             f"({row['seconds']:.2f}s)"
         )
@@ -216,7 +226,8 @@ def test_batched_replay_floor():
     best_batched = min(seconds for _, _, seconds in batched)
     best_per_key = min(seconds for _, seconds in per_key)
     ratio = best_per_key / best_batched
+    floor = BATCHED_REPLAY_FLOOR if native.available() else PYTHON_REPLAY_FLOOR
     print(f"\nreplay() {trace.count / best_batched:,.0f}/s vs per-key allocate "
           f"{trace.count / best_per_key:,.0f}/s: {ratio:.1f}x "
-          f"(floor {BATCHED_REPLAY_FLOOR}x)")
-    assert ratio >= BATCHED_REPLAY_FLOOR
+          f"(floor {floor}x, native {native.status()})")
+    assert ratio >= floor

@@ -12,6 +12,12 @@ Runs, from :mod:`repro.core.equivalence`:
   ``protocol.reference_run`` (d in 1..8, every tie-break, heights,
   capacities just below the int64 guard), and the plain driver with the
   native tier on against off in both seed modes;
+* the randomised window sweep: the service's chunk-wide window decide
+  (``native.decide_windows`` where the library loads, and its Python
+  twin ``rounds.stale_windows``) against a window-by-window
+  ``stale_choice`` loop (d in 1..8, duplicate candidates, ties across
+  capacities, partial first windows, chunks ending mid-window, near the
+  int64 guard);
 * the spawn-mode row parity sweep, once per lockstep driver (plain,
   stale-view batched, weighted balls, ring allocation): row ``r`` of an
   R-row run, forced onto the lockstep kernels and onto the rows tier,
@@ -73,6 +79,7 @@ from repro.core.equivalence import (
     check_lockstep_kernel_equivalence,
     check_native_equivalence,
     check_row_parity,
+    check_window_equivalence,
 )
 from repro.core.policy import CHOICES, HAVE_NUMBA, set_policy
 
@@ -81,6 +88,7 @@ _KERNEL_SALTS = {"wavefront": 0xAFE1, "compiled": 0xC0DE}
 _DRIVER_SALTS = {"wavefront": 0x0FF0, "rows": 0x2055, "backend": 0xBACC,
                  "threads": 0x7EAD, "native": 0x7A7E}
 _NATIVE_SALT = 0xC7A1
+_WINDOW_SALT = 0x3D0E
 _ROW_SALTS = {"plain": 0xD41E, "batched": 0xBA7C, "weighted": 0x3E16, "ring": 0x21F6}
 
 
@@ -147,6 +155,14 @@ def main(argv=None) -> int:
               + (f"{draws} draws OK (native == reference, counts + heights; "
                  f"driver native on == off)" if draws
                  else f"skipped ({native.status()})"))
+        # A draw is one chunk of a few windows (~0.2 ms): ten per kernel draw.
+        draws = check_window_equivalence(
+            args.seed ^ _WINDOW_SALT,
+            SweepBudget(draws=10 * args.draws, max_n=budget.max_n),
+        )
+        print(f"{'window kernel:':20s}{draws} draws OK ("
+              + ("native == " if native.available() else "")
+              + "stale_windows == window-by-window stale_choice)")
         for axis in axes:
             values = DISPATCH_AXES[axis]
             trials = check_driver_dispatch_identity(

@@ -28,10 +28,11 @@
 #      resumes, and the result must be bit-identical to the serial run;
 #   6. the allocation-service replay bench (quick mode): one fixed
 #      open-loop trace at d=1 and d=2, d=2 must beat the d=1 baseline,
-#      emitting BENCH_service.json (schema repro.bench_service/1),
+#      emitting BENCH_service.json (schema repro.bench_service/2),
 #      validated right after; plus the window-batching floor: replay()
-#      at least 4x faster than a per-key allocate loop on the pinned
-#      trace, with an equal digest;
+#      at least 6x faster than a per-key allocate loop on the pinned
+#      trace (4x where the native library does not load), with an equal
+#      digest;
 #   7. the allocation-service smoke: a tiny trace with one mid-stream
 #      churn event driven over the live TCP endpoint — the wire run's
 #      placement digest must equal the in-process reference bit for bit,
@@ -56,7 +57,9 @@
 #      three-way bit-exactness, the wavefront and compiled lockstep kernel
 #      sweeps, the native sweep (C row loops == protocol.reference_run,
 #      d 1..8, near the int64 guard; skipped where the library does not
-#      load), the row parity sweep of each
+#      load), the window sweep (the service's chunk-wide window decide,
+#      C kernel and Python twin, == a window-by-window stale_choice
+#      loop), the row parity sweep of each
 #      lockstep driver (plain, stale-view, weighted, ring: row r of an
 #      R-row run == the R = 1 row kernel on child seed r), and the
 #      dispatch-identity matrix — randomised driver runs and every

@@ -425,6 +425,7 @@ def _cmd_replay(args) -> int:
             "max_load": report.max_load,
             "mean_load": report.mean_load,
             "max_over_mean": report.max_over_mean,
+            "max_over_mean_raw": report.max_over_mean_raw,
             "joins": report.joins,
             "leaves": report.leaves,
             "skips": report.skips,
@@ -440,7 +441,8 @@ def _cmd_replay(args) -> int:
     print(f"placement digest = {report.placement_digest}")
     print(f"max load         = {report.max_load}")
     print(f"mean load        = {report.mean_load:.4f}")
-    print(f"max/mean         = {report.max_over_mean:.4f}")
+    print(f"max/mean         = {report.max_over_mean:.4f} (placements / capacity)")
+    print(f"max/mean raw     = {report.max_over_mean_raw:.4f} (placements)")
     print(f"churn            = {report.joins} join(s), {report.leaves} "
           f"leave(s), {report.skips} skip(s)")
     print(f"view refreshes   = {report.view_refreshes}")

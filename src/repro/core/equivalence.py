@@ -20,7 +20,9 @@ This module has three layers:
   drivers (:func:`check_kernel_equivalence`,
   :func:`check_lockstep_kernel_equivalence`, and :func:`check_row_parity`
   over :data:`ROW_DRIVERS`), plus the native sweep against the reference
-  (:func:`check_native_equivalence`);
+  (:func:`check_native_equivalence`) and the service's window kernel
+  against a window-by-window ``stale_choice`` loop
+  (:func:`check_window_equivalence`);
 * the *dispatch-identity matrix*: each dispatch axis
   (:data:`DISPATCH_AXES` — wavefront on/off, rows on/off, backend
   compiled/numpy, compiled threads 1/2/7, native on/off) forced through
@@ -58,7 +60,7 @@ from .ensemble import run_batch_ensemble, simulate_ensemble
 from .fast import run_batch
 from .policy import forced_policy
 from .protocol import TIE_BREAKS, reference_run
-from .rounds import simulate_batched_ensemble
+from .rounds import simulate_batched_ensemble, stale_choice, stale_windows
 from .simulation import simulate
 from .wavefront import run_batch_wavefront
 from .weighted import simulate_weighted_ensemble
@@ -305,6 +307,76 @@ DISPATCH_AXES = {
     "threads": (1, 2, 7),
     "native": ("on", "off"),
 }
+
+
+def _window_loop(rows, tie_u, frozen, live, caps, first, every):
+    """Consecutive staleness windows decided one window at a time, each
+    against a copy of the loads at its start: ``(winners, frozen, live)``
+    after the last row (frozen = live at the last window boundary)."""
+    frozen, live, out = list(frozen), list(live), []
+    start, size = 0, first
+    while start < len(rows):
+        end = min(len(rows), start + size)
+        for row, u in zip(rows[start:end], tie_u[start:end]):
+            chosen = stale_choice(row, frozen, caps, u)
+            out.append(chosen)
+            live[chosen] += 1
+        if end - start == size:
+            frozen = list(live)
+        start, size = end, every
+    return out, frozen, live
+
+
+def check_window_equivalence(master_seed: int,
+                             budget: SweepBudget = SweepBudget()) -> int:
+    """Randomised bit-exactness sweep of the service's window decide.
+
+    Each draw is one hash chunk: ``W`` rows of ``d`` (1..8) candidates
+    over ``n`` peers (duplicates included), frozen loads at or below the
+    live ones, a first window of ``1..every`` keys and a chunk that may
+    end mid-window; capacities from the paper's profiles (equal ones
+    included), every third draw just below the int64 guard.
+    :func:`~repro.core.rounds.stale_windows` and, where the library
+    loads, :func:`repro.native.decide_windows` must equal
+    :func:`_window_loop` in winners and in the final frozen and live
+    loads.  Returns the number of draws.
+    """
+    rng = np.random.default_rng(master_seed)
+    on = native.available()
+    for trial in range(budget.draws):
+        n = int(rng.integers(1, budget.max_n + 1))
+        d = int(rng.integers(1, 9))
+        every = int(rng.integers(1, 21))
+        first = int(rng.integers(1, every + 1))
+        W = int(rng.integers(0, 3 * every + 8))
+        if trial % 3 == 2:
+            frozen = rng.integers(0, 50, size=n).astype(np.int64)
+            caps = _near_guard_capacities(rng, n, int(frozen.max()) + 50 + W)
+        else:
+            caps = _random_capacities(rng, n)
+            # Every other draw starts at equal (load + 1) / capacity on
+            # every peer: ties across capacities, the max-capacity filter.
+            frozen = (caps * rng.integers(1, 4) - 1 if trial % 3 == 1
+                      else rng.integers(0, 50, size=n).astype(np.int64))
+        live = frozen + rng.integers(0, 50, size=n)
+        owners = rng.integers(0, n, size=(W, d))
+        tie_u = rng.random(W)
+        label = f"window trial={trial} n={n} d={d} W={W} first={first} every={every}"
+        rows, us, cap_list = owners.tolist(), tie_u.tolist(), caps.tolist()
+        expected = _window_loop(rows, us, frozen.tolist(), live.tolist(),
+                                cap_list, first, every)
+        twin_live = live.tolist()
+        twin = stale_windows(rows, us, frozen.tolist(), twin_live, cap_list,
+                             first, every)
+        assert (twin, twin_live) == (expected[0], expected[2]), f"{label}: twin"
+        if on:
+            assert native.fits(int(live.max()) + W, int(caps.max()))
+            got_frozen, got_live = frozen.copy(), live.copy()
+            got = native.decide_windows(owners, tie_u, got_frozen, got_live,
+                                        caps, first, every)
+            assert (got.tolist(), got_frozen.tolist(), got_live.tolist()) \
+                == expected, f"{label}: native"
+    return budget.draws
 
 
 @contextmanager

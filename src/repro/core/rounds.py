@@ -24,7 +24,8 @@ from ..sampling.distributions import probability_model
 from .ensemble import EnsembleResult, lockstep_streams
 from .simulation import SimulationResult
 
-__all__ = ["simulate_batched", "simulate_batched_ensemble", "stale_choice"]
+__all__ = ["simulate_batched", "simulate_batched_ensemble", "stale_choice",
+           "stale_windows"]
 
 
 def simulate_batched(
@@ -88,6 +89,31 @@ def stale_choice(row, loads, caps, tie_u: float):
         cmax = max(caps[b] for b in best)
         best = [b for b in best if caps[b] == cmax]
     return best[0] if len(best) == 1 else best[int(tie_u * len(best))]
+
+
+def stale_windows(rows, tie_u, frozen, live, caps, first: int, every: int):
+    """Consecutive staleness windows, one ball per row; returns the winners.
+
+    Ball ``j`` (candidates ``rows[j]``, draw ``tie_u[j]``) is decided by
+    :func:`stale_choice` against *frozen* and counted in *live*.  The
+    first window holds *first* balls and every later one *every*; at each
+    window boundary the frozen loads become a copy of the live ones, as
+    the service's :class:`~repro.service.views.StaleLoadView` refreshes.
+    *live* is updated in place; *frozen* is read, never written.  The
+    service placer's Python path, and the reference of the C kernel
+    ``repro.native.decide_windows``.
+    """
+    out = []
+    left = first
+    for row, u in zip(rows, tie_u):
+        chosen = stale_choice(row, frozen, caps, u)
+        out.append(chosen)
+        live[chosen] += 1
+        left -= 1
+        if not left:
+            frozen = live.copy()
+            left = every
+    return out
 
 
 def _resolve_stale_batch(counts, caps, choices, tie_u):

@@ -141,14 +141,18 @@ def write_bench_json(path, *, quick: bool, rows, speedups) -> dict:
 
 # -- allocation-service benchmark records (BENCH_service.json) ------------------
 
-#: Schema identifier for the service replay benchmark document.
-SERVICE_BENCH_SCHEMA = "repro.bench_service/1"
+#: Schema identifier for the service replay benchmark document.  ``/2``:
+#: ``max_over_mean`` divides placements by capacity (the paper's
+#: imbalance) and ``max_over_mean_raw`` holds the raw-count ratio, which
+#: was ``max_over_mean`` in ``/1``.
+SERVICE_BENCH_SCHEMA = "repro.bench_service/2"
 
 _SERVICE_TRACE_KEYS = {"requests": int, "objects": int, "users": int,
                        "rate": float, "seed": int, "digest": str}
 _SERVICE_ROW_KEYS = {"d": int, "refresh_every": int, "peers": int,
                      "max_load": int, "mean_load": float,
-                     "max_over_mean": float, "p50_ms": float, "p99_ms": float,
+                     "max_over_mean": float, "max_over_mean_raw": float,
+                     "p50_ms": float, "p99_ms": float,
                      "seconds": float, "placement_digest": str}
 _SERVICE_COMPARISON_KEYS = {"d": int, "max_load_ratio_vs_d1": float}
 
@@ -184,8 +188,9 @@ def validate_service_bench_payload(payload: Any) -> dict:
         _check_fields(row, _SERVICE_ROW_KEYS, f"rows[{i}]")
         if row["d"] < 1:
             raise ValueError(f"rows[{i}].d: must be >= 1")
-        if row["max_over_mean"] < 1.0 and row["max_load"] > 0:
-            raise ValueError(f"rows[{i}].max_over_mean: must be >= 1")
+        for key in ("max_over_mean", "max_over_mean_raw"):
+            if row[key] < 1.0 and row["max_load"] > 0:
+                raise ValueError(f"rows[{i}].{key}: must be >= 1")
         if row["seconds"] <= 0:
             raise ValueError(f"rows[{i}].seconds: must be positive")
         if not 0.0 <= row["p50_ms"] <= row["p99_ms"]:

@@ -1,17 +1,21 @@
-"""Native tier: the plain driver's per-ball loops in C, built on first use.
+"""Native tier: the per-ball loops in C, built on first use.
 
-``native.c`` (next to this file) holds three kernels, each bit-identical
+``native.c`` (next to this file) holds four kernels, each bit-identical
 to the Python or NumPy path it replaces on the same inputs:
 
 * ``run_rows`` — :func:`repro.core.fast.run_batch` once per row of an
   ``(R, k, d)`` chunk, in int64;
+* ``decide_windows`` — :func:`repro.core.rounds.stale_windows`: every
+  staleness window of one allocation-service hash chunk, each key by
+  :func:`~repro.core.rounds.stale_choice`'s rule (the same C helper as
+  ``run_rows``' general-d loop);
 * ``alias_select`` — the column-or-alias select of
   :meth:`repro.sampling.alias.AliasSampler.sample`, in place;
 * ``vose`` — the two-stack table build of
   :class:`~repro.sampling.alias.AliasSampler`.
 
-Build.  The first call that needs the library (a driver run or an alias
-table build, never ``import repro``) compiles ``native.c`` once with the
+Build.  The first call that needs the library (a driver run, an alias
+table build or a service placer, never ``import repro``) compiles ``native.c`` once with the
 system ``cc`` into a per-user cache directory (``$XDG_CACHE_HOME`` or
 ``~/.cache``, ``repro-native/``, mode 0700, owner checked; a private
 ``mkdtemp`` when that is not usable), under a name keyed by the source's
@@ -25,7 +29,8 @@ gives the same numbers.
 
 Guard.  Loads are int64 in C and unbounded in Python: :func:`fits` refuses
 a run whose ``(m + 1) * max(capacity)`` could pass 2^62, or whose heights
-(``count / capacity`` in double) would not be exact.  The kernels are
+(``count / capacity`` in double) would not be exact.  The service's window
+kernel asks the same of ``m = max(live load) + keys in the chunk``.  The kernels are
 private to the drivers; they check every candidate index and raise
 :class:`IndexError` on a bad one.
 """
@@ -58,8 +63,8 @@ SOURCE = Path(__file__).with_name("native.c")
 #: Python.
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
-#: Must equal ``REPRO_NATIVE_ABI`` in ``native.c``.
-ABI = 1
+#: Must equal ``REPRO_NATIVE_ABI`` in ``native.c``.  2: ``decide_windows``.
+ABI = 2
 
 #: ``(m + 1) * max(capacity)`` must stay below this for int64 loads.
 LOAD_LIMIT = 1 << 62
@@ -131,6 +136,8 @@ def _open(path: str):
         "repro_native_abi": ([], i64),
         "run_rows": ([i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, i64,
                       ctypes.c_int], ctypes.c_int),
+        "decide_windows": ([i64, i64, i64, ptr, ptr, ptr, ptr, ptr, i64, i64,
+                            ptr], ctypes.c_int),
         "alias_select": ([i64, ptr, ptr, ptr, ptr, i64], ctypes.c_int),
         "vose": ([i64, ptr, ptr, ptr, ptr, ptr], None),
     }
@@ -247,6 +254,30 @@ def run_rows(counts, caps, choices, tie_u, tie_break, heights=None) -> None:
             f"unknown tie_break {tie_break!r}; expected one of {tuple(_MODES)}"
         ) from None
     _raise(library().run_rows(R, n, k, d, *args, h, stride, mode))
+
+
+def decide_windows(owners, tie_u, frozen, live, caps, first, every):
+    """Winners (ring indices, int64) of one chunk of staleness windows:
+    ``owners`` ``(W, d)`` int64, ``tie_u`` ``(W,)`` float64, ``frozen``
+    and ``live`` ``(n,)`` int64 loads (both updated in place, as
+    :func:`repro.core.rounds.stale_windows` updates its lists), ``caps``
+    ``(n,)`` int64; the first window holds *first* keys, every later one
+    *every*."""
+    W, d = owners.shape
+    n = caps.shape[0]
+    if not 1 <= first <= every:
+        raise ValueError(f"need 1 <= first <= every, got {first}, {every}")
+    winners = np.empty(W, dtype=np.int64)
+    _raise(library().decide_windows(
+        W, d, n,
+        _checked(owners, np.int64, (W, d), "owners"),
+        _checked(tie_u, np.float64, (W,), "tie_u"),
+        _checked(frozen, np.int64, (n,), "frozen"),
+        _checked(live, np.int64, (n,), "live"),
+        _checked(caps, np.int64, (n,), "caps"),
+        first, every, winners.ctypes.data,
+    ))
+    return winners
 
 
 def alias_select(cols, u, prob, alias) -> None:

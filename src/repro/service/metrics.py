@@ -2,8 +2,9 @@
 
 The stats surface is a plain dict (JSON-ready) in the `/metrics` spirit:
 request counters, placement-latency percentiles, the balls-into-bins load
-summary (max load, mean load, max/mean — the quantity the paper bounds),
-a per-peer load histogram, staleness telemetry, and churn counters.
+summary (max load, mean load, the paper's imbalance — see
+:func:`capacity_imbalance` — and the raw-count max/mean), a per-peer load
+histogram, staleness telemetry, and churn counters.
 
 Latencies are wall-clock and therefore *excluded* from the determinism
 contract (the placement digest covers decisions only).  Placements decided
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LatencyRecorder", "service_stats"]
+__all__ = ["LatencyRecorder", "capacity_imbalance", "service_stats"]
 
 
 class LatencyRecorder:
@@ -72,10 +73,22 @@ class LatencyRecorder:
         return float(np.percentile(self._buf[:n], q))
 
 
+def capacity_imbalance(loads: dict[str, int], capacities: dict[str, int]) -> float:
+    """The paper's imbalance: the largest ``placements / capacity`` over
+    the average one, ``sum(placements) / sum(capacity)`` (``0.0`` before
+    any placement).  *capacities* holds every peer of *loads*."""
+    total = sum(loads.values())
+    if total <= 0:
+        return 0.0
+    average = total / sum(capacities[pid] for pid in loads)
+    return max(count / capacities[pid] for pid, count in loads.items()) / average
+
+
 def service_stats(
     *,
     requests: int,
     loads: dict[str, int],
+    capacities: dict[str, int],
     latency: LatencyRecorder,
     staleness_age: int,
     refresh_every: int,
@@ -89,7 +102,12 @@ def service_stats(
     dedup_hits: int = 0,
     wal: dict | None = None,
 ) -> dict:
-    """Assemble the `/metrics`-style stats dict from live service state."""
+    """Assemble the `/metrics`-style stats dict from live service state.
+
+    ``load.max_over_mean`` is :func:`capacity_imbalance` over *capacities*
+    (the quantised arcs of the current ring); ``load.max_over_mean_raw``
+    divides the raw counts, as ``max_over_mean`` did before it became the
+    capacity-normalised value."""
     values = np.asarray(list(loads.values()), dtype=np.float64)
     if values.size and values.sum() > 0:
         max_load = float(values.max())
@@ -113,7 +131,8 @@ def service_stats(
         "load": {
             "max": max_load,
             "mean": mean_load,
-            "max_over_mean": imbalance,
+            "max_over_mean": capacity_imbalance(loads, capacities),
+            "max_over_mean_raw": imbalance,
             "per_peer": {pid: int(c) for pid, c in sorted(loads.items())},
         },
         "staleness": {

@@ -17,21 +17,29 @@ scraped.  Wall-clock latencies are observability only and are excluded.
 
 Window batching: :meth:`AllocationService.allocate_many` is the one
 placement pipeline — :meth:`~AllocationService.allocate` is a batch of
-one.  It splits its keys at view refreshes and decides each staleness
-window in one step (see :mod:`~.views`): vectorised hashing and one ring
-lookup per :data:`HASH_CHUNK` keys, one tie-stream draw of the window's
-length, then the window's WAL frame, counter increments, digest update
-and latency samples.  Below :data:`~.views.BATCH_CROSSOVER` keys the
-scalar path hashes and decides a window's keys one at a time against the
-same frozen snapshot — the same decisions — and commits the window once,
-so a single ``alloc`` from the TCP front end costs no NumPy hashing.  The
-virtual-clock :meth:`replay` and :meth:`recover` feed it whole stretches
-between churn events; a paced replay (``pace > 0``) is the wall-clock
-mode and places one key per call.  A window records one latency sample
-per placement, all equal to the window's wall time (its share of the
-chunk's hashing included) divided by its length: after a virtual-clock
-replay or a recovery the ``stats()`` p50/p99 are percentiles of these
-per-window averages, not of latencies any single request saw.
+one.  Per :data:`HASH_CHUNK` keys it hashes them and looks them up at
+once, draws the chunk's tie uniforms in one call (a double is one step
+of the stream, so these are the draws per-window calls would make), and
+decides every staleness window of the chunk in one call
+(:meth:`~.views.DChoicePlacer.decide_chunk`: the C window kernel, or its
+Python twin — see :mod:`~.views`).  It then commits window by window:
+the window's WAL frame, counter increments, view refresh, digest update
+and latency samples, exactly as if each window had been decided on its
+own.  Below :data:`~.views.BATCH_CROSSOVER` keys the scalar path hashes
+and decides a window's keys one at a time against the same frozen
+snapshot — the same decisions — and commits the window once, so a single
+``alloc`` from the TCP front end costs no NumPy hashing.  A commit that
+fails (the log's append raising, say) rewinds the tie stream past the
+draws not yet committed, so the live stream stays where recovery of the
+log leaves it; :meth:`apply_churn` does the same for the churn stream.
+The virtual-clock :meth:`replay` and :meth:`recover` feed it whole
+stretches between churn events; a paced replay (``pace > 0``) is the
+wall-clock mode and places one key per call.  A window records one
+latency sample per placement, all equal to the window's commit time
+divided by its length plus its keys' share of the chunk's hashing, draw
+and decision: after a virtual-clock replay or a recovery the
+``stats()`` p50/p99 are percentiles of these per-window averages, not of
+latencies any single request saw.
 
 Crash-recovery clause: with a :class:`~.wal.WriteAheadLog` attached, every
 staleness window of placements and every resolved churn event is logged
@@ -90,7 +98,7 @@ from ..p2p.dht import DHT
 from ..p2p.hashing import KEY_TYPES, check_keys
 from ..sampling.rngutils import make_rng, spawn_seed_sequences
 from .faults import FaultController, FaultPlan
-from .metrics import LatencyRecorder, service_stats
+from .metrics import LatencyRecorder, capacity_imbalance, service_stats
 from .traces import ChurnAction, Trace
 from .views import BATCH_CROSSOVER, DChoicePlacer, StaleLoadView
 from .wal import MAX_FRAME_BYTES, WalError, WriteAheadLog, encode
@@ -183,10 +191,19 @@ class ReplayReport:
     view_refreshes: int
     wall_seconds: float
     placements: tuple[str, ...] = field(default=(), repr=False)
+    #: Quantised capacity of every final peer on the final ring.
+    capacities: dict[str, int] = field(default_factory=dict, repr=False)
 
     @property
     def max_over_mean(self) -> float:
-        """The paper's imbalance measure over the final counts."""
+        """The paper's imbalance over the final counts: the largest
+        placements / capacity over the average one
+        (:func:`~.metrics.capacity_imbalance`)."""
+        return capacity_imbalance(self.final_loads, self.capacities)
+
+    @property
+    def max_over_mean_raw(self) -> float:
+        """Max over mean of the raw final counts, capacities ignored."""
         return self.max_load / self.mean_load if self.mean_load > 0 else 0.0
 
 
@@ -532,38 +549,59 @@ class AllocationService:
         if self._dht.n_peers < 1:
             raise ServiceError("no peers available to place on")
         out = []
-        if len(keys) < BATCH_CROSSOVER:
-            # Hashed and decided one key at a time, committed per window.
-            place, view, rng = self._placer.place, self._view, self._tie_rng
-            lo, t0 = 0, time.perf_counter()
-            for key in keys:
-                out.append(place(key, view, float(rng.random())))
-                hi = len(out)
-                if hi == len(keys) or hi - lo == view.remaining:
-                    self._commit(keys[lo:hi], clients and clients[lo:hi],
-                                 seqs and seqs[lo:hi], out[lo:hi])
-                    t1 = time.perf_counter()
-                    self._latency.record_many((t1 - t0) / (hi - lo), hi - lo)
-                    lo, t0 = hi, t1
-            return out
-        for lo in range(0, len(keys), HASH_CHUNK):
-            hi = min(lo + HASH_CHUNK, len(keys))
-            t0 = time.perf_counter()
-            owners = self._placer.owners(keys[lo:hi])
-            hash_share = (time.perf_counter() - t0) / (hi - lo)
-            j = lo
-            while j < hi:
+        # Ties drawn but not yet committed: a failure (say the log's append
+        # raising) rewinds the tie stream past them, so the live stream
+        # stays where recovery of the log will leave it.
+        drawn = committed = 0
+        try:
+            if len(keys) < BATCH_CROSSOVER:
+                # Hashed and decided one key at a time, committed per window.
+                place, view, rng = self._placer.place, self._view, self._tie_rng
                 t0 = time.perf_counter()
-                end = min(hi, j + self._view.remaining)
-                tie_u = self._tie_rng.random(end - j)
-                pids = self._placer.decide(owners[j - lo:end - lo], self._view, tie_u)
-                self._commit(keys[j:end], clients and clients[j:end],
-                             seqs and seqs[j:end], pids)
-                self._latency.record_many(
-                    (time.perf_counter() - t0) / (end - j) + hash_share, end - j)
+                for key in keys:
+                    drawn += 1
+                    out.append(place(key, view, float(rng.random())))
+                    if drawn == len(keys) or drawn - committed == view.remaining:
+                        lo = committed
+                        self._commit(keys[lo:drawn], clients and clients[lo:drawn],
+                                     seqs and seqs[lo:drawn], out[lo:drawn])
+                        committed = drawn
+                        t1 = time.perf_counter()
+                        self._latency.record_many((t1 - t0) / (drawn - lo), drawn - lo)
+                        t0 = t1
+                return out
+            for lo in range(0, len(keys), HASH_CHUNK):
+                hi = min(lo + HASH_CHUNK, len(keys))
+                # One draw for the chunk: a double is one step of the tie
+                # stream, so this is the stream the windows' draws would be.
+                t0 = time.perf_counter()
+                owners = self._placer.owners(keys[lo:hi])
+                tie_u = self._tie_rng.random(hi - lo)
+                drawn = hi
+                pids = self._placer.decide_chunk(owners, tie_u, self._view, self._loads)
+                chunk_share = (time.perf_counter() - t0) / (hi - lo)
+                j = lo
+                while j < hi:
+                    t0 = time.perf_counter()
+                    end = min(hi, j + self._view.remaining)
+                    self._commit(keys[j:end], clients and clients[j:end],
+                                 seqs and seqs[j:end], pids[j - lo:end - lo])
+                    committed = end
+                    self._latency.record_many(
+                        (time.perf_counter() - t0) / (end - j) + chunk_share, end - j)
+                    j = end
                 out += pids
-                j = end
-        return out
+            return out
+        except BaseException:
+            self._rewind_ties(drawn - committed)
+            raise
+
+    def _rewind_ties(self, count: int) -> None:
+        """Step the tie stream back *count* draws.  It draws only doubles,
+        one PCG64 step each, and advancing by the period (2^128) less
+        *count* lands exactly on the state before those draws."""
+        if count:
+            self._tie_rng.bit_generator.advance((1 << 128) - count)
 
     def _commit(self, keys, clients, seqs, pids) -> None:
         """Log, then apply, the placements of one window (``clients`` /
@@ -608,6 +646,9 @@ class AllocationService:
         if cached is not None:
             self.dedup_hits += 1
             return dict(cached)
+        # A log append that fails leaves the churn stream and the join
+        # counter where they were, as the log that recovery reads does.
+        before = (self._churn_rng.bit_generator.state, self._join_counter)
         if action.kind == "join":
             pid = self._next_join_id()
             outcome = "join"
@@ -623,15 +664,19 @@ class AllocationService:
                 outcome = "skip"
             else:
                 outcome = "leave"
-        self._wal_append({
-            "t": "churn",
-            "c": None if client is None else str(client),
-            "s": None if seq is None else int(seq),
-            "kind": action.kind,
-            "sched": action.peer_id,
-            "peer": pid,
-            "res": outcome,
-        })
+        try:
+            self._wal_append({
+                "t": "churn",
+                "c": None if client is None else str(client),
+                "s": None if seq is None else int(seq),
+                "kind": action.kind,
+                "sched": action.peer_id,
+                "peer": pid,
+                "res": outcome,
+            })
+        except BaseException:
+            self._churn_rng.bit_generator.state, self._join_counter = before
+            raise
         if outcome == "join":
             moved = self._dht.join(pid)
             self._loads[pid] = 0
@@ -672,6 +717,9 @@ class AllocationService:
         requests placed one at a time.  ``wal.appended`` counts the events
         (placements, churn and the meta record) this service logged, not
         frames, so it does not depend on how requests were batched.
+        ``load.max_over_mean`` is the paper's imbalance, placements over
+        the current ring's quantised capacities;
+        ``load.max_over_mean_raw`` is max over mean of the raw counts.
         """
         wal_info = None
         if self._wal is not None:
@@ -684,6 +732,7 @@ class AllocationService:
         return service_stats(
             requests=self.requests,
             loads=self._loads,
+            capacities=self._placer.capacities,
             latency=self._latency,
             staleness_age=self._view.age,
             refresh_every=self.refresh_every,
@@ -775,6 +824,7 @@ class AllocationService:
             view_refreshes=self._view.refreshes,
             wall_seconds=wall,
             placements=tuple(placements) if placements is not None else (),
+            capacities=self._placer.capacities,
         )
 
 

@@ -25,22 +25,28 @@ other — only the live counter increments are sequential.  The placer
 therefore splits a decision into hashing and choosing.
 :meth:`DChoicePlacer.place` decides one key:
 :func:`~repro.p2p.hashing.point_sequence`, a ``bisect`` ring lookup, then
-:func:`repro.core.rounds.stale_choice`.  For a window,
-:meth:`DChoicePlacer.owners` hashes its keys at once
+:func:`repro.core.rounds.stale_choice`.  For a run of keys,
+:meth:`DChoicePlacer.owners` hashes a chunk at once
 (:func:`~repro.p2p.hashing.point_sequences` plus one
 :meth:`~repro.p2p.ring.ConsistentHashRing.lookup_batch`) and
-:meth:`DChoicePlacer.decide` runs the same ``stale_choice`` over the rows
-against one snapshot copy.  NumPy's per-call cost makes batch hashing
-slower than the scalar path for a handful of keys, so batches below
-:data:`BATCH_CROSSOVER` keys are hashed per key.  Both paths give the
-same decisions bit for bit.
+:meth:`DChoicePlacer.decide_chunk` decides every window of the chunk in
+one call: :func:`repro.native.decide_windows` where the C library loads
+and the loads fit its int64 guard, otherwise its Python twin
+:func:`repro.core.rounds.stale_windows` — ``stale_choice`` per key, the
+frozen loads replaced by the live ones at each window boundary, exactly
+where the view will refresh.  The tier is fixed when the placer is built
+(which also pays the library load, outside any timed chunk).  NumPy's
+per-call cost makes batch hashing slower than the scalar path for a
+handful of keys, so batches below :data:`BATCH_CROSSOVER` keys are hashed
+and decided per key.  Every path gives the same decisions bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.rounds import stale_choice
+from .. import native
+from ..core.rounds import stale_choice, stale_windows
 from ..p2p.hashing import point_sequence, point_sequences
 from ..p2p.ring import ConsistentHashRing
 
@@ -124,7 +130,11 @@ class DChoicePlacer:
         self.ring = ring
         self.d = d
         self.resolution = max(resolution, ring.n_peers)
-        self._cap_list = ring.as_bin_array(self.resolution).capacities.tolist()
+        caps = ring.as_bin_array(self.resolution).capacities
+        self._cap_list = caps.tolist()
+        self._cap_array = np.ascontiguousarray(caps, dtype=np.int64)
+        self._max_cap = int(caps.max())
+        self._native = native.available()
         self._ids = [p.peer_id for p in ring.peers]
         self._caps = dict(zip(self._ids, self._cap_list))
         # The last view snapshot seen and its loads in ring-index order.
@@ -134,6 +144,11 @@ class DChoicePlacer:
     def capacity_of(self, peer_id: str) -> int:
         """Quantised arc capacity of *peer_id* in this snapshot."""
         return self._caps[peer_id]
+
+    @property
+    def capacities(self) -> dict[str, int]:
+        """``{peer_id: quantised arc capacity}`` of every peer (a copy)."""
+        return dict(self._caps)
 
     def candidates(self, key) -> list[str]:
         """The ``d`` candidate peer ids of *key* (duplicates possible)."""
@@ -169,10 +184,28 @@ class DChoicePlacer:
         :meth:`candidates` for a batch, hashed and looked up at once."""
         return self.ring.lookup_batch(point_sequences(keys, self.d))
 
-    def decide(self, owners: np.ndarray, view: StaleLoadView, tie_u) -> list[str]:
-        """Winners of one staleness window: row ``j`` of *owners* (from
-        :meth:`owners`) with tie draw ``tie_u[j]``, all against the same
-        frozen *view* — :meth:`place` per row, bit for bit."""
-        frozen, caps, ids = self._frozen_loads(view), self._cap_list, self._ids
-        return [ids[stale_choice(row, frozen, caps, u)]
-                for row, u in zip(owners.tolist(), np.asarray(tie_u).tolist())]
+    def decide_chunk(self, owners: np.ndarray, tie_u, view: StaleLoadView,
+                     loads) -> list[str]:
+        """Winners of every staleness window of one chunk: row ``j`` of
+        *owners* (from :meth:`owners`) with tie draw ``tie_u[j]``.  The
+        first :attr:`~StaleLoadView.remaining` rows read *view*'s frozen
+        snapshot; each later window of ``refresh_every`` rows reads the
+        live loads (*loads*, ``{peer_id: load}``, left unchanged) as they
+        will be when the view refreshes before it — :meth:`place` per row,
+        bit for bit, provided the caller commits the winners window by
+        window and nothing else changes the loads in between."""
+        ids = self._ids
+        live = [loads[pid] for pid in ids]
+        first, every = view.remaining, view.refresh_every
+        if self._native and native.fits(max(live) + len(owners), self._max_cap):
+            winners = native.decide_windows(
+                np.ascontiguousarray(owners, dtype=np.int64),
+                np.ascontiguousarray(tie_u, dtype=np.float64),
+                np.array(self._frozen_loads(view), dtype=np.int64),
+                np.array(live, dtype=np.int64), self._cap_array, first, every,
+            ).tolist()
+        else:
+            winners = stale_windows(owners.tolist(), np.asarray(tie_u).tolist(),
+                                    self._frozen_loads(view), live,
+                                    self._cap_list, first, every)
+        return [ids[i] for i in winners]

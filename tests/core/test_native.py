@@ -31,10 +31,12 @@ from repro.core.equivalence import (
     check_dispatch_identity,
     check_driver_dispatch_identity,
     check_native_equivalence,
+    check_window_equivalence,
     forced_axis,
     forced_native,
 )
 from repro.core.policy import KernelPolicy, dispatch, forced_policy
+from repro.core.rounds import stale_choice, stale_windows
 from repro.experiments import run_experiment
 from repro.sampling.alias import AliasSampler, _vose
 from repro.service.traces import TraceSpec, _zipf_weights, generate_trace
@@ -245,6 +247,104 @@ class TestGuard:
         np.testing.assert_array_equal(res.counts, expected.counts)
         if heights:
             np.testing.assert_array_equal(res.heights, expected.heights)
+
+
+    def test_window_guard_falls_back_near_2_62(self, monkeypatch):
+        """The service placer runs the C window kernel only while
+        ``(max live load + W + 1) * max capacity < 2^62``; at the bound it
+        runs the Python twin, in exact integers, with the same winners."""
+        from repro.p2p.ring import ConsistentHashRing
+        from repro.service.views import DChoicePlacer, StaleLoadView
+
+        ring = ConsistentHashRing.random(6, seed=4)
+        placer = DChoicePlacer(ring, d=3, resolution=1000)
+        ids = [p.peer_id for p in ring.peers]
+        caps = placer.capacities
+        top = max(caps.values())
+        rng = np.random.default_rng(9)
+        W, every = 40, 16
+        owners = rng.integers(0, len(ids), size=(W, 3))
+        tie_u = rng.random(W)
+        calls = []
+        real = native.decide_windows
+        monkeypatch.setattr(native, "decide_windows",
+                            lambda *a: calls.append(a) or real(*a))
+        for over in (0, 1):
+            peak = (native.LOAD_LIMIT - 1) // top - W - 1 + over
+            assert native.fits(peak + W, top) == (not over)
+            loads = {pid: peak - 3 * i for i, pid in enumerate(ids)}
+            view = StaleLoadView(lambda: loads, refresh_every=every)
+            view.advance(5)  # a partial first window
+            expected = stale_windows(
+                owners.tolist(), tie_u.tolist(), [loads[p] for p in ids],
+                [loads[p] for p in ids], [caps[p] for p in ids], every - 5, every)
+            got = placer.decide_chunk(owners, tie_u, view, loads)
+            assert got == [ids[b] for b in expected]
+            assert len(calls) == (1 if placer._native else 0)
+
+
+@needs_native
+class TestWindowKernel:
+    """``native.decide_windows``: every staleness window of one service
+    hash chunk, against a Python ``stale_choice`` loop."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_equals_a_stale_choice_window_loop(self, d):
+        rng = np.random.default_rng(100 + d)
+        n, every, first = 5, 7, 3
+        caps = np.array([2, 2, 2, 4, 1], dtype=np.int64)  # equal capacities
+        for trial in range(60):
+            # Ends mid-window: first + 2 full windows + part of a third.
+            W = first + 2 * every + int(rng.integers(1, every))
+            owners = rng.integers(0, n, size=(W, d))
+            if d > 1:  # duplicate candidates
+                owners[::2, -1] = owners[::2, 0]
+            tie_u = rng.random(W)
+            # From trial 30 on: equal (load + 1) / capacity everywhere.
+            frozen = (caps * 2 - 1 if trial >= 30
+                      else rng.integers(0, 6, size=n).astype(np.int64))
+            live = frozen + rng.integers(0, 4, size=n)
+            cap_list, ref_frozen, ref_live = caps.tolist(), frozen.tolist(), live.tolist()
+            expected = []
+            for j, (row, u) in enumerate(zip(owners.tolist(), tie_u.tolist())):
+                chosen = stale_choice(row, ref_frozen, cap_list, u)
+                expected.append(chosen)
+                ref_live[chosen] += 1
+                if j + 1 >= first and (j + 1 - first) % every == 0:
+                    ref_frozen = list(ref_live)
+            got = native.decide_windows(owners, tie_u, frozen, live, caps,
+                                        first, every)
+            assert got.tolist() == expected
+            assert frozen.tolist() == ref_frozen and live.tolist() == ref_live
+
+    def test_randomised_sweep(self):
+        budget = SweepBudget(draws=1500, max_n=12)
+        assert check_window_equivalence(0x3D0E, budget) == 1500
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("at", [(0, 0), (9, 1), (17, 2)])
+    def test_bad_owner_index_raises(self, bad, at):
+        owners = np.zeros((20, 3), dtype=np.int64)
+        owners[at] = bad
+        with pytest.raises(IndexError):
+            native.decide_windows(owners, np.zeros(20), np.zeros(4, dtype=np.int64),
+                                  np.zeros(4, dtype=np.int64),
+                                  np.ones(4, dtype=np.int64), 4, 8)
+
+    def test_wrong_layout_is_refused(self):
+        owners = np.zeros((6, 2), dtype=np.int64)
+        loads = np.zeros(4, dtype=np.int64)
+        caps = np.ones(4, dtype=np.int64)
+        for first, every in ((0, 4), (5, 4)):
+            with pytest.raises(ValueError, match="first"):
+                native.decide_windows(owners, np.zeros(6), loads, loads.copy(),
+                                      caps, first, every)
+        with pytest.raises(ValueError, match="caps"):
+            native.decide_windows(owners, np.zeros(6), loads, loads.copy(),
+                                  caps.astype(np.int32), 1, 4)
+        with pytest.raises(ValueError, match="tie_u"):
+            native.decide_windows(owners, np.zeros(5), loads, loads.copy(),
+                                  caps, 1, 4)
 
 
 @needs_native

@@ -141,7 +141,8 @@ class TestRepoArtifact:
 SERVICE_TRACE = {"requests": 4000, "objects": 10000, "users": 100000,
                  "rate": 2000.0, "seed": 1, "digest": "ab" * 32}
 SERVICE_ROW = {"d": 2, "refresh_every": 64, "peers": 16, "max_load": 700,
-               "mean_load": 250.0, "max_over_mean": 2.8, "p50_ms": 0.01,
+               "mean_load": 250.0, "max_over_mean": 2.1,
+               "max_over_mean_raw": 2.8, "p50_ms": 0.01,
                "p99_ms": 0.04, "seconds": 0.05, "placement_digest": "cd" * 32}
 SERVICE_COMPARISON = {"d": 2, "max_load_ratio_vs_d1": 0.51}
 
@@ -190,6 +191,11 @@ class TestServiceBenchSchema:
     def test_rejects_sub_one_imbalance(self, tmp_path):
         row = dict(SERVICE_ROW, max_over_mean=0.5)
         with pytest.raises(ValueError, match="max_over_mean"):
+            self._write(tmp_path, rows=[row])
+
+    def test_rejects_sub_one_raw_imbalance(self, tmp_path):
+        row = dict(SERVICE_ROW, max_over_mean_raw=0.5)
+        with pytest.raises(ValueError, match="max_over_mean_raw"):
             self._write(tmp_path, rows=[row])
 
     def test_rejects_nonpositive_ratio(self, tmp_path):

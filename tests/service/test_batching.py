@@ -9,10 +9,16 @@ table and the events in the write-ahead log (its frames follow the
 windows, so their number differs).
 """
 
+import errno
+from unittest import mock
+
 import pytest
 
+from repro import native
+from repro.core.equivalence import forced_native
 from repro.service import (
     AllocationService,
+    ChurnAction,
     StaleSequenceError,
     TraceSpec,
     WalError,
@@ -353,3 +359,142 @@ class TestBatchBookkeeping:
         first = {}
         for key in keys:
             assert first.setdefault(key, key) is key  # repeats share one str
+
+
+def _append_failing_at(call: int):
+    """Patch :meth:`WriteAheadLog.append` to raise ENOSPC on its *call*-th
+    call from now on (that call only), as a full disk would."""
+    real, calls = WriteAheadLog.append, []
+
+    def append(wal, *records):
+        calls.append(len(records))
+        if len(calls) == call:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real(wal, *records)
+
+    return mock.patch.object(WriteAheadLog, "append", append)
+
+
+def streams(service):
+    return (service._tie_rng.bit_generator.state,
+            service._churn_rng.bit_generator.state, service._join_counter)
+
+
+class TestFailedAppendRewindsStreams:
+    """A log append that fails leaves the tie and churn streams (and the
+    join counter) where the log ends, so the service keeps serving from a
+    state that recovery of its log reaches.  Before the fix the draws of
+    the failed window or churn event stayed consumed (and a failed join
+    kept its minted id), and ``recover()`` refused the log with a
+    :class:`WalError` naming the first diverging placement or churn."""
+
+    @staticmethod
+    def make_small(path):
+        return AllocationService([f"peer-{i}" for i in range(8)], d=2,
+                                 refresh_every=16, resolution=8, seed=7, wal=path)
+
+    @staticmethod
+    def recovers_to(service, path):
+        service.close_wal()
+        recovered = AllocationService.recover(path)
+        recovered.close_wal()
+        assert full_state(recovered)[:3] == full_state(service)[:3]
+        assert streams(recovered) == streams(service)
+
+    @pytest.mark.parametrize("keys, fail_at", [
+        (40, 2),                # the batch path, its second window
+        (5, 1),                 # the per-key path, its first window
+        (HASH_CHUNK + 40, 258),  # a window of the second hash chunk
+    ], ids=["window", "per-key", "second-chunk"])
+    def test_failed_window_recovers(self, tmp_path, keys, fail_at):
+        path = tmp_path / "svc.wal"
+        service = self.make_small(path)
+        ties = service._tie_rng.bit_generator.state
+        with _append_failing_at(fail_at), pytest.raises(OSError, match="No space"):
+            service.allocate_many([f"k{i}" for i in range(keys)])
+        committed = 16 * (fail_at - 1)
+        assert service.requests == committed
+        # The tie stream sits exactly after the committed windows' draws.
+        reference = self.make_small(tmp_path / "reference.wal")
+        reference._tie_rng.bit_generator.state = ties
+        reference._tie_rng.random(committed)
+        assert service._tie_rng.bit_generator.state == reference._tie_rng.bit_generator.state
+        for i in range(200):
+            service.allocate(f"after-{i}")
+        self.recovers_to(service, path)
+
+    @pytest.mark.parametrize("kind", ["leave", "join"])
+    def test_failed_churn_recovers(self, tmp_path, kind):
+        path = tmp_path / "svc.wal"
+        service = self.make_small(path)
+        service.allocate_many([f"k{i}" for i in range(30)])
+        before = streams(service)
+        with _append_failing_at(1), pytest.raises(OSError, match="No space"):
+            service.apply_churn(ChurnAction(time=0.0, kind=kind))
+        assert streams(service) == before
+        assert service.joins == service.leaves == 0
+        for action in ("join", "leave", "leave", "join"):
+            service.apply_churn(ChurnAction(time=0.0, kind=action))
+            service.allocate_many([f"{action}-{i}" for i in range(20)])
+        self.recovers_to(service, path)
+
+
+def _pipelined(path, depth):
+    """The trace's keys sent in batches of *depth* (what the front end
+    places per drained batch at that pipelining depth), three churn
+    events between batches, every 50th key an idempotent request."""
+    service = make(3, 7, wal=WriteAheadLog(path))
+    keys = list(TRACE.keys())
+    for lo in range(0, len(keys), depth):
+        if lo and lo % 384 == 0:
+            service.apply_churn(ChurnAction(time=0.0, kind=("join", "leave")[lo % 2]))
+        batch = keys[lo:lo + depth]
+        clients = [f"c{(lo + i) // 50}" if (lo + i) % 50 == 0 else None
+                   for i in range(len(batch))]
+        seqs = [1 if c else None for c in clients]
+        service.allocate_many(batch, clients, seqs)
+    service.close_wal()
+    return service
+
+
+class TestNativeOnOff:
+    """The C window kernel and its Python twin leave the service in the
+    same state: digest, loads, dedup table, WAL bytes, logged events and
+    both RNG streams, live and after recovery."""
+
+    @pytest.mark.parametrize("depth", [1, 128])
+    def test_same_service_either_way(self, tmp_path, depth, monkeypatch):
+        calls = []
+        real = native.decide_windows
+        monkeypatch.setattr(native, "decide_windows",
+                            lambda *a: calls.append(len(a[0])) or real(*a))
+        runs = {}
+        for enabled in (True, False):
+            path = tmp_path / f"native-{enabled}.wal"
+            with forced_native(enabled):
+                live = _pipelined(path, depth)
+                live_calls = len(calls)
+                recovered = AllocationService.recover(path)
+                recovered.close_wal()
+            events = logged_events(WriteAheadLog(path).scan().records)
+            runs[enabled] = (full_state(live), full_state(recovered), events,
+                             live_calls, len(calls) - live_calls)
+            calls.clear()
+        on, off = runs[True], runs[False]
+        assert on[:3] == off[:3]
+        assert on[1][:3] == on[0][:3]  # recovered == live, streams included
+        assert off[3:] == (0, 0)
+        if native.available():
+            assert on[3] > 0 if depth == 128 else on[3] == 0
+            assert on[4] > 0  # recovery places each run of frames in chunks
+
+    def test_no_compiler_follows_todays_path(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(native, "_loaded", None)
+        monkeypatch.setattr(native, "ENABLED", True)
+        monkeypatch.setattr(native, "_compiler", lambda: None)
+        monkeypatch.setattr(native, "decide_windows",
+                            mock.Mock(side_effect=AssertionError("C kernel called")))
+        for (d, T), digest in GOLDEN_DIGESTS.items():
+            assert make(d, T).replay(TRACE, SCHEDULE).placement_digest == digest
+        assert native.status() == "no compiler"

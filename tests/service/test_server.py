@@ -163,6 +163,25 @@ class TestStats:
         assert stats["churn"] == {"joins": 0, "leaves": 0, "skips": 0}
         assert stats["placement_digest"] == svc.placement_digest()
 
+    def test_imbalance_is_over_capacity(self):
+        """``max_over_mean`` is the paper's: placements / capacity, over
+        the current ring's quantised capacities; the raw-count ratio is
+        ``max_over_mean_raw``.  The replay report agrees with stats()."""
+        svc = fresh_service()
+        report = svc.replay(TRACE, SCHEDULE)
+        load = svc.stats()["load"]
+        counts = load["per_peer"]
+        caps = {pid: svc._placer.capacity_of(pid) for pid in counts}
+        average = sum(counts.values()) / sum(caps.values())
+        paper = max(counts[pid] / caps[pid] for pid in counts) / average
+        raw = max(counts.values()) / (sum(counts.values()) / len(counts))
+        assert load["max_over_mean"] == pytest.approx(paper, rel=1e-12)
+        assert load["max_over_mean_raw"] == pytest.approx(raw, rel=1e-12)
+        assert paper != pytest.approx(raw)
+        assert report.capacities == caps
+        assert report.max_over_mean == load["max_over_mean"]
+        assert report.max_over_mean_raw == pytest.approx(raw, rel=1e-12)
+
     def test_json_serialisable(self):
         svc = fresh_service()
         svc.allocate("obj-0")
@@ -172,6 +191,7 @@ class TestStats:
         stats = fresh_service().stats()
         assert stats["requests"] == 0
         assert stats["load"]["max_over_mean"] == 0.0
+        assert stats["load"]["max_over_mean_raw"] == 0.0
         # An idle server has no latency distribution — None (JSON null),
         # not a fake 0 ms.
         assert stats["latency"]["p50_ms"] is None
