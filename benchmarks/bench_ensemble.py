@@ -16,9 +16,6 @@ Not a paper figure — this tracks the engine-level speedups:
   (:mod:`repro.core.compiled`): floors over the wavefront kernel at
   R = 16/64, measured only where numba is installed (the interpreter
   fallback is correctness-equivalent but has no floor to pin);
-* the **replication-parallel compiled** floor: the prange kernels at
-  R = 256 over the serial compiled kernels, >= 2x with
-  threads = min(cores, R), measured only with numba and >= 4 cores;
 * the **row/lockstep crossover** (:func:`repro.core.policy.use_rows`):
   on abl_d's d = 8 shape (R = 5) the rows tier is >= 3x the lockstep
   kernel, and on fig04's R = 100 shape the lockstep kernel is >= 1.5x the
@@ -38,7 +35,6 @@ PR-over-PR perf changes are diffable.
 ``REPRO_BENCH_QUICK=1`` trims the ``R`` sweep (see ``conftest.py``).
 """
 
-import os
 import time
 
 import numpy as np
@@ -342,74 +338,6 @@ def test_compiled_results_match_per_ball():
     comp = np.zeros((8, n), dtype=np.int64)
     run_batch_compiled(comp, caps, choices, tie_u)
     np.testing.assert_array_equal(base, comp)
-
-
-# --------------------------------------------------------------------------
-# Replication-parallel compiled floor (same fig01-scaled configuration)
-# --------------------------------------------------------------------------
-
-#: Replication width for the parallel floor: wide enough that prange rows
-#: amortize the fork/join, matching the fleet-scale workloads the parallel
-#: tier exists for.
-PARALLEL_BENCH_R = 256
-
-#: Compiled-parallel over compiled-serial floor at R = 256 with >= 4 cores
-#: (2 of 4 cores' worth of perfect scaling — memory bandwidth and the
-#: fork/join eat the rest; the floor trips on a real regression, not on
-#: scheduler jitter).
-PARALLEL_FLOOR = 2.0
-
-_NO_PARALLEL_REASON = (
-    "compiled-parallel floor needs numba (prange) and >= 4 cores: "
-    f"HAVE_NUMBA={HAVE_NUMBA}, cpu_count={os.cpu_count()}"
-)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA or (os.cpu_count() or 1) < 4,
-                    reason=_NO_PARALLEL_REASON)
-def test_compiled_parallel_floor_r256():
-    """prange over replications: >= 2x over the serial compiled kernel at
-    R = 256 on the fig01-scaled configuration, threads = min(cores, R).
-    Results are asserted bit-identical in the same run, so a floor pass
-    can never be bought with a kernel that drifted."""
-    R = PARALLEL_BENCH_R
-    n = WAVEFRONT_N
-    threads = min(os.cpu_count() or 1, R)
-    caps, choices, tie_u = _wavefront_inputs(R)
-    warmup()  # jit-load + thread-pool spin-up, untimed
-    # Explicit untimed warmup of BOTH timed paths at the benched shape.
-    serial_counts = np.zeros((R, n), dtype=np.int64)
-    run_batch_compiled(serial_counts, caps, choices, tie_u, threads=1)
-    parallel_counts = np.zeros((R, n), dtype=np.int64)
-    run_batch_compiled(parallel_counts, caps, choices, tie_u, threads=threads)
-    np.testing.assert_array_equal(serial_counts, parallel_counts)
-    serial = _best(
-        lambda: run_batch_compiled(
-            np.zeros((R, n), dtype=np.int64), caps, choices, tie_u, threads=1
-        ),
-        5,
-    )
-    parallel = _best(
-        lambda: run_batch_compiled(
-            np.zeros((R, n), dtype=np.int64), caps, choices, tie_u,
-            threads=threads,
-        ),
-        5,
-    )
-    speedup = serial / parallel
-    print(f"\ncompiled-parallel fig01-scaled n={n} R={R}: serial "
-          f"{serial * 1e3:.2f} ms, {threads}-thread {parallel * 1e3:.2f} ms, "
-          f"speedup {speedup:.2f}x")
-    record_bench("fig01_large", R, "compiled", "n/a", serial, threads=1)
-    record_bench("fig01_large", R, "compiled", "n/a", parallel,
-                 threads=threads)
-    record_bench("fig01_large", R, "compiled_parallel_over_serial", "n/a",
-                 None, ratio=speedup, floor=PARALLEL_FLOOR)
-    assert speedup >= PARALLEL_FLOOR, (
-        f"compiled-parallel regressed: {speedup:.2f}x < {PARALLEL_FLOOR}x at "
-        f"R={R} with {threads} threads on the fig01-scaled configuration "
-        f"(serial {serial * 1e3:.2f} ms vs parallel {parallel * 1e3:.2f} ms)"
-    )
 
 
 # --------------------------------------------------------------------------

@@ -37,22 +37,21 @@ _BENCH_SPEEDUPS: list = []
 
 
 def record_bench(config, R, engine, wavefront, seconds, *, ratio=None,
-                 floor=None, threads=1):
+                 floor=None):
     """Register one benchmark measurement for ``BENCH_ensemble.json``.
 
     With *seconds* set, records a timing row (*engine* is ``scalar`` /
-    ``ensemble``, *wavefront* the dispatch mode in force, *threads* the
-    compiled-tier thread budget the timing ran under — 1 for every
-    serial-kernel path).  With *ratio* and *floor* set instead, records a
-    speedup entry (*engine* names the ratio kind, e.g.
-    ``wavefront_over_per_ball``).  Every row also records the machine's
-    ``cpu_count`` so parallel timings are interpretable PR over PR.
+    ``ensemble``, *wavefront* the dispatch mode in force).  With *ratio*
+    and *floor* set instead, records a speedup entry (*engine* names the
+    ratio kind, e.g. ``wavefront_over_per_ball``).  Every row also records
+    the machine's ``cpu_count``, and ``threads`` (always 1: every kernel
+    runs serially) to keep the ``repro.bench_ensemble/2`` row layout.
     """
     if seconds is not None:
         _BENCH_ROWS.append({
             "config": str(config), "R": int(R), "engine": str(engine),
             "wavefront": str(wavefront), "seconds": float(seconds),
-            "threads": int(threads), "cpu_count": int(os.cpu_count() or 1),
+            "threads": 1, "cpu_count": int(os.cpu_count() or 1),
         })
     if ratio is not None:
         _BENCH_SPEEDUPS.append({
@@ -79,8 +78,6 @@ if native.available():  # the native floors skip where it does not load
     _EXPECTED_SPEEDUP_KINDS |= {"native_over_rows", "native_over_lockstep"}
 if HAVE_NUMBA:  # pragma: no cover - only where numba is installed
     _EXPECTED_SPEEDUP_KINDS.add("compiled_over_wavefront")
-    if (os.cpu_count() or 1) >= 4:  # the parallel floor also needs cores
-        _EXPECTED_SPEEDUP_KINDS.add("compiled_parallel_over_serial")
 
 
 def pytest_sessionfinish(session, exitstatus):

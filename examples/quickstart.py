@@ -87,9 +87,9 @@ def main() -> None:
           f"{adaptive['replication_budget']} budgeted replications "
           f"(early stop: {adaptive['early_stopped']})")
 
-    # Kernel policy: one KernelPolicy(backend, wavefront, threads) picks
-    # the tier — compiled > wavefront > per-ball — and no choice ever
-    # changes a number (the tiers are bit-identical).  REPRO_BACKEND=auto
+    # Kernel policy: one KernelPolicy(backend, wavefront) picks the
+    # tier — native > compiled > wavefront > rows > lockstep — and no
+    # choice ever changes a number (the tiers are bit-identical).  REPRO_BACKEND=auto
     # (default) uses the numba-jitted compiled tier exactly when numba is
     # installed (`pip install -e ".[compiled]"`); REPRO_BACKEND=numpy/
     # compiled — or forced_policy(backend=...) — pins a tier.
@@ -101,25 +101,6 @@ def main() -> None:
         comp = simulate(bins, seed=2026)
     assert (ref.counts == comp.counts).all(), "backends must be bit-identical"
     print(f"\nbackends agree bit-for-bit (numba available: {HAVE_NUMBA})")
-
-    # Threads: the compiled tier's prange kernels parallelise over
-    # replications only — each thread owns whole replication rows, so no
-    # thread budget can change a number either.  REPRO_THREADS=auto
-    # (default) resolves to min(cores, R) once a run clears the work-size
-    # floor; an explicit N pins the budget (1 = the serial compile), and
-    # pool/fabric workers stay at 1 thread unless the driver forces more,
-    # so workers x threads never oversubscribes the machine.  The CLI
-    # spelling is `repro run fig01 --engine ensemble --threads 4`.
-    from repro.core import simulate_ensemble
-
-    with forced_policy(backend="compiled", threads=1):
-        serial_ens = simulate_ensemble(bins, repetitions=8, seed=2026)
-    with forced_policy(backend="compiled", threads=4):  # prange under numba
-        threaded = simulate_ensemble(bins, repetitions=8, seed=2026)
-    assert (serial_ens.counts == threaded.counts).all(), (
-        "thread budgets must be bit-identical"
-    )
-    print("1-thread and 4-thread compiled runs match bit-for-bit")
 
     # Distributed sweep fabric: the same run, broker-leased block by block
     # to a fleet of worker processes — and still bit-identical, because

@@ -33,12 +33,10 @@ Runs, from :mod:`repro.core.equivalence`:
 The matrix always covers the ``wavefront`` (on/off), ``rows`` (the rows
 tier at every R vs the lockstep kernels at every R > 1), ``backend``
 (compiled/numpy) and ``native`` (the C tier vs today's auto dispatch;
-left out of a pass pinned with ``--native off``) axes; ``--threads``
-adds the ``threads`` axis (compiled tier forced to 1 vs 2 vs 7
-threads).  ``--backend MODE`` pins the ambient backend for the
-whole run, and ``--native on|off`` the ambient native tier, so CI can
-repeat the sweep once per available backend and native value (see
-``scripts/ci.sh``).  ``--fabric N`` additionally runs every
+left out of a pass pinned with ``--native off``) axes.  ``--backend
+MODE`` pins the ambient backend for the whole run, and ``--native
+on|off`` the ambient native tier, so CI can repeat the sweep once per
+available backend and native value (see ``scripts/ci.sh``).  ``--fabric N`` additionally runs every
 experiment over an N-worker sweep fabric and requires bit-identity
 against the local serial run.
 
@@ -86,7 +84,7 @@ from repro.core.policy import CHOICES, HAVE_NUMBA, set_policy
 #: Master-seed salts, so each sweep draws its own instances.
 _KERNEL_SALTS = {"wavefront": 0xAFE1, "compiled": 0xC0DE}
 _DRIVER_SALTS = {"wavefront": 0x0FF0, "rows": 0x2055, "backend": 0xBACC,
-                 "threads": 0x7EAD, "native": 0x7A7E}
+                 "native": 0x7A7E}
 _NATIVE_SALT = 0xC7A1
 _WINDOW_SALT = 0x3D0E
 _ROW_SALTS = {"plain": 0xD41E, "batched": 0xBA7C, "weighted": 0x3E16, "ring": 0x21F6}
@@ -119,17 +117,13 @@ def main(argv=None) -> int:
     parser.add_argument("--native", choices=("on", "off"), default=None,
                         help="pin the ambient native tier for the whole run "
                              "(default: on wherever the library loads)")
-    parser.add_argument("--threads", action="store_true",
-                        help="add the threads axis (compiled tier forced to "
-                             "1 vs 2 vs 7 threads) to the dispatch matrix")
     args = parser.parse_args(argv)
 
     budget = SweepBudget(draws=args.draws, max_m=args.max_m, max_r=args.max_r)
     # A pass pinned to native off leaves the native axis (which forces
     # both values itself) to the pass that runs with it on.
     axes = (["wavefront", "rows", "backend"]
-            + (["native"] if args.native != "off" else [])
-            + (["threads"] if args.threads else []))
+            + (["native"] if args.native != "off" else []))
     started = time.perf_counter()
     if args.backend:
         # The script owns its process, so a plain process-wide override is

@@ -11,13 +11,12 @@
 #      and 3x (fig18) engine floors at R = 64, plus the wavefront-kernel
 #      floors on the fig01-scaled n=10^4 configuration (R=16/R=64 over the
 #      per-ball ensemble kernel, R=1 over fast.run_batch), the compiled
-#      floors and — with numba and >= 4 cores — the 2x compiled-parallel
-#      floor at R=256, plus the sweep fabric's floor (2-worker fabric at
-#      no worse than 0.8x the serial speed on fig02 R=4096, measured
-#      1.09-1.93x; results bit-identical); the run emits
+#      floors (with numba only), plus the sweep fabric's floor (2-worker
+#      fabric at no worse than 0.8x the serial speed on fig02 R=4096,
+#      measured 1.09-1.93x; results bit-identical); the run emits
 #      BENCH_ensemble.json at the repo root (schema
-#      repro.bench_ensemble/2: rows carry threads + cpu_count), validated
-#      right after;
+#      repro.bench_ensemble/2: rows carry threads, always 1, and
+#      cpu_count), validated right after;
 #   3. the adaptive-precision smoke (quick-mode bench_adaptive.py): the
 #      rel=2% fig02 run must early-stop at <= 50% of the fixed budget,
 #      match the fixed-budget estimate, and round-trip the store;
@@ -65,9 +64,7 @@
 #      dispatch-identity matrix — randomised driver runs and every
 #      registered experiment on both engines, bit-identical along the
 #      wavefront (on/off), rows (rows tier vs lockstep), backend
-#      (compiled/numpy) and native (on/off) dispatch axes.  Where numba is present the compiled pass repeats once under
-#      REPRO_THREADS=4 with --threads, adding the threads axis (1 vs 2 vs 7)
-#      so the prange compile runs under a real thread pool routinely.
+#      (compiled/numpy) and native (on/off) dispatch axes.
 #
 # The reduced budgets keep the whole pipeline at ~1 minute so the
 # equivalence sweep is exercised routinely instead of only by hand; run
@@ -149,11 +146,5 @@ for backend in $BACKENDS; do
 done
 echo "== reduced-budget cross-engine equivalence sweep [auto, native=on] =="
 python scripts/check_equivalence.py --draws 60 --driver-trials 8 --native on
-
-if python -c "import numba" 2>/dev/null; then
-    echo "== reduced equivalence sweep under REPRO_THREADS=4 (thread identity) =="
-    REPRO_THREADS=4 python scripts/check_equivalence.py --draws 20 \
-        --driver-trials 4 --backend compiled --threads
-fi
 
 echo "ci.sh: all checks passed"

@@ -28,7 +28,6 @@ from .bins import (
 )
 from .core import (
     SimulationResult,
-    least_loaded_of_all,
     majorizes,
     one_choice,
     simulate,
@@ -57,7 +56,6 @@ __all__ = [
     "SimulationResult",
     "one_choice",
     "standard_greedy",
-    "least_loaded_of_all",
     "majorizes",
     "AliasSampler",
     "ProportionalProbability",

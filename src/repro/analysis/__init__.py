@@ -11,12 +11,6 @@ from .aggregate import (
     mean_profile_by_position,
     mean_sorted_profile,
 )
-from .distribution import (
-    LoadHistogram,
-    class_load_matrix,
-    class_profiles,
-    load_histogram,
-)
 from .convergence import AdaptiveEstimate, run_until_ci
 from .optimize import ExponentSearchResult, exponent_sweep, optimal_exponent
 from .precision import (
@@ -27,7 +21,6 @@ from .precision import (
     default_block_statistics,
     student_t_quantile,
 )
-from .plateau import Plateau, find_plateaus, longest_plateau
 from .stats import (
     LoadStats,
     argmax_bins,
@@ -57,9 +50,6 @@ __all__ = [
     "StreamingProfile",
     "StreamingScalar",
     "ReducerBundle",
-    "Plateau",
-    "find_plateaus",
-    "longest_plateau",
     "ExponentSearchResult",
     "exponent_sweep",
     "optimal_exponent",
@@ -71,8 +61,4 @@ __all__ = [
     "AdaptiveRecorder",
     "default_block_statistics",
     "student_t_quantile",
-    "LoadHistogram",
-    "load_histogram",
-    "class_profiles",
-    "class_load_matrix",
 ]

@@ -18,10 +18,9 @@ Commands
     (``DIR``, else ``$REPRO_STORE``, else ``./.repro-store``): a repeated
     request is a cache hit doing zero simulation work, and an interrupted
     ensemble run resumes from its block checkpoints.
-    ``--threads N`` (also on ``sweep`` and ``simulate``) sets the
-    compiled-tier thread budget — ``auto`` (default) or a positive
-    integer; the prange kernels parallelise over replications only, so no
-    budget can change a number.
+    The kernel tier has no flag: ``REPRO_BACKEND`` and
+    ``REPRO_WAVEFRONT`` pin it (:mod:`repro.core.policy`), and no tier
+    changes a number.
 ``repro sweep <ids|all> [--scales S1,S2] [--seeds N1,N2] [--engines E1,E2] ...``
     Run a grid of run requests (ids × scales × seeds × engines) through the
     store and print a hit/miss/resume summary table (with an
@@ -60,7 +59,6 @@ import argparse
 import sys
 
 from .analysis.stats import load_stats, per_class_max_loads
-from .core.policy import set_policy
 from .core.simulation import simulate
 from .experiments.base import list_experiments
 from .experiments.runner import run_experiment
@@ -600,11 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--store", nargs="?", const=True, default=None, metavar="DIR",
                        help="cache through the result store at DIR "
                             "(default: $REPRO_STORE or ./.repro-store)")
-    p_run.add_argument("--threads", default=None, metavar="N",
-                       help="compiled-tier thread budget: 'auto' "
-                            "(min(cores, R), tiny batches stay serial) or a "
-                            "positive integer — never changes a number "
-                            "(default: $REPRO_THREADS, else auto)")
     p_run.add_argument("--out", default=None, help="directory for CSV/JSON results")
     p_run.add_argument("--no-plot", action="store_true", help="skip the ASCII plot")
     p_run.add_argument("--progress", action="store_true", help="print progress to stderr")
@@ -637,11 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="lease ensemble blocks to N broker-managed "
                               "worker processes (bit-identical to local "
                               "execution; killed workers re-queue)")
-    p_sweep.add_argument("--threads", default=None, metavar="N",
-                         help="compiled-tier thread budget for the driver "
-                              "process: 'auto' or a positive integer "
-                              "(pool/fabric workers stay at 1 thread unless "
-                              "an explicit budget is set here)")
     p_sweep.add_argument("--out", default=None,
                          help="also save CSV/JSON per run, one "
                               "<id>-<key> subdirectory per grid cell")
@@ -656,10 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--balls", type=int, default=None, help="number of balls (default C)")
     p_sim.add_argument("--d", type=int, default=2, help="choices per ball")
     p_sim.add_argument("--seed", type=int, default=None, help="RNG seed")
-    p_sim.add_argument("--threads", default=None, metavar="N",
-                       help="compiled-tier thread budget: 'auto' or a "
-                            "positive integer (a scalar run auto-resolves "
-                            "to 1; explicit budgets are honored)")
 
     p_report = sub.add_parser("report", help="run experiments and write a markdown report")
     p_report.add_argument("--scale", type=float, default=None, help="repetition scale")
@@ -756,11 +740,6 @@ def main(argv=None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is not None:
-        try:
-            set_policy(threads=args.threads)
-        except ValueError as exc:
-            parser.error(str(exc))
     handlers = {
         "list": _cmd_list,
         "run": _cmd_run,

@@ -1,11 +1,6 @@
 """Core: the paper's greedy d-choice protocol and its analysis machinery."""
 
-from .baselines import (
-    greedy_uniform_probabilities,
-    least_loaded_of_all,
-    one_choice,
-    standard_greedy,
-)
+from .baselines import one_choice, standard_greedy
 from .compiled import run_batch_compiled
 from .dynamics import DynamicsResult, simulate_insert_delete
 from .ensemble import (
@@ -75,9 +70,7 @@ __all__ = [
     "allocate_ball",
     "TIE_BREAKS",
     "one_choice",
-    "greedy_uniform_probabilities",
     "standard_greedy",
-    "least_loaded_of_all",
     "loads_from_counts",
     "normalized_load_vector",
     "slot_load_vector",

@@ -3,19 +3,11 @@
 * :func:`one_choice` — the classical single-choice game (``d = 1``): every
   ball goes straight to its sampled bin.  No sequential dependency, so it is
   computed in one vectorised ``bincount``.
-* :func:`greedy_uniform_probabilities` — the greedy ``d``-choice game with
-  *uniform* selection probabilities over heterogeneous bins (the "natural
-  1/n" alternative discussed in the introduction).
 * :func:`standard_greedy` — Azar et al.'s Greedy[d] on unit bins: the
   standard game that Theorem 3 reduces to via Lemma 1.
-* :func:`least_loaded_of_all` — the omniscient lower-bound strategy that
-  inspects *every* bin for each ball (``d = n``); useful as an empirical
-  floor in examples and ablations.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -27,9 +19,7 @@ from .simulation import SimulationResult, simulate
 
 __all__ = [
     "one_choice",
-    "greedy_uniform_probabilities",
     "standard_greedy",
-    "least_loaded_of_all",
 ]
 
 
@@ -67,22 +57,6 @@ def one_choice(
     )
 
 
-def greedy_uniform_probabilities(
-    bins: BinArray,
-    m: int | None = None,
-    d: int = 2,
-    *,
-    seed=None,
-    **kwargs,
-) -> SimulationResult:
-    """Greedy d-choice with uniform ``1/n`` selection probabilities.
-
-    The introduction's alternative to capacity-proportional selection; with
-    very skewed capacities it wastes most probes on small bins.
-    """
-    return simulate(bins, m, d, probabilities="uniform", seed=seed, **kwargs)
-
-
 def standard_greedy(
     n: int,
     m: int | None = None,
@@ -97,47 +71,3 @@ def standard_greedy(
     point for Theorem 3's ``ln ln n / ln d`` bound.
     """
     return simulate(uniform_bins(n, 1), m, d, probabilities="uniform", seed=seed, **kwargs)
-
-
-def least_loaded_of_all(
-    bins: BinArray,
-    m: int | None = None,
-    *,
-    seed=None,
-) -> SimulationResult:
-    """Allocate every ball to a globally least-loaded bin (``d = n``).
-
-    Implements Algorithm 1's selection rule over *all* bins via a heap keyed
-    by the post-allocation load, with the paper's max-capacity tie-break
-    folded into the key (larger capacity first, then bin index, so the run
-    is deterministic given the inputs — no randomness remains once every bin
-    is a candidate).
-
-    Heap keys use float loads; with the integral capacities of
-    :class:`BinArray` and the tie-break fields appended, key collisions
-    resolve deterministically and harmlessly.
-    """
-    if not isinstance(bins, BinArray):
-        bins = BinArray(bins)
-    if m is None:
-        m = bins.total_capacity
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
-    del seed  # accepted for interface symmetry; the strategy is deterministic
-    caps = bins.capacities
-    counts = np.zeros(bins.n, dtype=np.int64)
-    # (load_after, -capacity, index)
-    heap = [(1.0 / caps[i], -int(caps[i]), i) for i in range(bins.n)]
-    heapq.heapify(heap)
-    for _ in range(m):
-        _, neg_cap, i = heapq.heappop(heap)
-        counts[i] += 1
-        heapq.heappush(heap, ((counts[i] + 1.0) / caps[i], neg_cap, i))
-    return SimulationResult(
-        bins=bins,
-        counts=counts,
-        m=m,
-        d=bins.n,
-        probability="deterministic",
-        tie_break="max_capacity",
-    )

@@ -11,11 +11,7 @@ NumPy kernels also cover:
 * **general d** — the tournament/tie-set reduction of
   :func:`repro.core.fast.run_batch`'s general loop.
 
-Each kernel source is compiled twice: once serially through :func:`_jit`
-and once through :func:`_jit_parallel`, whose ``prange`` spreads whole
-replication rows over threads.  Numba treats ``prange`` as ``range``
-unless ``parallel=True`` is set, and without Numba both compiles are the
-same Python function, so no thread count can change a number.  Without
+Each kernel source is compiled once, through :func:`_jit`.  Without
 Numba the module stays importable and runs the sources through the
 interpreter: identical arithmetic, interpreter speed.  ``auto`` selects
 this tier only when Numba is present, so a Numba-less install never
@@ -29,15 +25,12 @@ overhead across conflict-free tiles, and a compiled loop has none, so its
 tiling would degenerate to the sequential commit order these loops
 already execute.
 
-Which tier runs, and on how many threads, is the kernel policy's call
-(:mod:`repro.core.policy`: ``REPRO_BACKEND``, ``REPRO_THREADS``).  The
-getters below are read-only views of it, kept for the benchmark's
-environment stamp.
+Which tier runs is the kernel policy's call (:mod:`repro.core.policy`:
+``REPRO_BACKEND``).  The getters below are read-only views of it, kept
+for the benchmark's environment stamp.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -45,10 +38,7 @@ from .policy import HAVE_NUMBA, current_policy
 from .wavefront import validate_lockstep_batch
 
 if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-    import types
-
     import numba as _numba
-    from numba import prange
 
     def _jit(func):
         """Disk-cached nopython jit; ``fastmath`` stays off — the contract
@@ -56,33 +46,17 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
         cross-multiplications' float height divisions."""
         return _numba.njit(cache=True, fastmath=False)(func)
 
-    def _jit_parallel(func):
-        """:func:`_jit` with ``prange`` threading over the replication
-        axis.  Compiles a renamed copy of *func*: numba's disk cache keys
-        entries by qualified name and signature, not by ``parallel``, so
-        the two compiles of one source need distinct names."""
-        twin = types.FunctionType(
-            func.__code__, func.__globals__, func.__name__ + "_parallel"
-        )
-        twin.__qualname__ = func.__qualname__ + "_parallel"
-        return _numba.njit(cache=True, fastmath=False, parallel=True)(twin)
-
 else:  # pragma: no cover - the only path on numba-less CI
-    prange = range
 
     def _jit(func):
         """Numba absent: run the kernel source as plain Python."""
         return func
-
-    _jit_parallel = _jit
 
 
 __all__ = [
     "HAVE_NUMBA",
     "get_backend",
     "use_compiled",
-    "get_threads",
-    "worker_thread_budget",
     "warmup",
     "run_batch_compiled",
 ]
@@ -98,42 +72,22 @@ def use_compiled() -> bool:
     return current_policy().compiled
 
 
-def get_threads() -> str | int:
-    """The thread setting of the current kernel policy."""
-    return current_policy().threads
+# Only perfbench's stamp reads this; it goes with ROADMAP item 8.
+def get_threads() -> str:
+    return "auto"
 
 
+# Only perfbench's stamp reads this; it goes with ROADMAP item 8.
 def worker_thread_budget() -> str:
-    """``REPRO_THREADS`` for a pool or fabric child of this process."""
-    return current_policy().worker_threads
-
-
-@contextmanager
-def _thread_count(n: int):
-    """Scope numba's thread pool to *n* for one kernel call, clamped to
-    the layer's hard cap, restoring the previous setting after.  A no-op
-    without numba (``prange`` is ``range``) or for the serial path."""
-    if not HAVE_NUMBA or n <= 1:
-        yield
-        return
-    previous = _numba.get_num_threads()
-    _numba.set_num_threads(max(1, min(n, _numba.config.NUMBA_NUM_THREADS)))
-    try:
-        yield
-    finally:
-        _numba.set_num_threads(previous)
+    return "1"
 
 
 # --------------------------------------------------------------------------
-# Kernels.  Plain loops in numba-compatible form, each compiled twice below.
+# Kernels.  Plain loops in numba-compatible form, each compiled once below.
 # All arithmetic mirrors repro.core.fast exactly: int64 loads, exact
 # cross-multiplication, tie coin ``tie_u < 0.5``, heights as the
 # int64/int64 -> float64 division of the post-commit count — the same IEEE
-# operations the NumPy kernels perform, hence bit-identical.  The row loop
-# is a ``prange``: each iteration owns one replication's counts, heights
-# and tie-set scratch and never touches another row, so the commit order
-# within a replication (the only order the contract defines) is the same
-# under any thread count.
+# operations the NumPy kernels perform, hence bit-identical.
 # --------------------------------------------------------------------------
 
 
@@ -144,7 +98,7 @@ def _kernel_d2_uniform(counts, cha, chb, tie_u, heights, record, capacity):
     capacities are equal, so the mode does not enter.
     """
     R, k = cha.shape
-    for r in prange(R):
+    for r in range(R):
         row = counts[r]
         for j in range(k):
             a = cha[r, j]
@@ -168,7 +122,7 @@ def _kernel_d2_general(counts, caps2, cha, chb, tie_u, mode, heights, record):
     ``(R, n)`` rows), mirroring ``fast._run_batch_d2`` branch for branch."""
     R, k = cha.shape
     crows = caps2.shape[0]
-    for r in prange(R):
+    for r in range(R):
         row = counts[r]
         crow = caps2[r % crows]
         for j in range(k):
@@ -214,7 +168,7 @@ def _kernel_general(counts, caps2, choices, tie_u, mode, heights, record):
     k = choices.shape[1]
     d = choices.shape[2]
     crows = caps2.shape[0]
-    for r in prange(R):
+    for r in range(R):
         best = np.empty(d, np.int64)
         row = counts[r]
         crow = caps2[r % crows]
@@ -283,9 +237,8 @@ _SOURCES = {
     "general": _kernel_general,
 }
 
-#: The serial and the ``prange``-threaded compile of every source.
-_SERIAL = {name: _jit(src) for name, src in _SOURCES.items()}
-_PARALLEL = {name: _jit_parallel(src) for name, src in _SOURCES.items()}
+#: The compile of every source.
+_KERNELS = {name: _jit(src) for name, src in _SOURCES.items()}
 
 #: Height placeholder handed to the kernels when no recording was asked
 #: for; keeps every call signature identical so numba compiles each kernel
@@ -298,23 +251,18 @@ def warmup(d_values=(1, 2, 3)) -> bool:
 
     Benchmarks and CI call this outside their timed sections so the jit
     cost (first machine: ~seconds; cached: ~milliseconds) never pollutes a
-    floor measurement.  Covers both compiles — ``threads=2`` also
-    spins up numba's thread pool, whose first-use cost would otherwise
-    land in the first timed parallel section.  Returns :data:`HAVE_NUMBA`
+    floor measurement.  Returns :data:`HAVE_NUMBA`
     — without numba this is a cheap no-op pass through the Python
     fallbacks.
     """
     for d in d_values:
         for caps in (np.ones(4, dtype=np.int64), np.arange(1, 5, dtype=np.int64)):
-            for threads in (1, 2):
-                counts = np.zeros((2, 4), dtype=np.int64)
-                choices = np.tile(np.arange(d, dtype=np.int64) % 4, (2, 3, 1))
-                tie_u = np.full((2, 3), 0.25)
-                heights = np.empty((2, 3), dtype=np.float64)
-                run_batch_compiled(counts, caps, choices, tie_u,
-                                   heights=heights, threads=threads)
-                run_batch_compiled(counts, caps, choices, tie_u,
-                                   threads=threads)
+            counts = np.zeros((2, 4), dtype=np.int64)
+            choices = np.tile(np.arange(d, dtype=np.int64) % 4, (2, 3, 1))
+            tie_u = np.full((2, 3), 0.25)
+            heights = np.empty((2, 3), dtype=np.float64)
+            run_batch_compiled(counts, caps, choices, tie_u, heights=heights)
+            run_batch_compiled(counts, caps, choices, tie_u)
     return HAVE_NUMBA
 
 
@@ -326,7 +274,6 @@ def run_batch_compiled(
     *,
     tie_break: str = "max_capacity",
     heights: np.ndarray | None = None,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Allocate one batch of balls with the compiled tier.
 
@@ -339,17 +286,10 @@ def run_batch_compiled(
     the three specialisations (d=2 uniform, d=2 general incl. ``(R, n)``
     capacity matrices, general d).  Bit-identical to the NumPy kernels
     for every replication, heights included.
-
-    *threads* picks the compile: ``> 1`` runs the ``prange`` one under a
-    thread budget scoped to this call, ``1`` the serial one.  ``None``
-    asks the current policy for this batch's budget; the drivers resolve
-    it once per run and pass it explicitly.  Either compile, any budget:
-    bit-identical.
     """
     mode, counts, caps, tie_uniforms = validate_lockstep_batch(
         counts, capacities, choices, tie_uniforms, tie_break, heights
     )
-    R, n = counts.shape
     _, k, d = choices.shape
     if k == 0:
         return counts
@@ -357,23 +297,19 @@ def run_batch_compiled(
         choices = choices.astype(np.int64)
     if tie_uniforms.dtype != np.float64:
         tie_uniforms = tie_uniforms.astype(np.float64)
-    if threads is None:
-        threads = current_policy().thread_budget(R, R * k)
-    kernels = _PARALLEL if threads > 1 else _SERIAL
     caps2 = caps if caps.ndim == 2 else caps[None, :]
     record = heights is not None
     h = heights if record else _NO_HEIGHTS
-    with _thread_count(threads):
-        if d == 2:
-            cha = np.ascontiguousarray(choices[:, :, 0])
-            chb = np.ascontiguousarray(choices[:, :, 1])
-            if caps.ndim == 1 and bool((caps == caps[0]).all()):
-                kernels["d2_uniform"](counts, cha, chb, tie_uniforms, h,
-                                      record, int(caps[0]))
-            else:
-                kernels["d2_general"](counts, caps2, cha, chb, tie_uniforms,
-                                      np.int64(mode), h, record)
+    if d == 2:
+        cha = np.ascontiguousarray(choices[:, :, 0])
+        chb = np.ascontiguousarray(choices[:, :, 1])
+        if caps.ndim == 1 and bool((caps == caps[0]).all()):
+            _KERNELS["d2_uniform"](counts, cha, chb, tie_uniforms, h,
+                                   record, int(caps[0]))
         else:
-            kernels["general"](counts, caps2, choices, tie_uniforms,
-                               np.int64(mode), h, record)
+            _KERNELS["d2_general"](counts, caps2, cha, chb, tie_uniforms,
+                                   np.int64(mode), h, record)
+    else:
+        _KERNELS["general"](counts, caps2, choices, tie_uniforms,
+                            np.int64(mode), h, record)
     return counts

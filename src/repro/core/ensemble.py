@@ -643,9 +643,7 @@ def simulate_ensemble(
     n_eff = effective_bins(p) if p is not None else float(n)
     policy = current_policy()
     fits = native.fits(m, caps_arr.max(), track_heights)
-    tier, threads = dispatch(
-        policy, n_eff, R, d, R * m, native_fits=fits, exact=fits,
-    )
+    tier = dispatch(policy, n_eff, R, d, native_fits=fits, exact=fits)
     pick = _native_pick(sampler) if tier == "native" else sampler.sample
 
     kernel_block = max(1, _KERNEL_TARGET // max(R, 1))
@@ -664,7 +662,6 @@ def simulate_ensemble(
                 tie_u,
                 tie_break=tie_break,
                 heights=chunk_heights,
-                threads=threads,
             )
         elif tier == "wavefront":
             run_batch_wavefront(

@@ -25,8 +25,7 @@ This module has three layers:
   (:func:`check_window_equivalence`);
 * the *dispatch-identity matrix*: each dispatch axis
   (:data:`DISPATCH_AXES` — wavefront on/off, rows on/off, backend
-  compiled/numpy, compiled threads 1/2/7, native on/off) forced through
-  every value
+  compiled/numpy, native on/off) forced through every value
   (:func:`forced_axis`), on randomised driver
   runs (:func:`check_driver_dispatch_identity`) and on every registered
   experiment on both engines (:func:`check_dispatch_identity`), with
@@ -171,13 +170,11 @@ def check_lockstep_kernel_equivalence(
     reproduce :func:`~repro.core.ensemble.run_batch_ensemble` exactly —
     counts and heights, every replication — under a rotation of tie-break
     modes and capacity profiles (shared and per-replication), so every
-    specialisation is exercised.  Each draw also rotates the kernel's own
-    shape knob: wavefront tile widths including the degenerate ``1`` and
-    the whole batch (tile boundaries, deferred waves, tail padding), and
-    compiled thread budgets (the ambient one, the serial compile and the
-    ``prange`` compile).  Without Numba the compiled kernels run their
-    source through the interpreter, so the fallback carries the identical
-    guarantee.  Returns the number of draws checked.
+    specialisation is exercised.  Each wavefront draw also rotates the
+    tile width, including the degenerate ``1`` and the whole batch (tile
+    boundaries, deferred waves, tail padding).  Without Numba the compiled
+    kernels run their source through the interpreter, so the fallback
+    carries the identical guarantee.  Returns the number of draws checked.
     """
     run = _LOCKSTEP_KERNELS[kernel]
     rng = np.random.default_rng(master_seed)
@@ -199,11 +196,10 @@ def check_lockstep_kernel_equivalence(
         run_batch_ensemble(
             base, caps, choices, tie_u, tie_break=tie_break, heights=base_h
         )
+        # Drawn for both kernels, so each kernel sees the same instances.
         width = int(rng.integers(2, 8))
-        if kernel == "wavefront":
-            knob = {"tile": (None, 1, width, max(1, m))[trial % 4]}
-        else:
-            knob = {"threads": (None, 1, width)[trial % 3]}
+        knob = ({"tile": (None, 1, width, max(1, m))[trial % 4]}
+                if kernel == "wavefront" else {})
         out = np.zeros((R, n), dtype=np.int64)
         out_h = np.empty((R, m), dtype=np.float64)
         run(out, caps, choices, tie_u, tie_break=tie_break, heights=out_h, **knob)
@@ -304,7 +300,6 @@ DISPATCH_AXES = {
     "wavefront": ("on", "off"),
     "rows": ("on", "off"),
     "backend": ("compiled", "numpy"),
-    "threads": (1, 2, 7),
     "native": ("on", "off"),
 }
 
@@ -394,9 +389,8 @@ def forced_native(enabled: bool):
 def forced_axis(axis: str, value):
     """Force one :data:`DISPATCH_AXES` *axis* to *value* for a block.
 
-    Policy fields go through :func:`~repro.core.policy.forced_policy`;
-    threads only exist on the compiled tier, so that axis also forces the
-    backend.  The rows axis patches the row/lockstep crossovers
+    Policy fields go through :func:`~repro.core.policy.forced_policy`.
+    The rows axis patches the row/lockstep crossovers
     (:data:`~repro.core.policy.ROWS_CROSSOVER`,
     :data:`~repro.core.policy.WEIGHTED_ROWS_CROSSOVER`) to plus or minus
     infinity, with the NumPy backend and the wavefront off so that the
@@ -411,10 +405,7 @@ def forced_axis(axis: str, value):
             yield
         return
     if axis != "rows":
-        fields = {axis: value}
-        if axis == "threads":
-            fields["backend"] = "compiled"
-        with forced_native(False), forced_policy(**fields):
+        with forced_native(False), forced_policy(**{axis: value}):
             yield
         return
     crossover = math.inf if value == "on" else -math.inf
@@ -791,11 +782,9 @@ def check_dispatch_identity(experiment_id: str, axis: str, values) -> int:
     Unlike the cross-engine comparison (bounded deviation between
     independent streams), this is exact: every tier consumes the same
     pre-drawn randomness, so no wavefront mode, row/lockstep choice,
-    backend or thread budget may change a series value — heights and snapshot series included,
-    since the cases' series are computed from them.  The threads axis runs
-    under the compiled backend, the only tier with threads (without Numba
-    ``prange`` is ``range``, same arithmetic).  Uses the pinned
-    :data:`EXPERIMENT_CASES` configuration at the trimmed
+    or backend may change a series value — heights and snapshot series
+    included, since the cases' series are computed from them.  Uses the
+    pinned :data:`EXPERIMENT_CASES` configuration at the trimmed
     ``wavefront_kwargs`` scale when present.  Returns the number of
     comparisons: ``2 * (len(values) - 1)``.
     """

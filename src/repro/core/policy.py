@@ -1,4 +1,4 @@
-"""Kernel policy: which tier decides Algorithm 1, and on how many threads.
+"""Kernel policy: which tier decides Algorithm 1.
 
 Five kernel tiers implement the identical decision sequence — the
 native C row loops (:mod:`repro.native`, built with the system compiler
@@ -12,31 +12,25 @@ choices and tie uniforms, so no setting here can change a number; the
 equivalence suite runs each axis both ways and compares bit for bit
 (:func:`repro.core.equivalence.check_dispatch_identity`).
 
-One frozen :class:`KernelPolicy` carries the three settings:
+One frozen :class:`KernelPolicy` carries the two settings:
 
 * ``backend`` — ``"auto"`` (the compiled tier exactly when Numba is
   importable), ``"numpy"`` or ``"compiled"`` (jitted with Numba, the same
   source through the interpreter without it);
 * ``wavefront`` — ``"auto"`` (the cost model below, plus a runtime guard
-  on the realised free fraction), ``"on"`` or ``"off"``; NumPy tier only;
-* ``threads`` — ``"auto"`` (``min(cores, R)`` once a run clears
-  :data:`PARALLEL_MIN_WORK`) or a positive integer; compiled tier only.
+  on the realised free fraction), ``"on"`` or ``"off"``; NumPy tier only.
 
-:func:`current_policy` reads ``REPRO_BACKEND``, ``REPRO_WAVEFRONT`` and
-``REPRO_THREADS`` — an unparseable value falls back to ``"auto"``, so a
-knob degrades and never crashes a run — with the process override of
-:func:`set_policy` / :func:`forced_policy` on top.  :func:`dispatch`
-turns a policy and a run's shape into ``(tier, threads)``, in priority
-order native > compiled > wavefront > rows > lockstep; the drivers call
-it once per run and then call the kernel themselves.  The native tier has
-no setting of its own: it runs when both ``backend`` and ``wavefront``
-are ``"auto"``, the library loads and the run fits int64
-(:func:`use_native`); an explicit setting runs the tier it names, and
-without a compiler every run takes the tier it took before.
-
-Fleet safety: pool and fabric children run with
-:attr:`KernelPolicy.worker_threads` — ``1`` unless the parent chose a
-budget — so ``workers × threads`` never oversubscribes the cores.
+:func:`current_policy` reads ``REPRO_BACKEND`` and ``REPRO_WAVEFRONT`` —
+an unparseable value falls back to ``"auto"``, so a knob degrades and
+never crashes a run — with the process override of :func:`set_policy` /
+:func:`forced_policy` on top.  :func:`dispatch` turns a policy and a
+run's shape into a tier, in priority order native > compiled >
+wavefront > rows > lockstep; the drivers call it once per run and then
+call the kernel themselves.  The native tier has no setting of its own:
+it runs when both ``backend`` and ``wavefront`` are ``"auto"``, the
+library loads and the run fits int64 (:func:`use_native`); an explicit
+setting runs the tier it names, and without a compiler every run takes
+the tier it took before.
 
 Rows or lockstep
 ----------------
@@ -87,12 +81,10 @@ __all__ = [
     "HAVE_NUMBA",
     "CHOICES",
     "ENV_VARS",
-    "PARALLEL_MIN_WORK",
     "KernelPolicy",
     "current_policy",
     "set_policy",
     "forced_policy",
-    "cpu_budget",
     "dispatch",
     "use_native",
     "use_rows",
@@ -102,56 +94,32 @@ __all__ = [
     "use_wavefront",
 ]
 
-#: Settable values per field; ``threads`` also takes any positive integer.
+#: Settable values per field.
 CHOICES = {
     "backend": ("auto", "numpy", "compiled"),
     "wavefront": ("auto", "on", "off"),
-    "threads": ("auto",),
 }
 
 #: The environment variable behind each field.
 ENV_VARS = {
     "backend": "REPRO_BACKEND",
     "wavefront": "REPRO_WAVEFRONT",
-    "threads": "REPRO_THREADS",
 }
-
-#: ``"auto"`` thread work-size floor, in total batch elements (``R * k``):
-#: below this the thread-pool fork/join overhead exceeds the loop itself,
-#: so tiny batches stay on the serial compile.  Explicit budgets bypass it.
-PARALLEL_MIN_WORK = 1 << 16
 
 
 def _parse(name: str, value):
-    """Validate one field's value; a thread budget comes back as an int."""
+    """Validate one field's value."""
     if value in CHOICES[name]:
         return value
-    if name == "threads":
-        try:
-            budget = int(value)
-        except (TypeError, ValueError):
-            budget = 0
-        if budget >= 1:
-            return budget
-        raise ValueError(
-            f"invalid thread budget {value!r}; expected 'auto' or a positive integer"
-        )
     raise ValueError(f"unknown {name} {value!r}; expected one of {CHOICES[name]}")
-
-
-def cpu_budget() -> int:
-    """Core count the ``"auto"`` thread budget may fill (monkeypatched by
-    tests that simulate multi-core boxes on single-core CI)."""
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
 class KernelPolicy:
-    """The three dispatch settings; validated on construction."""
+    """The two dispatch settings; validated on construction."""
 
     backend: str = "auto"
     wavefront: str = "auto"
-    threads: str | int = "auto"
 
     def __post_init__(self) -> None:
         for name in ENV_VARS:
@@ -175,27 +143,6 @@ class KernelPolicy:
         compilation disk-cached, the compiled loop wins from the first
         chunk at every scale the engines run."""
         return self.backend == "compiled" or (self.backend == "auto" and HAVE_NUMBA)
-
-    def thread_budget(self, repetitions: int, work: int | None = None) -> int:
-        """Concrete compiled-tier thread count for ``repetitions`` rows.
-
-        An explicit budget is returned unchanged (``prange`` leaves threads
-        beyond ``R`` idle).  ``"auto"`` resolves to ``min(cpu_budget(), R)``,
-        except that batches under :data:`PARALLEL_MIN_WORK` total elements
-        (*work*, typically ``R * k``) stay serial.
-        """
-        if self.threads != "auto":
-            return self.threads
-        if work is not None and work < PARALLEL_MIN_WORK:
-            return 1
-        return max(1, min(cpu_budget(), repetitions))
-
-    @property
-    def worker_threads(self) -> str:
-        """``REPRO_THREADS`` for a pool or fabric child: ``"1"`` under
-        ``"auto"`` (the parent already parallelises across workers), the
-        explicit budget when the parent chose one."""
-        return "1" if self.threads == "auto" else str(self.threads)
 
 
 #: Process override: the fields :func:`set_policy` pinned, over the env.
@@ -388,15 +335,13 @@ def use_native(policy: KernelPolicy, fits: bool) -> bool:
 
 
 def dispatch(
-    policy: KernelPolicy, n_eff: float, repetitions: int, d: int, work: int,
+    policy: KernelPolicy, n_eff: float, repetitions: int, d: int,
     *, native_fits: bool = False, exact: bool = True,
-) -> tuple[str, int]:
-    """``(tier, threads)`` for one driver run of ``repetitions`` rows.
+) -> str:
+    """The tier for one driver run of ``repetitions`` rows.
 
-    *tier* is ``"native"``, ``"compiled"``, ``"wavefront"``, ``"rows"`` or
-    ``"lockstep"``, in that priority order; *threads* is the compiled
-    tier's budget for *work* total balls (``1`` on the other tiers).
-    *native_fits* says whether the run is exact in int64; a driver
+    The tier is ``"native"``, ``"compiled"``, ``"wavefront"``, ``"rows"``
+    or ``"lockstep"``, in that priority order.  *native_fits* says whether the run is exact in int64; a driver
     without a native kernel leaves it ``False``.  A scalar run is the
     ``R = 1`` ensemble.  The caller runs the kernel.
 
@@ -409,11 +354,11 @@ def dispatch(
     or the forced tier.
     """
     if not exact:
-        return "rows", 1
+        return "rows"
     if use_native(policy, native_fits):
-        return "native", 1
+        return "native"
     if policy.compiled:
-        return "compiled", policy.thread_budget(repetitions, work)
+        return "compiled"
     if use_wavefront(n_eff, repetitions, d, mode=policy.wavefront):
-        return "wavefront", 1
-    return ("rows" if use_rows(repetitions, d) else "lockstep"), 1
+        return "wavefront"
+    return "rows" if use_rows(repetitions, d) else "lockstep"

@@ -3,20 +3,17 @@
 The quick-mode benchmark run in ``scripts/ci.sh`` emits one JSON document
 at the repository root so PR-over-PR perf regressions become diffable:
 every floor test contributes timing *rows* (config, R, engine, wavefront
-mode, compiled-tier thread budget, machine core count, seconds) and
+mode, thread count, machine core count, seconds) and
 *speedup* entries (the measured ratio next to its pinned floor).  The
 schema is versioned and validated both by the unit tests
 (``tests/io/test_benchjson.py``) and by ``scripts/ci.sh`` right after the
 file is produced.
 
 Schema history: ``repro.bench_ensemble/1`` rows carried (config, R,
-engine, wavefront, seconds); ``/2`` adds ``threads`` (the compiled-tier
-thread budget the timing ran under) and ``cpu_count`` (so parallel
-timings stay interpretable across machines).  :func:`load_bench_json`
-still reads ``/1`` documents — PR-over-PR diffing must be able to open
-the previous PR's committed file — normalising their rows to the current
-layout (``threads = 1``, ``cpu_count = None``); :func:`write_bench_json`
-always writes the current schema.
+engine, wavefront, seconds); ``/2`` adds ``threads`` and ``cpu_count``.
+Every kernel now runs on one thread, so ``threads`` is always 1; the
+field stays so the row layout, and the schema, do not change.  Only
+``/2`` documents load.
 
 The document intentionally keeps raw seconds: absolute numbers drift with
 the machine, but the committed ratios and the row structure make "which
@@ -32,7 +29,6 @@ from .atomicio import atomic_write
 
 __all__ = [
     "BENCH_SCHEMA",
-    "LEGACY_BENCH_SCHEMAS",
     "SERVICE_BENCH_SCHEMA",
     "validate_bench_payload",
     "write_bench_json",
@@ -45,13 +41,8 @@ __all__ = [
 #: Schema identifier; bump when the document layout changes.
 BENCH_SCHEMA = "repro.bench_ensemble/2"
 
-#: Older schemas :func:`load_bench_json` still reads (normalised on load).
-LEGACY_BENCH_SCHEMAS = ("repro.bench_ensemble/1",)
-
 _ROW_KEYS = {"config": str, "R": int, "engine": str, "wavefront": str,
              "seconds": float, "threads": int, "cpu_count": int}
-_LEGACY_ROW_KEYS = {"config": str, "R": int, "engine": str, "wavefront": str,
-                    "seconds": float}
 _SPEEDUP_KEYS = {"config": str, "R": int, "kind": str, "ratio": float,
                  "floor": float}
 
@@ -77,24 +68,17 @@ def _check_fields(entry: dict, spec: dict, where: str) -> None:
 
 
 def validate_bench_payload(payload: Any) -> dict:
-    """Validate a benchmark document against :data:`BENCH_SCHEMA` (or a
-    legacy schema from :data:`LEGACY_BENCH_SCHEMAS`, with the layout that
-    schema defined).
+    """Validate a benchmark document against :data:`BENCH_SCHEMA`.
 
     Returns the payload unchanged; raises ``ValueError`` with the offending
     path on any structural problem.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"payload must be an object, got {type(payload).__name__}")
-    schema = payload.get("schema")
-    if schema == BENCH_SCHEMA:
-        row_keys = _ROW_KEYS
-    elif schema in LEGACY_BENCH_SCHEMAS:
-        row_keys = _LEGACY_ROW_KEYS
-    else:
+    if payload.get("schema") != BENCH_SCHEMA:
         raise ValueError(
-            f"schema mismatch: expected {BENCH_SCHEMA!r} (or a legacy schema "
-            f"{LEGACY_BENCH_SCHEMAS}), got {schema!r}"
+            f"schema mismatch: expected {BENCH_SCHEMA!r}, "
+            f"got {payload.get('schema')!r}"
         )
     if not isinstance(payload.get("quick"), bool):
         raise ValueError("quick: expected a boolean")
@@ -103,16 +87,15 @@ def validate_bench_payload(payload: Any) -> dict:
     if not isinstance(rows, list) or not isinstance(speedups, list):
         raise ValueError("rows and speedups must be lists")
     for i, row in enumerate(rows):
-        _check_fields(row, row_keys, f"rows[{i}]")
+        _check_fields(row, _ROW_KEYS, f"rows[{i}]")
         if row["wavefront"] not in ("auto", "on", "off", "n/a"):
             raise ValueError(f"rows[{i}].wavefront: {row['wavefront']!r}")
         if row["seconds"] <= 0:
             raise ValueError(f"rows[{i}].seconds: must be positive")
-        if schema == BENCH_SCHEMA:
-            if row["threads"] < 1:
-                raise ValueError(f"rows[{i}].threads: must be >= 1")
-            if row["cpu_count"] < 1:
-                raise ValueError(f"rows[{i}].cpu_count: must be >= 1")
+        if row["threads"] < 1:
+            raise ValueError(f"rows[{i}].threads: must be >= 1")
+        if row["cpu_count"] < 1:
+            raise ValueError(f"rows[{i}].cpu_count: must be >= 1")
     for i, s in enumerate(speedups):
         _check_fields(s, _SPEEDUP_KEYS, f"speedups[{i}]")
         if s["ratio"] <= 0 or s["floor"] <= 0:
@@ -231,20 +214,7 @@ def load_service_bench_json(path) -> dict:
 
 
 def load_bench_json(path) -> dict:
-    """Load and validate a benchmark document.
-
-    Legacy-schema documents (see :data:`LEGACY_BENCH_SCHEMAS`) are
-    accepted and normalised to the current row layout — ``threads`` is 1
-    (every pre-/2 timing ran the serial kernels) and ``cpu_count`` is
-    ``None`` (unrecorded; distinguishable from any real count) — with the
-    original ``schema`` field preserved so callers can tell what was
-    actually on disk.
-    """
+    """Load and validate a benchmark document."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    validate_bench_payload(payload)
-    if payload["schema"] in LEGACY_BENCH_SCHEMAS:
-        for row in payload["rows"]:
-            row.setdefault("threads", 1)
-            row.setdefault("cpu_count", None)
-    return payload
+    return validate_bench_payload(payload)

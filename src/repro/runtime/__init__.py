@@ -1,4 +1,4 @@
-"""Experiment runtime: repetition fan-out, seed trees, progress reporting."""
+"""Experiment runtime: repetition fan-out, the sweep fabric, progress reporting."""
 
 from .executor import (
     TaskError,
@@ -11,7 +11,6 @@ from .executor import (
 )
 from .fabric import FabricSession, current_fabric
 from .progress import NullReporter, ProgressReporter, make_reporter
-from .seeding import SeedTree
 
 __all__ = [
     "run_ensemble_reduced",
@@ -23,7 +22,6 @@ __all__ = [
     "TaskError",
     "FabricSession",
     "current_fabric",
-    "SeedTree",
     "NullReporter",
     "ProgressReporter",
     "make_reporter",

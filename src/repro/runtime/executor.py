@@ -53,13 +53,11 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import os
 import traceback
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from ..core.policy import ENV_VARS, current_policy, set_policy
 from ..sampling.rngutils import spawn_seed_sequences
 from .progress import make_reporter
 
@@ -163,23 +161,6 @@ def _invoke_captured(payload):
         return _invoke(payload)
     except Exception as exc:  # noqa: BLE001 — re-raised with context parent-side
         return _TaskFailure(repr(exc), traceback.format_exc())
-
-
-def _pool_initializer(thread_budget: str) -> None:
-    """Pin a pool worker's compiled-tier thread budget (oversubscription
-    guard).
-
-    The pool already parallelises across workers, so a worker whose
-    ``REPRO_THREADS`` resolves to ``"auto"`` would expand to the whole
-    machine and the fleet would run ``workers × cores`` threads.  Each
-    worker therefore starts with the parent's
-    :attr:`~repro.core.policy.KernelPolicy.worker_threads` — ``"1"`` under
-    ``"auto"``, the explicit value when the caller forced one — written to
-    its environment, and any fork-inherited thread override cleared so the
-    env value is what the worker's kernel policy sees.
-    """
-    set_policy(threads=None)
-    os.environ[ENV_VARS["threads"]] = thread_budget
 
 
 def _resolve_blocks(repetitions: int, block_size: int | None) -> list[tuple[int, int]]:
@@ -534,11 +515,7 @@ def _run_adaptive_blocks(
         pool_size = workers if workers is not None else multiprocessing.cpu_count()
         pool_size = min(pool_size, len(pending))
         stopped = False
-        with multiprocessing.Pool(
-            pool_size,
-            initializer=_pool_initializer,
-            initargs=(current_policy().worker_threads,),
-        ) as pool:
+        with multiprocessing.Pool(pool_size) as pool:
             idx = 0
             while idx < len(pending) and not stopped:
                 wave = pending[idx:idx + pool_size]
@@ -623,11 +600,7 @@ def run_tasks(
     else:
         pool_size = workers if workers is not None else multiprocessing.cpu_count()
         pool_size = min(pool_size, max(len(payloads), 1))
-        with multiprocessing.Pool(
-            pool_size,
-            initializer=_pool_initializer,
-            initargs=(current_policy().worker_threads,),
-        ) as pool:
+        with multiprocessing.Pool(pool_size) as pool:
             iterator = pool.imap(_invoke_captured, payloads, chunksize=max(chunksize, 1))
             for i, step in enumerate(steps):
                 try:

@@ -36,7 +36,6 @@ import tempfile
 import time
 from pathlib import Path
 
-from ...core.policy import ENV_VARS, current_policy
 from ...io.atomicio import atomic_write
 from ...io.store import CheckpointSlot, ResultStore, resolve_store
 from ..progress import make_reporter
@@ -105,18 +104,9 @@ class FabricSession:
     # -- fleet management -------------------------------------------------
 
     def spawn_workers(self, count: int) -> list[int]:
-        """Start *count* worker subprocesses; return their pids.
-
-        Each worker is pinned to the driver's
-        :attr:`~repro.core.policy.KernelPolicy.worker_threads` — ``1`` compiled
-        thread unless the driver explicitly forced a budget — so a fleet
-        of N workers on one machine never runs ``N × cores`` threads (the
-        same oversubscription guard the executor's pool initializer
-        applies).
-        """
+        """Start *count* worker subprocesses; return their pids."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p or os.getcwd() for p in sys.path)
-        env[ENV_VARS["threads"]] = current_policy().worker_threads
         host, port = self.broker.address
         pids = []
         for _ in range(count):

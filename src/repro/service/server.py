@@ -198,7 +198,9 @@ class ReplayReport:
     def max_over_mean(self) -> float:
         """The paper's imbalance over the final counts: the largest
         placements / capacity over the average one
-        (:func:`~.metrics.capacity_imbalance`)."""
+        (:func:`~.metrics.capacity_imbalance`).  It includes the imbalance
+        churn leaves behind: a join splits an arc without moving the
+        placements already counted on it."""
         return capacity_imbalance(self.final_loads, self.capacities)
 
     @property
@@ -718,7 +720,9 @@ class AllocationService:
         (placements, churn and the meta record) this service logged, not
         frames, so it does not depend on how requests were batched.
         ``load.max_over_mean`` is the paper's imbalance, placements over
-        the current ring's quantised capacities;
+        the current ring's quantised capacities; it includes the
+        imbalance churn leaves behind, since a join splits an arc without
+        moving the placements already counted on it.
         ``load.max_over_mean_raw`` is max over mean of the raw counts.
         """
         wal_info = None

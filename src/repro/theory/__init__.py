@@ -20,18 +20,6 @@ from .conditions import (
     theorem3_applies,
     theorem5_applies,
 )
-from .lowerbounds import (
-    one_choice_gap_heavy,
-    one_choice_max_heavy,
-    one_choice_max_light,
-    two_choice_gap,
-)
-from .tails import (
-    binomial_tail_upper,
-    chernoff_upper,
-    lemma2_collision_tail,
-    lemma2_small_ball_count_tail,
-)
 
 __all__ = [
     "loglog_over_logd",
@@ -50,12 +38,4 @@ __all__ = [
     "corollary1_applies",
     "theorem5_applies",
     "applicable_theorems",
-    "chernoff_upper",
-    "binomial_tail_upper",
-    "lemma2_small_ball_count_tail",
-    "lemma2_collision_tail",
-    "one_choice_max_light",
-    "one_choice_max_heavy",
-    "one_choice_gap_heavy",
-    "two_choice_gap",
 ]

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bins import two_class_bins, uniform_bins
-from repro.core import (
-    greedy_uniform_probabilities,
-    least_loaded_of_all,
-    one_choice,
-    standard_greedy,
-)
+from repro.core import one_choice, standard_greedy
 
 
 class TestOneChoice:
@@ -49,24 +44,6 @@ class TestOneChoice:
         assert twos < ones
 
 
-class TestGreedyUniformProbabilities:
-    def test_runs_and_records_model(self):
-        bins = two_class_bins(10, 10, 1, 8)
-        res = greedy_uniform_probabilities(bins, seed=0)
-        assert res.probability == "uniform"
-        assert res.counts.sum() == bins.total_capacity
-
-    def test_worse_than_proportional_on_skewed_arrays(self):
-        """Uniform probing undervalues big bins: max load is (on average)
-        at least the proportional strategy's."""
-        from repro.core import simulate
-
-        bins = two_class_bins(450, 50, 1, 20)
-        uni = np.mean([greedy_uniform_probabilities(bins, seed=s).max_load for s in range(8)])
-        prop = np.mean([simulate(bins, seed=s).max_load for s in range(8)])
-        assert uni >= prop - 0.05
-
-
 class TestStandardGreedy:
     def test_unit_bins(self):
         res = standard_greedy(100, seed=0)
@@ -81,41 +58,3 @@ class TestStandardGreedy:
         res = standard_greedy(2000, seed=1)
         bound = math.log(math.log(2000)) / math.log(2) + 3
         assert res.max_load <= bound
-
-
-class TestLeastLoadedOfAll:
-    def test_perfect_balance_on_unit_bins(self):
-        bins = uniform_bins(10, 1)
-        res = least_loaded_of_all(bins, m=30)
-        np.testing.assert_array_equal(res.counts, [3] * 10)
-
-    def test_optimal_max_load(self):
-        """m = C on any array: the omniscient strategy achieves max load
-        exactly 1 in every bin... it achieves ceil behaviour: max load
-        <= 1 + 1/min_cap."""
-        bins = two_class_bins(5, 5, 1, 4)
-        res = least_loaded_of_all(bins)
-        assert res.max_load <= 1.0 + 1e-9
-
-    def test_deterministic(self):
-        bins = two_class_bins(3, 3, 1, 2)
-        a = least_loaded_of_all(bins, m=17)
-        b = least_loaded_of_all(bins, m=17)
-        np.testing.assert_array_equal(a.counts, b.counts)
-
-    def test_conservation(self):
-        bins = two_class_bins(4, 4, 1, 3)
-        assert least_loaded_of_all(bins, m=100).counts.sum() == 100
-
-    def test_rejects_negative_m(self):
-        with pytest.raises(ValueError):
-            least_loaded_of_all(uniform_bins(3), m=-5)
-
-    def test_lower_bounds_greedy(self):
-        """The omniscient max load never exceeds the 2-choice max load."""
-        from repro.core import simulate
-
-        bins = two_class_bins(20, 20, 1, 6)
-        omni = least_loaded_of_all(bins).max_load
-        greedy = simulate(bins, seed=0).max_load
-        assert omni <= greedy + 1e-9

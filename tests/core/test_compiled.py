@@ -15,17 +15,13 @@ when :data:`repro.core.compiled.HAVE_NUMBA` is ``False``.
 import numpy as np
 import pytest
 
-import repro.core.compiled as compiled
-import repro.core.policy as policy
 from repro.bins import BinArray
 from repro.core.compiled import (
     HAVE_NUMBA,
     get_backend,
-    get_threads,
     run_batch_compiled,
     use_compiled,
     warmup,
-    worker_thread_budget,
 )
 from repro.core.ensemble import simulate_ensemble
 from repro.core.equivalence import (
@@ -36,18 +32,9 @@ from repro.core.equivalence import (
     check_lockstep_kernel_equivalence,
 )
 from repro.core.fast import run_batch
-from repro.core.policy import (
-    CHOICES,
-    ENV_VARS,
-    PARALLEL_MIN_WORK,
-    KernelPolicy,
-    forced_policy,
-)
+from repro.core.policy import CHOICES, KernelPolicy, forced_policy
 from repro.core.protocol import TIE_BREAKS
 from repro.core.simulation import simulate
-
-#: The parallel compile of each kernel source, for dispatch-path tripwires.
-_PARALLEL_KERNELS = tuple(compiled._PARALLEL)
 
 
 class TestKernelBitIdentity:
@@ -199,137 +186,6 @@ class TestBackendKnobs:
         np.testing.assert_array_equal(res.heights, ref.heights)
 
 
-class TestThreadKnobs:
-    def test_set_and_forced(self):
-        with forced_policy(threads=2):
-            assert get_threads() == 2
-            with forced_policy(threads="auto"):
-                assert get_threads() == "auto"
-            assert get_threads() == 2
-        assert get_threads() == "auto"
-
-    def test_invalid_budgets_rejected(self):
-        for bad in (0, -3, "many"):
-            with pytest.raises(ValueError, match="thread budget"):
-                with forced_policy(threads=bad):
-                    pass
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_VARS["threads"], "5")
-        assert get_threads() == 5
-        monkeypatch.setenv(ENV_VARS["threads"], "auto")
-        assert get_threads() == "auto"
-        monkeypatch.setenv(ENV_VARS["threads"], "garbage")
-        assert get_threads() == "auto"  # degrade, never crash a run
-        monkeypatch.setenv(ENV_VARS["threads"], "0")
-        assert get_threads() == "auto"
-
-    def test_resolve_auto_caps_at_replications(self, monkeypatch):
-        monkeypatch.setattr(policy, "cpu_budget", lambda: 8)
-        auto = KernelPolicy()
-        big = PARALLEL_MIN_WORK  # at/above the floor
-        assert auto.thread_budget(64, big) == 8
-        assert auto.thread_budget(3, big) == 3
-        assert auto.thread_budget(1, big) == 1
-        assert auto.thread_budget(64) == 8  # no work estimate: trust R
-
-    def test_resolve_explicit_bypasses_floor_and_cores(self, monkeypatch):
-        monkeypatch.setattr(policy, "cpu_budget", lambda: 2)
-        # tiny work, threads > R
-        assert KernelPolicy(threads=7).thread_budget(3, 10) == 7
-        assert KernelPolicy(threads=1).thread_budget(256, PARALLEL_MIN_WORK) == 1
-
-    def test_worker_thread_budget(self):
-        assert worker_thread_budget() == "1"  # auto: children stay serial
-        with forced_policy(threads=3):
-            assert worker_thread_budget() == "3"  # explicit: propagates
-
-
-class TestWorkSizeFloor:
-    """"auto" keeps tiny batches on the serial compile — proven by
-    monkeypatching the parallel compile to a tripwire, on a simulated
-    multi-core box (CI may have one core, which would make auto trivially
-    serial)."""
-
-    def _arm(self, monkeypatch):
-        monkeypatch.setattr(policy, "cpu_budget", lambda: 8)
-
-        def boom(*args):  # pragma: no cover - only on regression
-            raise AssertionError("parallel kernel ran below the work floor")
-
-        for name in _PARALLEL_KERNELS:
-            monkeypatch.setitem(compiled._PARALLEL, name, boom)
-
-    def test_resolve_floor_boundary(self, monkeypatch):
-        monkeypatch.setattr(policy, "cpu_budget", lambda: 8)
-        assert KernelPolicy().thread_budget(64, PARALLEL_MIN_WORK - 1) == 1
-        assert KernelPolicy().thread_budget(64, PARALLEL_MIN_WORK) == 8
-
-    def test_small_batch_stays_serial(self, monkeypatch):
-        self._arm(monkeypatch)
-        rng = np.random.default_rng(2)
-        R, n, m = 4, 8, 50  # R * m far below PARALLEL_MIN_WORK
-        for d, caps in ((2, np.ones(n, np.int64)),
-                        (2, np.arange(1, n + 1, dtype=np.int64)),
-                        (3, np.arange(1, n + 1, dtype=np.int64))):
-            counts = np.zeros((R, n), dtype=np.int64)
-            run_batch_compiled(counts, caps, rng.integers(0, n, (R, m, d)),
-                               rng.random((R, m)))
-
-    def test_small_driver_run_stays_serial(self, monkeypatch):
-        self._arm(monkeypatch)
-        with forced_policy(backend="compiled"):
-            simulate_ensemble(BinArray([1] * 8), repetitions=4, m=60, d=2,
-                              seed=3)
-            simulate(BinArray([1] * 8), m=60, d=2, seed=3)
-
-    def test_large_batch_goes_parallel(self, monkeypatch):
-        """Above the floor on a multi-core box, auto dispatches the prange
-        compile (counted via a pass-through spy)."""
-        monkeypatch.setattr(policy, "cpu_budget", lambda: 8)
-        calls = []
-        real = compiled._PARALLEL["d2_uniform"]
-
-        def spy(*args):
-            calls.append(len(args))
-            return real(*args)
-
-        monkeypatch.setitem(compiled._PARALLEL, "d2_uniform", spy)
-        R = 64
-        m = PARALLEL_MIN_WORK // R  # R * m == PARALLEL_MIN_WORK exactly
-        rng = np.random.default_rng(4)
-        n = 512
-        counts = np.zeros((R, n), dtype=np.int64)
-        run_batch_compiled(counts, np.ones(n, np.int64),
-                           rng.integers(0, n, (R, m, 2)), rng.random((R, m)))
-        assert calls, "prange kernel did not run above the work floor"
-
-
-class TestThreadCountBitIdentity:
-    """Randomized thread-count property: any budget, any specialisation,
-    bit-identical counts and heights — including threads > R (idle
-    threads) and per-replication capacity matrices."""
-
-    @pytest.mark.parametrize("R", [1, 3, 64])
-    @pytest.mark.parametrize("track_heights", [False, True])
-    def test_all_specialisations(self, R, track_heights, matches_per_ball):
-        rng = np.random.default_rng(0xBEEF + R + track_heights)
-        n, m = 10, 120
-        profiles = [
-            (2, np.full(n, 3, dtype=np.int64)),              # d2 uniform
-            (2, rng.integers(1, 7, (n,)).astype(np.int64)),  # d2 general
-            (2, rng.integers(1, 7, (R, n)).astype(np.int64)),  # d2 per-rep
-            (1, rng.integers(1, 7, (n,)).astype(np.int64)),  # general d=1
-            (3, rng.integers(1, 7, (R, n)).astype(np.int64)),  # general d=3
-        ]
-        for d, caps in profiles:
-            choices = rng.integers(0, n, size=(R, m, d))
-            tie_u = rng.random((R, m))
-            for threads in (1, 2, 7):
-                matches_per_ball(run_batch_compiled, caps, choices, tie_u,
-                                 heights=track_heights, threads=threads)
-
-
 class TestBackendExperimentIdentity:
     """Backend compiled vs numpy over the full experiment registry.
 
@@ -345,16 +201,3 @@ class TestBackendExperimentIdentity:
         assert check_dispatch_identity(
             experiment_id, "backend", ("compiled", "numpy")
         ) == 2
-
-
-class TestThreadExperimentIdentity:
-    """Forced 1 vs 2 vs 7 compiled threads over the full experiment
-    registry, both engines: the threads axis of the dispatch matrix.  Runs
-    with or without numba (without it both compiles are the same
-    plain-Python source), so a kernel source whose parallel compile
-    drifts from the serial one fails here on every machine."""
-
-    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENT_CASES))
-    def test_threads_never_change_a_number(self, experiment_id):
-        # 2 engines x 2 non-baseline budgets
-        assert check_dispatch_identity(experiment_id, "threads", (1, 2, 7)) == 4

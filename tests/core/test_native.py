@@ -430,17 +430,17 @@ class TestVoseTables:
 
 class TestDispatch:
     def test_auto_resolves_to_native(self):
-        tier = dispatch(KernelPolicy(), 100.0, 5, 2, 500, native_fits=True)
-        assert tier == (("native", 1) if native.available() else tier)
-        assert dispatch(KernelPolicy(), 100.0, 5, 2, 500)[0] != "native"
+        tier = dispatch(KernelPolicy(), 100.0, 5, 2, native_fits=True)
+        assert tier == ("native" if native.available() else tier)
+        assert dispatch(KernelPolicy(), 100.0, 5, 2) != "native"
 
     @pytest.mark.parametrize("fields", [
         {"backend": "numpy"}, {"backend": "compiled"},
         {"wavefront": "on"}, {"wavefront": "off"},
     ])
     def test_explicit_setting_runs_its_tier(self, fields):
-        assert dispatch(KernelPolicy(**fields), 100.0, 5, 2, 500,
-                        native_fits=True)[0] != "native"
+        assert dispatch(KernelPolicy(**fields), 100.0, 5, 2,
+                        native_fits=True) != "native"
 
     @pytest.mark.parametrize("fields", [
         {}, {"backend": "numpy"}, {"backend": "compiled"},
@@ -448,8 +448,8 @@ class TestDispatch:
     ])
     @pytest.mark.parametrize("R", [1, 5, 100])
     def test_inexact_run_takes_rows_whatever_is_forced(self, fields, R):
-        assert dispatch(KernelPolicy(**fields), 1e6, R, 2, R * 500,
-                        exact=False) == ("rows", 1)
+        assert dispatch(KernelPolicy(**fields), 1e6, R, 2,
+                        exact=False) == "rows"
 
     @needs_native
     @pytest.mark.parametrize("driver", ["plain", "ring"])

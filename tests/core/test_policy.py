@@ -24,7 +24,6 @@ from repro.core.policy import (
 _VALUES = {
     "backend": ({v: v for v in CHOICES["backend"]}, ("fortran",)),
     "wavefront": ({v: v for v in CHOICES["wavefront"]}, ("sometimes",)),
-    "threads": ({"auto": "auto", "1": 1, "7": 7}, ("many", "0", "-3")),
 }
 
 
@@ -55,7 +54,7 @@ def test_env_var(monkeypatch, field):
 def test_forced_policy_restores_on_raise(clean_env):
     with forced_policy(backend="numpy"):
         with pytest.raises(RuntimeError):
-            with forced_policy(backend="compiled", wavefront="off", threads=3):
+            with forced_policy(backend="compiled", wavefront="off"):
                 raise RuntimeError("boom")
         assert current_policy() == KernelPolicy(backend="numpy")
     assert current_policy() == KernelPolicy()
@@ -81,7 +80,7 @@ def _n_eff(caps):
 
 
 def _tier(n_eff, R, d):
-    return dispatch(KernelPolicy(backend="numpy"), n_eff, R, d, R * 1000)[0]
+    return dispatch(KernelPolicy(backend="numpy"), n_eff, R, d)
 
 
 class TestCostModel:

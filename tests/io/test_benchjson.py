@@ -7,7 +7,6 @@ import pytest
 
 from repro.io.benchjson import (
     BENCH_SCHEMA,
-    LEGACY_BENCH_SCHEMAS,
     load_bench_json,
     validate_bench_payload,
     write_bench_json,
@@ -15,8 +14,8 @@ from repro.io.benchjson import (
 
 ROW = {"config": "fig01_large", "R": 64, "engine": "ensemble",
        "wavefront": "on", "seconds": 0.0123, "threads": 1, "cpu_count": 4}
-LEGACY_ROW = {"config": "fig01_large", "R": 64, "engine": "ensemble",
-              "wavefront": "on", "seconds": 0.0123}
+V1_ROW = {"config": "fig01_large", "R": 64, "engine": "ensemble",
+          "wavefront": "on", "seconds": 0.0123}
 SPEEDUP = {"config": "fig01_large", "R": 64, "kind": "wavefront_over_per_ball",
            "ratio": 1.9, "floor": 1.4}
 
@@ -74,52 +73,24 @@ class TestValidation:
             validate_bench_payload({"schema": BENCH_SCHEMA, "quick": True,
                                     "rows": [], "speedups": [dict(SPEEDUP, floor=0)]})
 
+    def test_rows_must_carry_threads_and_cpu_count(self):
+        """A /2 row in the /1 layout is malformed."""
+        with pytest.raises(ValueError, match=r"rows\[0\]: missing"):
+            validate_bench_payload({"schema": BENCH_SCHEMA, "quick": True,
+                                    "rows": [dict(V1_ROW)], "speedups": []})
+
+    def test_v1_documents_are_rejected(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"schema": "repro.bench_ensemble/1",
+                                    "quick": True, "rows": [dict(V1_ROW)],
+                                    "speedups": [SPEEDUP]}))
+        with pytest.raises(ValueError, match="schema mismatch"):
+            load_bench_json(path)
+
     def test_quick_must_be_bool(self):
         with pytest.raises(ValueError, match="quick"):
             validate_bench_payload({"schema": BENCH_SCHEMA, "quick": "yes",
                                     "rows": [], "speedups": []})
-
-
-class TestLegacySchema:
-    """The /1 read path: PR-over-PR diffing must still open the previous
-    PR's committed document after the /2 bump."""
-
-    def _write_legacy(self, path):
-        payload = {"schema": LEGACY_BENCH_SCHEMAS[0], "quick": True,
-                   "rows": [dict(LEGACY_ROW)], "speedups": [SPEEDUP]}
-        path.write_text(json.dumps(payload) + "\n")
-        return payload
-
-    def test_legacy_document_loads_and_normalises(self, tmp_path):
-        path = tmp_path / "old.json"
-        self._write_legacy(path)
-        loaded = load_bench_json(path)
-        assert loaded["schema"] == LEGACY_BENCH_SCHEMAS[0]  # preserved
-        row = loaded["rows"][0]
-        assert row["threads"] == 1  # pre-/2 timings were all serial
-        assert row["cpu_count"] is None  # unrecorded, not guessed
-        assert row["seconds"] == LEGACY_ROW["seconds"]
-
-    def test_legacy_rows_must_not_carry_new_fields(self):
-        """A /1 document with /2 fields is malformed, not 'early'."""
-        with pytest.raises(ValueError, match=r"rows\[0\]: unknown"):
-            validate_bench_payload({"schema": LEGACY_BENCH_SCHEMAS[0],
-                                    "quick": True, "rows": [dict(ROW)],
-                                    "speedups": []})
-
-    def test_current_rows_must_carry_new_fields(self):
-        """A /2 document without threads/cpu_count is malformed."""
-        with pytest.raises(ValueError, match=r"rows\[0\]: missing"):
-            validate_bench_payload({"schema": BENCH_SCHEMA, "quick": True,
-                                    "rows": [dict(LEGACY_ROW)],
-                                    "speedups": []})
-
-    def test_writes_are_always_current_schema(self, tmp_path):
-        path = tmp_path / "new.json"
-        payload = write_bench_json(path, quick=True, rows=[ROW],
-                                   speedups=[SPEEDUP])
-        assert payload["schema"] == BENCH_SCHEMA
-        assert json.loads(path.read_text())["schema"] == BENCH_SCHEMA
 
 
 class TestRepoArtifact:

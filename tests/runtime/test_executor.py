@@ -8,14 +8,11 @@ blocks of a stream-matched task agree bit-for-bit for any ``workers`` /
 ``block_size``.
 """
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.bins import uniform_bins
 from repro.core import simulate, simulate_ensemble
-from repro.core.policy import ENV_VARS, current_policy, forced_policy
 from repro.runtime import block_parameter_rng, run_ensemble_reduced
 from repro.sampling.rngutils import spawn_seed_sequences
 
@@ -243,57 +240,6 @@ class TestBlockParameterHook:
     def test_rejects_empty_slice(self):
         with pytest.raises(ValueError, match="non-empty"):
             block_parameter_rng([])
-
-
-def thread_env_task(seeds):
-    """Reports the thread setup a pool child sees: the env var the
-    initializer pinned, its policy's thread setting, and the concrete
-    budget a compiled-parallel-sized batch would get."""
-    policy = current_policy()
-    return _Collect([{
-        "env": os.environ.get(ENV_VARS["threads"]),
-        "setting": policy.threads,
-        "resolved": policy.thread_budget(64, 1 << 30),
-    }] * len(seeds))
-
-
-class TestThreadBudgetGuard:
-    """Oversubscription guard: pool children are pinned to one compiled
-    thread unless the driver explicitly forced a budget, so
-    ``workers × threads`` never exceeds the core budget."""
-
-    def test_pool_children_pinned_to_one_thread(self):
-        out = collect(thread_env_task, 4, seed=0, workers=2, block_size=1)
-        for child in out:
-            assert child["env"] == "1"
-            assert child["setting"] == 1
-            assert child["resolved"] == 1
-
-    def test_workers_4_compiled_parallel_stays_within_core_budget(self):
-        """workers=4 + compiled-parallel: each child resolves to exactly 1
-        thread even for a batch far beyond the work-size floor, so the
-        fleet runs workers × 1 = 4 threads, never workers × cores."""
-        workers = 4
-        with forced_policy(backend="compiled"):
-            out = collect(thread_env_task, workers, seed=0, workers=workers,
-                          block_size=1)
-        total_threads = sum(child["resolved"] for child in out)
-        assert total_threads == workers
-
-    def test_pool_children_inherit_forced_budget(self):
-        """The guard is overridable: an explicit parent budget propagates
-        (the escape hatch for few-worker fleets on many-core machines)."""
-        with forced_policy(threads=3):
-            out = collect(thread_env_task, 2, seed=0, workers=2, block_size=1)
-        for child in out:
-            assert child["env"] == "3"
-            assert child["setting"] == 3
-            assert child["resolved"] == 3
-
-    def test_parent_env_untouched(self):
-        before = os.environ.get(ENV_VARS["threads"])
-        collect(thread_env_task, 2, seed=0, workers=2, block_size=1)
-        assert os.environ.get(ENV_VARS["threads"]) == before
 
 
 class TestPool:

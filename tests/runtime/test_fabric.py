@@ -23,7 +23,6 @@ import pytest
 
 from repro.analysis.aggregate import StreamingScalar
 from repro.analysis.precision import PrecisionTarget
-from repro.core.policy import ENV_VARS, forced_policy
 from repro.io.store import CheckpointSlot, ResultStore
 from repro.runtime import (
     FabricSession,
@@ -97,14 +96,6 @@ def wait_for_park_file(store, deadline=10.0):
     return False
 
 
-def _proc_environ(pid):
-    """Parse /proc/<pid>/environ into a dict (Linux only)."""
-    raw = Path(f"/proc/{pid}/environ").read_bytes()
-    return dict(
-        item.split(b"=", 1) for item in raw.split(b"\0") if b"=" in item
-    )
-
-
 def wait_until(predicate, deadline=10.0):
     """Spin until *predicate()* holds; report whether it did in time."""
     end = time.monotonic() + deadline
@@ -113,32 +104,6 @@ def wait_until(predicate, deadline=10.0):
             return True
         time.sleep(0.01)
     return False
-
-
-def wait_for_workers(session, count):
-    """Spin until *count* workers said hello: each has exec'd the worker
-    module (before that, /proc shows the forked driver's environment)."""
-    assert wait_until(lambda: session.broker.worker_count() >= count)
-
-
-@pytest.mark.skipif(not Path("/proc").exists(), reason="needs Linux procfs")
-class TestWorkerThreadBudget:
-    """Oversubscription guard, fabric side: spawned workers are pinned to
-    one compiled thread via their environment unless the driver forced an
-    explicit budget (mirrors the executor pool initializer)."""
-
-    def test_spawned_workers_pinned_to_one_thread(self):
-        with FabricSession(1) as session:
-            wait_for_workers(session, 1)
-            pid = session.worker_pids[0]
-            assert _proc_environ(pid)[ENV_VARS["threads"].encode()] == b"1"
-
-    def test_spawned_workers_inherit_forced_budget(self):
-        with forced_policy(threads=3):
-            with FabricSession(1) as session:
-                wait_for_workers(session, 1)
-                pid = session.worker_pids[0]
-                assert _proc_environ(pid)[ENV_VARS["threads"].encode()] == b"3"
 
 
 class TestProtocol:
