@@ -13,7 +13,7 @@ Runs, from :mod:`repro.core.equivalence`:
   capacities just below the int64 guard), and the plain driver with the
   native tier on against off in both seed modes;
 * the randomised window sweep: the service's chunk-wide window decide
-  (``native.decide_windows`` where the library loads, and its Python
+  (``native.WindowKernel`` where the library loads, and its Python
   twin ``rounds.stale_windows``) against a window-by-window
   ``stale_choice`` loop (d in 1..8, duplicate candidates, ties across
   capacities, partial first windows, chunks ending mid-window, near the

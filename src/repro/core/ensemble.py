@@ -59,10 +59,12 @@ Five kernel tiers implement the identical decision sequence, and
 :func:`simulate_ensemble` asks :func:`repro.core.policy.dispatch` once
 per run which one takes its chunks, in priority order **native >
 compiled > wavefront > rows > lockstep**: the C row loops of
-:mod:`repro.native` (``run_rows``, every row of a chunk in one call,
-with the alias column-or-alias select done in C as well) whenever the
-policy is left on ``auto``, the library loads and the run fits int64
-(:func:`repro.native.fits`); else
+:mod:`repro.native` whenever the policy is left on ``auto``, the
+library loads and the run fits int64 (:func:`repro.native.fits`) —
+``fused_rows``, which draws each chunk from the PCG64 stream as NumPy
+would, selects and places it in one pass, for an alias sampler over
+PCG64 generators (:func:`repro.native.fused_chunks`), else NumPy's draws
+and ``run_rows``, every row of a chunk in one call; else
 :func:`repro.core.compiled.run_batch_compiled`
 when the compiled backend is in force (``REPRO_BACKEND``; ``auto``
 selects it exactly when Numba is available), else the conflict-free
@@ -177,12 +179,13 @@ def lockstep_streams(repetitions, seed, seeds, seed_mode):
     :func:`repro.core.weighted.simulate_weighted_ensemble`,
     :func:`repro.p2p.workload.allocate_requests_ensemble`) accepts the same
     ``(repetitions, seed, seeds, seed_mode)`` contract; this is its single
-    implementation.  Returns ``(R, draw)``: ``draw(pick, k, d)`` yields one
-    chunk's ``(R, k, d)`` candidates, drawn as ``pick(shape, generator)``,
-    and its ``(R, k)`` tie uniforms.  In spawn mode each replication's
-    generator draws its candidates, then its ties; blocked mode draws both
-    arrays whole from the one master generator.  At ``R = 1`` the two modes
-    read the same stream.
+    implementation.  Returns ``(R, draw, gens)``: ``draw(pick, k, d)``
+    yields one chunk's ``(R, k, d)`` candidates, drawn as
+    ``pick(shape, generator)``, and its ``(R, k)`` tie uniforms.  In spawn
+    mode each replication's generator draws its candidates, then its ties;
+    blocked mode draws both arrays whole from the one master generator.
+    ``gens`` are the generators ``draw`` reads: the master, or one per
+    replication.  At ``R = 1`` the two modes read the same stream.
     """
     if seed_mode not in SEED_MODES:
         raise ValueError(
@@ -210,7 +213,7 @@ def lockstep_streams(repetitions, seed, seeds, seed_mode):
         def draw(pick, k, d):
             return pick((R, k, d), master), master.random((R, k))
 
-        return R, draw
+        return R, draw, [master]
 
     gens = [make_rng(s) for s in (seeds or spawn_seed_sequences(seed, R))]
 
@@ -221,23 +224,7 @@ def lockstep_streams(repetitions, seed, seeds, seed_mode):
         rows = [(pick((k, d), g), g.random(k)) for g in gens]
         return np.stack([c for c, _ in rows]), np.stack([u for _, u in rows])
 
-    return R, draw
-
-
-def _native_pick(sampler):
-    """The native tier's draw: :meth:`AliasSampler.sample` with the
-    column-or-alias select done in C.  It makes the same ``integers`` and
-    ``random`` calls in the same order, so it returns the same bits."""
-    if type(sampler) is not AliasSampler:
-        return sampler.sample
-    n, prob, alias = sampler.n, sampler._prob, sampler._alias
-
-    def pick(shape, gen):
-        cols = gen.integers(0, n, size=shape, dtype=np.int64)
-        native.alias_select(cols, gen.random(size=shape), prob, alias)
-        return cols
-
-    return pick
+    return R, draw, gens
 
 
 #: Upper bound on ``R * k`` elements handled by one kernel call; the driver
@@ -583,7 +570,7 @@ def simulate_ensemble(
     """
     if not isinstance(bins, BinArray):
         bins = BinArray(bins)
-    R, draw = lockstep_streams(repetitions, seed, seeds, seed_mode)
+    R, draw, gens = lockstep_streams(repetitions, seed, seeds, seed_mode)
     if m is None:
         m = bins.total_capacity
     if m < 0:
@@ -600,7 +587,7 @@ def simulate_ensemble(
     caps_arr = bins.capacities
     total_capacity = bins.total_capacity
     heights = np.empty((R, m), dtype=np.float64) if track_heights else None
-    kept = [] if keep_choices else None
+    kept = np.empty((R, m, d), dtype=np.int64) if keep_choices else None
     # The rows tier keeps one Python-list row per replication across
     # chunks (a list loop per row beats the lockstep kernel at small R);
     # `counts` is brought up to date from them for snapshots and at the end.
@@ -644,68 +631,79 @@ def simulate_ensemble(
     policy = current_policy()
     fits = native.fits(m, caps_arr.max(), track_heights)
     tier = dispatch(policy, n_eff, R, d, native_fits=fits, exact=fits)
-    pick = _native_pick(sampler) if tier == "native" else sampler.sample
+    # The native tier draws, selects and places each chunk in C where it
+    # can make NumPy's draws itself (an alias sampler over PCG64
+    # generators); otherwise it takes NumPy's draws and `run_rows`.
+    fused = None
+    if tier == "native" and type(sampler) is AliasSampler:
+        fused = native.fused_chunks(
+            gens, sampler._prob, sampler._alias, counts, caps_arr, d,
+            tie_break, heights=heights, choices=kept, k_max=min(chunk_size, m),
+        )
 
     kernel_block = max(1, _KERNEL_TARGET // max(R, 1))
     while thrown < m:
         upper = pending[0] if pending else m
         batch = min(chunk_size, upper - thrown)
-        choices, tie_u = draw(pick, batch, d)
-        chunk_heights = None if heights is None else heights[:, thrown : thrown + batch]
-        if tier == "native":
-            native.run_rows(counts, caps_arr, choices, tie_u, tie_break, chunk_heights)
-        elif tier == "compiled":
-            run_batch_compiled(
-                counts,
-                caps_arr,
-                choices,
-                tie_u,
-                tie_break=tie_break,
-                heights=chunk_heights,
-            )
-        elif tier == "wavefront":
-            run_batch_wavefront(
-                counts,
-                caps_arr,
-                choices,
-                tie_u,
-                tie_break=tie_break,
-                heights=chunk_heights,
-                n_eff=n_eff,
-                workspace=workspace,
-                stats=wf_stats,
-            )
-            if (policy.wavefront == "auto"
-                    and wf_stats.free_fraction < RUNTIME_MIN_FREE_FRACTION):
-                tier = "rows" if use_rows(R, d) else "lockstep"
-        elif tier == "rows":
-            if rows is None:
-                rows = counts.tolist()
-                caps_list = caps_arr.tolist()
-            for r, row in enumerate(rows):
-                row_heights = None if heights is None else []
-                run_batch(row, caps_list, choices[r], tie_u[r],
-                          tie_break=tie_break, heights=row_heights)
-                if row_heights is not None:
-                    chunk_heights[r] = row_heights
+        if fused is not None:
+            fused.run(thrown, batch)
         else:
-            # Sub-batch the kernel (not the sampling!) so temporaries stay
-            # bounded; RNG consumption is untouched by this split.
-            for lo in range(0, batch, kernel_block):
-                hi = min(batch, lo + kernel_block)
-                run_batch_ensemble(
+            choices, tie_u = draw(sampler.sample, batch, d)
+            chunk_heights = None if heights is None else heights[:, thrown : thrown + batch]
+            if tier == "native":
+                native.run_rows(counts, caps_arr, choices, tie_u, tie_break, chunk_heights)
+            elif tier == "compiled":
+                run_batch_compiled(
                     counts,
                     caps_arr,
-                    choices[:, lo:hi],
-                    tie_u[:, lo:hi],
+                    choices,
+                    tie_u,
                     tie_break=tie_break,
-                    heights=None
-                    if chunk_heights is None
-                    else chunk_heights[:, lo:hi],
-                    workspace=workspace,
+                    heights=chunk_heights,
                 )
-        if kept is not None:
-            kept.append(choices)
+            elif tier == "wavefront":
+                run_batch_wavefront(
+                    counts,
+                    caps_arr,
+                    choices,
+                    tie_u,
+                    tie_break=tie_break,
+                    heights=chunk_heights,
+                    n_eff=n_eff,
+                    workspace=workspace,
+                    stats=wf_stats,
+                )
+                if (policy.wavefront == "auto"
+                        and wf_stats.free_fraction < RUNTIME_MIN_FREE_FRACTION):
+                    tier = "rows" if use_rows(R, d) else "lockstep"
+            elif tier == "rows":
+                if rows is None:
+                    rows = counts.tolist()
+                    caps_list = caps_arr.tolist()
+                for r, row in enumerate(rows):
+                    row_heights = None if heights is None else []
+                    run_batch(row, caps_list, choices[r], tie_u[r],
+                              tie_break=tie_break, heights=row_heights)
+                    if row_heights is not None:
+                        chunk_heights[r] = row_heights
+            else:
+                # Sub-batch the kernel (not the sampling!) so temporaries stay
+                # bounded; RNG consumption is untouched by this split.
+                for lo in range(0, batch, kernel_block):
+                    hi = min(batch, lo + kernel_block)
+                    run_batch_ensemble(
+                        counts,
+                        caps_arr,
+                        choices[:, lo:hi],
+                        tie_u[:, lo:hi],
+                        tie_break=tie_break,
+                        heights=None
+                        if chunk_heights is None
+                        else chunk_heights[:, lo:hi],
+                        workspace=workspace,
+                    )
+            if kept is not None:
+                kept[:, thrown : thrown + batch] = choices
         thrown += batch
         while pending and pending[0] == thrown:
             take_snapshot(thrown)
@@ -724,7 +722,5 @@ def simulate_ensemble(
         seed_mode=seed_mode,
         snapshots=snapshots,
         heights=heights,
-        choices=None if kept is None else np.concatenate(
-            [np.empty((R, 0, d), dtype=np.int64), *kept], axis=1
-        ),
+        choices=kept,
     )

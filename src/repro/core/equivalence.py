@@ -217,6 +217,22 @@ def _near_guard_capacities(rng, n: int, m: int) -> np.ndarray:
     return rng.integers(top // 2, top + 1, size=n, dtype=np.int64)
 
 
+@contextmanager
+def _fused_chunks():
+    """Record the ``(col, k)`` of every fused chunk run in the block."""
+    chunks, real = [], native.FusedChunks.run
+
+    def run(self, col, k):
+        chunks.append((col, k))
+        return real(self, col, k)
+
+    native.FusedChunks.run = run
+    try:
+        yield chunks
+    finally:
+        native.FusedChunks.run = real
+
+
 def check_native_equivalence(
     master_seed: int, budget: SweepBudget = SweepBudget(), trials: int = 6
 ) -> int:
@@ -229,7 +245,11 @@ def check_native_equivalence(
     uses capacities just below the int64 guard (with ``m > 512`` so the
     heights stay exact in double).  Driver level: *trials* runs of
     :func:`~repro.core.ensemble.simulate_ensemble`, alternating seed modes
-    and including near-guard capacities, native on equal native off.
+    and including near-guard capacities, native on equal native off
+    (counts, heights, kept choices, snapshots).  Where the fused draws run
+    (:func:`repro.native.draws_available`), every native-on trial must
+    have drawn, selected and placed its chunks in C, across at least one
+    chunk boundary.
     Returns the number of kernel draws checked; ``0`` when the native
     library does not load here (:func:`repro.native.status` says why).
     """
@@ -277,10 +297,14 @@ def check_native_equivalence(
         )
         runs = []
         for value in DISPATCH_AXES["native"]:
-            with forced_axis("native", value):
+            with forced_axis("native", value), _fused_chunks() as chunks:
                 runs.append(simulate_ensemble(BinArray(caps), **kwargs))
+            if value == "on":
+                fused = len(chunks)
         label = (f"native driver trial={trial} n={n} m={m} d={d} R={R} "
                  f"{kwargs['tie_break']} {kwargs['seed_mode']}")
+        assert fused >= 2 or not native.draws_available(), \
+            f"{label}: {fused} fused chunks"
         on, off = runs
         assert np.array_equal(on.counts, off.counts), f"{label}: counts"
         np.testing.assert_array_equal(on.heights, off.heights, err_msg=f"{label}: heights")
@@ -332,7 +356,7 @@ def check_window_equivalence(master_seed: int,
     end mid-window; capacities from the paper's profiles (equal ones
     included), every third draw just below the int64 guard.
     :func:`~repro.core.rounds.stale_windows` and, where the library
-    loads, :func:`repro.native.decide_windows` must equal
+    loads, :class:`repro.native.WindowKernel` must equal
     :func:`_window_loop` in winners and in the final frozen and live
     loads.  Returns the number of draws.
     """
@@ -366,11 +390,10 @@ def check_window_equivalence(master_seed: int,
         assert (twin, twin_live) == (expected[0], expected[2]), f"{label}: twin"
         if on:
             assert native.fits(int(live.max()) + W, int(caps.max()))
-            got_frozen, got_live = frozen.copy(), live.copy()
-            got = native.decide_windows(owners, tie_u, got_frozen, got_live,
-                                        caps, first, every)
-            assert (got.tolist(), got_frozen.tolist(), got_live.tolist()) \
-                == expected, f"{label}: native"
+            kernel = native.WindowKernel(caps, d)
+            got = kernel(owners, tie_u, frozen, live, first, every)
+            assert (got.tolist(), *kernel.loads.tolist()) == expected, \
+                f"{label}: native"
     return budget.draws
 
 

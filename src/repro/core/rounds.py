@@ -101,7 +101,7 @@ def stale_windows(rows, tie_u, frozen, live, caps, first: int, every: int):
     the service's :class:`~repro.service.views.StaleLoadView` refreshes.
     *live* is updated in place; *frozen* is read, never written.  The
     service placer's Python path, and the reference of the C kernel
-    ``repro.native.decide_windows``.
+    ``decide_windows`` (:class:`repro.native.WindowKernel`).
     """
     out = []
     left = first
@@ -190,7 +190,7 @@ def simulate_batched_ensemble(
     """
     if not isinstance(bins, BinArray):
         bins = BinArray(bins)
-    R, draw = lockstep_streams(repetitions, seed, seeds, seed_mode)
+    R, draw, _ = lockstep_streams(repetitions, seed, seeds, seed_mode)
     if m is None:
         m = bins.total_capacity
     if m < 0:

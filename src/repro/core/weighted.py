@@ -246,7 +246,7 @@ def simulate_weighted_ensemble(
         raise ValueError("ball sizes must be positive and finite")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    R, draw = lockstep_streams(repetitions, seed, seeds, seed_mode)
+    R, draw, _ = lockstep_streams(repetitions, seed, seeds, seed_mode)
 
     model = probability_model(probabilities)
     sampler = model.sampler(bins.capacities)

@@ -163,7 +163,7 @@ def allocate_requests_ensemble(
         raise ValueError(f"m must be non-negative, got {m}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    R, draw = lockstep_streams(repetitions, seed, seeds, seed_mode)
+    R, draw, _ = lockstep_streams(repetitions, seed, seeds, seed_mode)
     if capacity_aware:
         res = resolution if resolution is not None else max(1000, 10 * ring.n_peers)
         caps = ring.as_bin_array(res).capacities

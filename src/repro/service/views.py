@@ -30,8 +30,10 @@ therefore splits a decision into hashing and choosing.
 (:func:`~repro.p2p.hashing.point_sequences` plus one
 :meth:`~repro.p2p.ring.ConsistentHashRing.lookup_batch`) and
 :meth:`DChoicePlacer.decide_chunk` decides every window of the chunk in
-one call: :func:`repro.native.decide_windows` where the C library loads
-and the loads fit its int64 guard, otherwise its Python twin
+one call: the C ``decide_windows`` (through a
+:class:`repro.native.WindowKernel` the placer keeps, buffers and all)
+where the library loads and the loads fit its int64 guard, otherwise
+its Python twin
 :func:`repro.core.rounds.stale_windows` — ``stale_choice`` per key, the
 frozen loads replaced by the live ones at each window boundary, exactly
 where the view will refresh.  The tier is fixed when the placer is built
@@ -134,7 +136,9 @@ class DChoicePlacer:
         self._cap_list = caps.tolist()
         self._cap_array = np.ascontiguousarray(caps, dtype=np.int64)
         self._max_cap = int(caps.max())
-        self._native = native.available()
+        # The C window kernel, with its buffers, or None (the Python twin).
+        self._windows = (native.WindowKernel(self._cap_array, d)
+                         if native.available() else None)
         self._ids = [p.peer_id for p in ring.peers]
         self._caps = dict(zip(self._ids, self._cap_list))
         # The last view snapshot seen and its loads in ring-index order.
@@ -197,13 +201,10 @@ class DChoicePlacer:
         ids = self._ids
         live = [loads[pid] for pid in ids]
         first, every = view.remaining, view.refresh_every
-        if self._native and native.fits(max(live) + len(owners), self._max_cap):
-            winners = native.decide_windows(
-                np.ascontiguousarray(owners, dtype=np.int64),
-                np.ascontiguousarray(tie_u, dtype=np.float64),
-                np.array(self._frozen_loads(view), dtype=np.int64),
-                np.array(live, dtype=np.int64), self._cap_array, first, every,
-            ).tolist()
+        if (self._windows is not None
+                and native.fits(max(live) + len(owners), self._max_cap)):
+            winners = self._windows(owners, tie_u, self._frozen_loads(view), live,
+                                    first, every).tolist()
         else:
             winners = stale_windows(owners.tolist(), np.asarray(tie_u).tolist(),
                                     self._frozen_loads(view), live,

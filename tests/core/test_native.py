@@ -152,7 +152,8 @@ class TestFallback:
         monkeypatch.setattr(native, "_compiler", lambda: cc)
         calls = []
         monkeypatch.setattr(native, "run_rows", lambda *a, **k: calls.append(a))
-        assert not native.available()
+        monkeypatch.setattr(native.FusedChunks, "run", lambda *a: calls.append(a))
+        assert not native.available() and not native.draws_available()
         assert native.status() != "on"
         assert _figure_digests() == expected
         assert calls == []
@@ -242,6 +243,7 @@ class TestGuard:
             expected = simulate_ensemble(bins, **kwargs)
         calls = []
         monkeypatch.setattr(native, "run_rows", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(native.FusedChunks, "run", lambda *a: calls.append(a))
         res = simulate_ensemble(bins, **kwargs)
         assert calls == []
         np.testing.assert_array_equal(res.counts, expected.counts)
@@ -266,8 +268,8 @@ class TestGuard:
         owners = rng.integers(0, len(ids), size=(W, 3))
         tie_u = rng.random(W)
         calls = []
-        real = native.decide_windows
-        monkeypatch.setattr(native, "decide_windows",
+        real = native.WindowKernel.__call__
+        monkeypatch.setattr(native.WindowKernel, "__call__",
                             lambda *a: calls.append(a) or real(*a))
         for over in (0, 1):
             peak = (native.LOAD_LIMIT - 1) // top - W - 1 + over
@@ -280,12 +282,12 @@ class TestGuard:
                 [loads[p] for p in ids], [caps[p] for p in ids], every - 5, every)
             got = placer.decide_chunk(owners, tie_u, view, loads)
             assert got == [ids[b] for b in expected]
-            assert len(calls) == (1 if placer._native else 0)
+            assert len(calls) == (0 if placer._windows is None else 1)
 
 
 @needs_native
 class TestWindowKernel:
-    """``native.decide_windows``: every staleness window of one service
+    """``native.WindowKernel``: every staleness window of one service
     hash chunk, against a Python ``stale_choice`` loop."""
 
     @pytest.mark.parametrize("d", range(1, 9))
@@ -293,6 +295,7 @@ class TestWindowKernel:
         rng = np.random.default_rng(100 + d)
         n, every, first = 5, 7, 3
         caps = np.array([2, 2, 2, 4, 1], dtype=np.int64)  # equal capacities
+        kernel = native.WindowKernel(caps, d)  # buffers reused across chunks
         for trial in range(60):
             # Ends mid-window: first + 2 full windows + part of a third.
             W = first + 2 * every + int(rng.integers(1, every))
@@ -312,10 +315,9 @@ class TestWindowKernel:
                 ref_live[chosen] += 1
                 if j + 1 >= first and (j + 1 - first) % every == 0:
                     ref_frozen = list(ref_live)
-            got = native.decide_windows(owners, tie_u, frozen, live, caps,
-                                        first, every)
+            got = kernel(owners, tie_u, frozen, live, first, every)
             assert got.tolist() == expected
-            assert frozen.tolist() == ref_frozen and live.tolist() == ref_live
+            assert kernel.loads.tolist() == [ref_frozen, ref_live]
 
     def test_randomised_sweep(self):
         budget = SweepBudget(draws=1500, max_n=12)
@@ -327,24 +329,23 @@ class TestWindowKernel:
         owners = np.zeros((20, 3), dtype=np.int64)
         owners[at] = bad
         with pytest.raises(IndexError):
-            native.decide_windows(owners, np.zeros(20), np.zeros(4, dtype=np.int64),
-                                  np.zeros(4, dtype=np.int64),
-                                  np.ones(4, dtype=np.int64), 4, 8)
+            native.WindowKernel(np.ones(4, dtype=np.int64), 3)(
+                owners, np.zeros(20), [0] * 4, [0] * 4, 4, 8)
 
     def test_wrong_layout_is_refused(self):
         owners = np.zeros((6, 2), dtype=np.int64)
-        loads = np.zeros(4, dtype=np.int64)
+        loads = [0] * 4
         caps = np.ones(4, dtype=np.int64)
+        kernel = native.WindowKernel(caps, 2)
         for first, every in ((0, 4), (5, 4)):
             with pytest.raises(ValueError, match="first"):
-                native.decide_windows(owners, np.zeros(6), loads, loads.copy(),
-                                      caps, first, every)
+                kernel(owners, np.zeros(6), loads, loads, first, every)
         with pytest.raises(ValueError, match="caps"):
-            native.decide_windows(owners, np.zeros(6), loads, loads.copy(),
-                                  caps.astype(np.int32), 1, 4)
+            native.WindowKernel(caps.astype(np.int32), 2)
         with pytest.raises(ValueError, match="tie_u"):
-            native.decide_windows(owners, np.zeros(5), loads, loads.copy(),
-                                  caps, 1, 4)
+            kernel(owners, np.zeros(5), loads, loads, 1, 4)
+        with pytest.raises(ValueError):
+            kernel(np.zeros((6, 3), dtype=np.int64), np.zeros(6), loads, loads, 1, 4)
 
 
 @needs_native
@@ -359,10 +360,16 @@ class TestKernelChecks:
                             np.ones(4, dtype=np.int64), choices,
                             np.zeros((2, 5)), "max_capacity")
 
-    def test_alias_select_out_of_range_raises(self):
-        cols = np.array([0, 1, 5], dtype=np.int64)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fused_bad_alias_entry_raises(self, d):
+        """A column whose alias points past the bins is refused by the
+        fused kernel's placement, as ``run_rows`` refuses a bad candidate."""
+        counts = np.zeros((2, 3), dtype=np.int64)
+        fused = native.fused_chunks(
+            [np.random.default_rng(1)], np.zeros(3), np.array([0, 1, 5]),
+            counts, np.ones(3, dtype=np.int64), d, "max_capacity", k_max=40)
         with pytest.raises(IndexError):
-            native.alias_select(cols, np.zeros(3), np.ones(3), np.arange(3))
+            fused.run(0, 40)
 
     def test_wrong_layout_is_refused(self):
         counts = np.zeros((2, 4), dtype=np.int64)
@@ -376,6 +383,171 @@ class TestKernelChecks:
         with pytest.raises(ValueError):
             native.run_rows(counts, np.ones(4, dtype=np.int64), choices,
                             np.zeros((2, 5)), "nope")
+
+
+def _pcg64_state(gen):
+    """The generator state the fused draws must leave: the LCG state and
+    increment, and the buffered half word when one is held."""
+    state = gen.bit_generator.state
+    return (state["state"]["state"], state["state"]["inc"], state["has_uint32"],
+            state["uinteger"] if state["has_uint32"] else None)
+
+
+def _fused_calls(monkeypatch):
+    """Record every ``FusedChunks.run`` call as ``(col, k)``."""
+    calls = []
+    real = native.FusedChunks.run
+
+    def spy(self, col, k):
+        calls.append((col, k))
+        return real(self, col, k)
+
+    monkeypatch.setattr(native.FusedChunks, "run", spy)
+    return calls
+
+
+@needs_native
+class TestFusedDraws:
+    """``fused_rows`` makes NumPy's draws itself: the same values, in the
+    same order, leaving the generator where NumPy would, so a fused run
+    equals the NumPy-drawn run (``sampler.sample`` + ``run_rows``)
+    bit for bit and the stream carries on identically after it."""
+
+    def test_probe_passes_here(self):
+        """Runs fall back safely when the probe fails, but silently slower:
+        a NumPy whose draws changed must fail here, so ``native.c`` gets
+        updated."""
+        assert native.draws_available() and native.status() == "on"
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 1000, 2**31 - 1, 2**32 - 1])
+    def test_draws_equal_numpy(self, n):
+        ours, numpy = np.random.default_rng(n), np.random.default_rng(n)
+        for nints, ndoubles, nties in ((3, 3, 1), (7, 21, 7), (1, 0, 0),
+                                       (0, 5, 2), (9, 9, 3)):
+            got = native._pcg64_draws(native.library(), ours, n, nints,
+                                      ndoubles, nties)
+            want = (numpy.integers(0, n, size=nints, dtype=np.int64),
+                    numpy.random(ndoubles), numpy.random(nties))
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+            assert _pcg64_state(ours) == _pcg64_state(numpy)
+
+    @pytest.mark.parametrize("seed_mode", ["blocked", "spawn"])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 7, 1000])
+    def test_run_leaves_numpy_state(self, seed_mode, d, n, monkeypatch):
+        """R = 3 rows, chunks of 7 balls cut at the snapshots: most chunks
+        draw an odd number of 32-bit words, so a buffered half word is left
+        after one chunk and must carry into the next, and out of the run."""
+        bins = BinArray(np.random.default_rng(n).integers(1, 6, size=n))
+        m = 7 * 4 + 3
+
+        def run():
+            gens = [np.random.default_rng(100 + r) for r in range(3)]
+            seeding = ({"seed": gens[0], "repetitions": 3}
+                       if seed_mode == "blocked" else {"seeds": gens})
+            res = simulate_ensemble(
+                bins, m=m, d=d, seed_mode=seed_mode, chunk_size=7,
+                track_heights=True, keep_choices=True,
+                snapshot_at=[0, 10, 21, m], **seeding)
+            return res, [_pcg64_state(g) for g in gens]
+
+        calls = _fused_calls(monkeypatch)
+        fused, fused_states = run()
+        assert calls == [(0, 7), (7, 3), (10, 7), (17, 4), (21, 7), (28, 3)]
+        monkeypatch.setattr(native, "fused_chunks", lambda *a, **k: None)
+        numpy, numpy_states = run()
+        assert fused_states == numpy_states
+        assert any(s[2] for s in numpy_states)  # a half word left buffered
+        assert fused.counts.tobytes() == numpy.counts.tobytes()
+        assert fused.heights.tobytes() == numpy.heights.tobytes()
+        assert fused.choices.tobytes() == numpy.choices.tobytes()
+        assert [s.max_loads.tobytes() for s in fused.snapshots] == \
+            [s.max_loads.tobytes() for s in numpy.snapshots]
+
+    @pytest.mark.parametrize("seed_mode", ["blocked", "spawn"])
+    def test_mt19937_falls_back(self, seed_mode, monkeypatch):
+        """A generator that is not PCG64 keeps NumPy's draws."""
+        bins = BinArray([1, 2, 3, 4, 5])
+
+        def run():
+            gens = [np.random.Generator(np.random.MT19937(7 + r)) for r in range(3)]
+            seeding = ({"seed": gens[0], "repetitions": 3}
+                       if seed_mode == "blocked" else {"seeds": gens})
+            return simulate_ensemble(bins, m=101, d=3, seed_mode=seed_mode,
+                                     chunk_size=30, **seeding)
+
+        calls = _fused_calls(monkeypatch)
+        got = run()
+        assert calls == []
+        with forced_native(False):
+            assert got.counts.tobytes() == run().counts.tobytes()
+
+    def test_one_bin_keeps_numpy_draws(self, monkeypatch):
+        """NumPy draws nothing for a one-value range, so n = 1 is not
+        fused."""
+        calls = _fused_calls(monkeypatch)
+        res = simulate_ensemble(BinArray([3]), repetitions=2, m=5, seed=1)
+        assert calls == [] and res.counts.tolist() == [[5], [5]]
+
+    def test_holds_the_generator_lock(self, monkeypatch):
+        """ctypes drops the GIL, so the call runs under the generator's
+        lock: no other thread draws between the state read and write."""
+        gen = np.random.default_rng(3)
+        counts = np.zeros((2, 4), dtype=np.int64)
+        sampler = AliasSampler([1, 2, 3, 4])
+        fused = native.fused_chunks([gen], sampler._prob, sampler._alias, counts,
+                                    np.arange(1, 5), 2, "max_capacity", k_max=10)
+        real, held = fused._fn, []
+
+        def try_lock():
+            lock = gen.bit_generator.lock  # an RLock: ask from another thread
+            if lock.acquire(blocking=False):
+                lock.release()
+                held.append(False)
+            else:
+                held.append(True)
+
+        def spy(*args):
+            thread = threading.Thread(target=try_lock)
+            thread.start()
+            thread.join()
+            return real(*args)
+
+        fused._fn = spy
+        fused.run(0, 10)
+        assert held == [True] and counts.sum() == 20
+
+    def test_failing_probe_falls_back(self, fresh_load, monkeypatch):
+        """A probe that finds the C draws differ from NumPy's keeps every
+        run on NumPy's draws, with the same numbers; status() says why."""
+        expected = _figure_digests()
+        monkeypatch.setattr(native, "_loaded", None)
+        monkeypatch.setattr(native, "_probe", lambda lib: "probe: test mismatch")
+        calls = _fused_calls(monkeypatch)
+        assert native.available() and not native.draws_available()
+        assert native.status() == "on; NumPy draws: probe: test mismatch"
+        assert _figure_digests() == expected
+        assert calls == []
+
+    @pytest.mark.parametrize("fault", ["values", "state"])
+    def test_probe_reports_a_mismatch(self, fault, monkeypatch):
+        """The real probe, against C draws that are off by one value or
+        leave the generator one step off."""
+        real = native._pcg64_draws
+
+        def faulty(lib, gen, *args):
+            ints, doubles, ties = real(lib, gen, *args)
+            if fault == "values":
+                return ints + 1, doubles, ties
+            gen.bit_generator.advance(1)
+            return ints, doubles, ties
+
+        monkeypatch.setattr(native, "_pcg64_draws", faulty)
+        assert native._probe(native.library()) == {
+            "values": "probe: draws differ from NumPy's (range 2)",
+            "state": "probe: state differs from NumPy's (range 2)",
+        }[fault]
 
 
 @needs_native
@@ -458,18 +630,25 @@ class TestDispatch:
         from repro.p2p.workload import allocate_requests_ensemble
 
         calls = []
-        real = native.run_rows
+        real_rows, real_fused = native.run_rows, native.FusedChunks.run
 
-        def spy(*args, **kwargs):
+        def spy_rows(*args, **kwargs):
             calls.append(args[2].shape)
-            return real(*args, **kwargs)
+            return real_rows(*args, **kwargs)
 
-        monkeypatch.setattr(native, "run_rows", spy)
+        def spy_fused(self, col, k):
+            calls.append((col, k))
+            return real_fused(self, col, k)
+
+        monkeypatch.setattr(native, "run_rows", spy_rows)
+        monkeypatch.setattr(native.FusedChunks, "run", spy_fused)
         with forced_policy(backend="auto", wavefront="auto"):
             if driver == "plain":
                 simulate_ensemble(BinArray([1, 2, 3, 4]), repetitions=3, m=90,
                                   seed=1, chunk_size=40)
-                assert calls == [(3, 40, 2), (3, 40, 2), (3, 10, 2)]
+                assert calls == ([(0, 40), (40, 40), (80, 10)]
+                                 if native.draws_available()
+                                 else [(3, 40, 2), (3, 40, 2), (3, 10, 2)])
             else:
                 ring = ConsistentHashRing.random(12, seed=2)
                 allocate_requests_ensemble(ring, 50, repetitions=4, seed=1)

@@ -465,9 +465,9 @@ class TestNativeOnOff:
     @pytest.mark.parametrize("depth", [1, 128])
     def test_same_service_either_way(self, tmp_path, depth, monkeypatch):
         calls = []
-        real = native.decide_windows
-        monkeypatch.setattr(native, "decide_windows",
-                            lambda *a: calls.append(len(a[0])) or real(*a))
+        real = native.WindowKernel.__call__
+        monkeypatch.setattr(native.WindowKernel, "__call__",
+                            lambda *a: calls.append(len(a[1])) or real(*a))
         runs = {}
         for enabled in (True, False):
             path = tmp_path / f"native-{enabled}.wal"
@@ -493,7 +493,7 @@ class TestNativeOnOff:
         monkeypatch.setattr(native, "_loaded", None)
         monkeypatch.setattr(native, "ENABLED", True)
         monkeypatch.setattr(native, "_compiler", lambda: None)
-        monkeypatch.setattr(native, "decide_windows",
+        monkeypatch.setattr(native, "WindowKernel",
                             mock.Mock(side_effect=AssertionError("C kernel called")))
         for (d, T), digest in GOLDEN_DIGESTS.items():
             assert make(d, T).replay(TRACE, SCHEDULE).placement_digest == digest
