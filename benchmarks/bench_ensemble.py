@@ -45,8 +45,8 @@ from repro import native
 from repro.bins.generators import two_class_bins, uniform_bins
 from repro.core.compiled import HAVE_NUMBA, run_batch_compiled, warmup
 from repro.core.ensemble import run_batch_ensemble, simulate_ensemble
-from repro.core.equivalence import forced_axis
 from repro.core.fast import run_batch
+from repro.core.policy import forced_tier
 from repro.core.wavefront import WavefrontWorkspace, run_batch_wavefront
 from repro.experiments import run_experiment
 
@@ -353,12 +353,6 @@ ROWS_SHAPES = {
 }
 
 
-#: How each timed tier is forced: the rows axis for the two per-ball
-#: tiers, the native axis for the C tier.
-_TIER_AXES = {"rows": ("rows", "on"), "lockstep": ("rows", "off"),
-              "native": ("native", "on")}
-
-
 def _tier_seconds(config, tier, rounds=3):
     bins, R, d, m = ROWS_SHAPES[config]
 
@@ -366,7 +360,7 @@ def _tier_seconds(config, tier, rounds=3):
         return simulate_ensemble(bins, repetitions=R, m=m, d=d,
                                  seed=BENCH_SEED, seed_mode="blocked")
 
-    with forced_axis(*_TIER_AXES[tier]):
+    with forced_tier(tier):
         run()  # untimed warmup
         return _best(run, rounds)
 
@@ -418,10 +412,10 @@ def _assert_native_floor(config, slower, floor):
     """The native tier must beat the *slower* NumPy tier by *floor* on the
     *config* shape (min-of-rounds timing); the runs must agree."""
     bins, R, d, m = ROWS_SHAPES[config]
-    with forced_axis("native", "on"):
+    with forced_tier("native"):
         fast = simulate_ensemble(bins, repetitions=R, m=m, d=d,
                                  seed=BENCH_SEED, seed_mode="blocked")
-    with forced_axis(*_TIER_AXES[slower]):
+    with forced_tier(slower):
         base = simulate_ensemble(bins, repetitions=R, m=m, d=d,
                                  seed=BENCH_SEED, seed_mode="blocked")
     np.testing.assert_array_equal(fast.counts, base.counts)

@@ -87,20 +87,17 @@ def main() -> None:
           f"{adaptive['replication_budget']} budgeted replications "
           f"(early stop: {adaptive['early_stopped']})")
 
-    # Kernel policy: one KernelPolicy(backend, wavefront) picks the
-    # tier — native > compiled > wavefront > rows > lockstep — and no
-    # choice ever changes a number (the tiers are bit-identical).  REPRO_BACKEND=auto
-    # (default) uses the numba-jitted compiled tier exactly when numba is
-    # installed (`pip install -e ".[compiled]"`); REPRO_BACKEND=numpy/
-    # compiled — or forced_policy(backend=...) — pins a tier.
-    from repro.core import HAVE_NUMBA, forced_policy
+    # Kernel tiers: dispatch picks one per run from its shape — native >
+    # compiled > wavefront > rows > lockstep — and no choice ever changes
+    # a number (the tiers are bit-identical).  There is nothing to
+    # configure; tests and benchmarks pin a tier by naming it.
+    from repro.core import TIERS, forced_tier
 
-    with forced_policy(backend="numpy"):
-        ref = simulate(bins, seed=2026)
-    with forced_policy(backend="compiled"):  # jitted with numba, else interpreter
-        comp = simulate(bins, seed=2026)
-    assert (ref.counts == comp.counts).all(), "backends must be bit-identical"
-    print(f"\nbackends agree bit-for-bit (numba available: {HAVE_NUMBA})")
+    ref = simulate(bins, seed=2026)
+    for tier in TIERS:
+        with forced_tier(tier):  # compiled without numba: the interpreter
+            assert (simulate(bins, seed=2026).counts == ref.counts).all(), tier
+    print(f"\ntiers agree bit-for-bit: {', '.join(TIERS)}")
 
     # Distributed sweep fabric: the same run, broker-leased block by block
     # to a fleet of worker processes — and still bit-identical, because

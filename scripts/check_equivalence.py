@@ -11,7 +11,8 @@ Runs, from :mod:`repro.core.equivalence`:
 * the randomised native sweep: the C row loops against
   ``protocol.reference_run`` (d in 1..8, every tie-break, heights,
   capacities just below the int64 guard), and the plain driver with the
-  native tier on against off in both seed modes;
+  native tier forced against the library switched off, in both seed
+  modes;
 * the randomised window sweep: the service's chunk-wide window decide
   (``native.WindowKernel`` where the library loads, and its Python
   twin ``rounds.stale_windows``) against a window-by-window
@@ -23,22 +24,17 @@ Runs, from :mod:`repro.core.equivalence`:
   R-row run, forced onto the lockstep kernels and onto the rows tier,
   must equal the ``R = 1`` run, which takes the driver's row kernel, on
   child seed ``r``;
-* the dispatch-identity matrix: along each selected dispatch axis,
-  randomised driver runs and every registered experiment on both engines
-  must be bit-identical for every value of the axis;
-* the per-experiment cross-engine matrix (every registered experiment on
-  both engines, optionally at a ``--rep-factor`` multiple of the pinned
-  repetition counts, within its pinned tolerance).
+* the dispatch-identity matrix: randomised driver runs with each kernel
+  tier (native, compiled, wavefront, rows, lockstep) forced by name must
+  be bit-identical to the unforced run;
+* the per-experiment matrix (skipped by ``--skip-experiments``): every
+  registered experiment on both engines, cross-engine within its pinned
+  tolerance (optionally at a ``--rep-factor`` multiple of the pinned
+  repetition counts) and with each tier forced bit-identical to the
+  unforced run.
 
-The matrix always covers the ``wavefront`` (on/off), ``rows`` (the rows
-tier at every R vs the lockstep kernels at every R > 1), ``backend``
-(compiled/numpy) and ``native`` (the C tier vs today's auto dispatch;
-left out of a pass pinned with ``--native off``) axes.  ``--backend
-MODE`` pins the ambient backend for the whole run, and ``--native
-on|off`` the ambient native tier, so CI can repeat the sweep once per
-available backend and native value (see ``scripts/ci.sh``).  ``--fabric N`` additionally runs every
-experiment over an N-worker sweep fabric and requires bit-identity
-against the local serial run.
+``--fabric N`` additionally runs every experiment over an N-worker sweep
+fabric and requires bit-identity against the local serial run.
 
 Exit code 0 means every replication of every draw was bit-identical across
 engines and every experiment's figures agreed within its pinned tolerance.
@@ -65,7 +61,6 @@ except ModuleNotFoundError:
 
 from repro import native
 from repro.core.equivalence import (
-    DISPATCH_AXES,
     EXPERIMENT_CASES,
     ROW_DRIVERS,
     SweepBudget,
@@ -79,12 +74,11 @@ from repro.core.equivalence import (
     check_row_parity,
     check_window_equivalence,
 )
-from repro.core.policy import CHOICES, HAVE_NUMBA, set_policy
+from repro.core.policy import TIERS
 
 #: Master-seed salts, so each sweep draws its own instances.
 _KERNEL_SALTS = {"wavefront": 0xAFE1, "compiled": 0xC0DE}
-_DRIVER_SALTS = {"wavefront": 0x0FF0, "rows": 0x2055, "backend": 0xBACC,
-                 "native": 0x7A7E}
+_DRIVER_SALT = 0x0FF0
 _NATIVE_SALT = 0xC7A1
 _WINDOW_SALT = 0x3D0E
 _ROW_SALTS = {"plain": 0xD41E, "batched": 0xBA7C, "weighted": 0x3E16, "ring": 0x21F6}
@@ -95,8 +89,9 @@ def main(argv=None) -> int:
     parser.add_argument("--draws", type=int, default=400,
                         help="randomised kernel draws (default 400)")
     parser.add_argument("--driver-trials", type=int, default=40,
-                        help="randomised driver trials: per dispatch axis, and "
-                             "per lockstep driver for row parity (default 40)")
+                        help="randomised driver trials: for the tier matrix, "
+                             "and per lockstep driver for row parity "
+                             "(default 40)")
     parser.add_argument("--seed", type=int, default=0xE25E, help="master seed")
     parser.add_argument("--max-m", type=int, default=200,
                         help="max balls per draw (default 200)")
@@ -106,34 +101,16 @@ def main(argv=None) -> int:
                         help="multiply the per-experiment repetition counts "
                              "of the cross-engine matrix (default 1)")
     parser.add_argument("--skip-experiments", action="store_true",
-                        help="skip the per-experiment cross-engine matrix")
+                        help="skip the per-experiment matrix (cross-engine "
+                             "and tier identity)")
     parser.add_argument("--fabric", type=int, default=None, metavar="N",
                         help="also require fabric == serial bit-identity for "
                              "every experiment, over N broker-leased workers "
                              "(default: off; implies the experiment matrix)")
-    parser.add_argument("--backend", choices=CHOICES["backend"], default=None,
-                        help="pin the ambient backend for the whole run "
-                             "(default: leave REPRO_BACKEND in force)")
-    parser.add_argument("--native", choices=("on", "off"), default=None,
-                        help="pin the ambient native tier for the whole run "
-                             "(default: on wherever the library loads)")
     args = parser.parse_args(argv)
 
     budget = SweepBudget(draws=args.draws, max_m=args.max_m, max_r=args.max_r)
-    # A pass pinned to native off leaves the native axis (which forces
-    # both values itself) to the pass that runs with it on.
-    axes = (["wavefront", "rows", "backend"]
-            + (["native"] if args.native != "off" else []))
     started = time.perf_counter()
-    if args.backend:
-        # The script owns its process, so a plain process-wide override is
-        # enough — identity checks still force both sides as they need to.
-        set_policy(backend=args.backend)
-        jit = "numba" if HAVE_NUMBA else "interpreter fallback"
-        print(f"backend pinned:     {args.backend} ({jit})")
-    if args.native:
-        native.ENABLED = args.native == "on"
-        print(f"native pinned:      {args.native} ({native.status()})")
     try:
         kernel = check_kernel_equivalence(args.seed, budget)
         print(f"kernel equivalence: {kernel} draws OK "
@@ -147,7 +124,7 @@ def main(argv=None) -> int:
         )
         print(f"{'native kernel:':20s}"
               + (f"{draws} draws OK (native == reference, counts + heights; "
-                 f"driver native on == off)" if draws
+                 f"driver native forced == off)" if draws
                  else f"skipped ({native.status()})"))
         # A draw is one chunk of a few windows (~0.2 ms): ten per kernel draw.
         draws = check_window_equivalence(
@@ -157,15 +134,12 @@ def main(argv=None) -> int:
         print(f"{'window kernel:':20s}{draws} draws OK ("
               + ("native == " if native.available() else "")
               + "stale_windows == window-by-window stale_choice)")
-        for axis in axes:
-            values = DISPATCH_AXES[axis]
-            trials = check_driver_dispatch_identity(
-                axis, values, args.seed ^ _DRIVER_SALTS[axis],
-                trials=args.driver_trials,
-            )
-            print(f"{axis + ' drivers:':20s}{trials} trials OK "
-                  f"({' == '.join(map(str, values))}, both engines, "
-                  f"snapshots + heights)")
+        trials = check_driver_dispatch_identity(
+            TIERS, args.seed ^ _DRIVER_SALT, trials=args.driver_trials
+        )
+        print(f"{'tier drivers:':20s}{trials} trials OK "
+              f"(each of {', '.join(TIERS)} forced == unforced, both engines, "
+              f"snapshots + heights)")
         for driver in ROW_DRIVERS:
             trials = check_row_parity(
                 driver, args.seed ^ _ROW_SALTS[driver], trials=args.driver_trials
@@ -184,19 +158,15 @@ def main(argv=None) -> int:
                     experiment_id, rep_factor=args.rep_factor
                 )
                 tol = EXPERIMENT_CASES[experiment_id].tol
-                notes = []
-                for axis in axes:
-                    values = DISPATCH_AXES[axis]
-                    comparisons = check_dispatch_identity(experiment_id, axis, values)
-                    notes.append(f"{axis} {'=='.join(map(str, values))} "
-                                 f"({comparisons} comparisons)")
+                comparisons = check_dispatch_identity(experiment_id)
                 fab_note = ""
                 if fabric is not None:
                     check_fabric_serial_identity(experiment_id, fabric=fabric)
                     fab_note = f"; fabric=={args.fabric}-worker serial"
                 print(f"experiment matrix:  {experiment_id:16s} OK "
                       f"(worst series deviation {worst:.4f} <= tol {tol}; "
-                      f"{'; '.join(notes)}{fab_note})")
+                      f"every tier forced == unforced ({comparisons} "
+                      f"comparisons){fab_note})")
     except AssertionError as exc:
         print(f"EQUIVALENCE FAILURE: {exc}", file=sys.stderr)
         return 1

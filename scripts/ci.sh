@@ -47,31 +47,27 @@
 #      then a pipelined driver at depths 1, 16 and 128 against a server
 #      SIGKILLed at a seeded request: every reply it received must be in
 #      the recovered log (acked => durable, the group-commit contract);
-#   9. a reduced-budget cross-engine equivalence sweep, run once per
-#      *available* backend pinned as the ambient one with the native tier
-#      off (numpy always; compiled additionally when numba is importable —
-#      without numba the backend axis already runs the compiled source
-#      through the interpreter), then once more on the auto policy with
-#      the native tier on (the C kernels, wherever they build): kernel
-#      three-way bit-exactness, the wavefront and compiled lockstep kernel
-#      sweeps, the native sweep (C row loops == protocol.reference_run,
-#      d 1..8, near the int64 guard; skipped where the library does not
-#      load), the window sweep (the service's chunk-wide window decide,
-#      C kernel and Python twin, == a window-by-window stale_choice
-#      loop), the row parity sweep of each
-#      lockstep driver (plain, stale-view, weighted, ring: row r of an
-#      R-row run == the R = 1 row kernel on child seed r), and the
-#      dispatch-identity matrix — randomised driver runs and every
-#      registered experiment on both engines, bit-identical along the
-#      wavefront (on/off), rows (rows tier vs lockstep), backend
-#      (compiled/numpy) and native (on/off) dispatch axes.
+#   9. a reduced-budget equivalence sweep, run once: kernel three-way
+#      bit-exactness, the wavefront and compiled lockstep kernel sweeps,
+#      the native sweep (C row loops == protocol.reference_run, d 1..8,
+#      near the int64 guard; skipped where the library does not load),
+#      the window sweep (the service's chunk-wide window decide, C kernel
+#      and Python twin, == a window-by-window stale_choice loop), the row
+#      parity sweep of each lockstep driver (plain, stale-view, weighted,
+#      ring: row r of an R-row run == the R = 1 row kernel on child seed
+#      r), and randomised driver runs with each kernel tier forced by name
+#      bit-identical to the unforced run.  The per-experiment matrix
+#      (cross-engine and tier identity on every registered experiment)
+#      runs in the tier-1 suite, so this step skips it; `make
+#      equivalence` runs it at full budget by hand.
 #
 # The reduced budgets keep the whole pipeline at ~1 minute so the
 # equivalence sweep is exercised routinely instead of only by hand; run
 # scripts/check_equivalence.py directly (default or larger --draws /
-# --rep-factor) for the full-budget sweep.  Numba compilation is
-# disk-cached (njit(cache=True)), so where numba exists the compiled pass
-# pays the jit cost once per machine, not once per run.
+# --rep-factor) for the full-budget sweep with the experiment matrix.
+# Numba compilation is disk-cached (njit(cache=True)), so where numba
+# exists the compiled tier pays the jit cost once per machine, not once
+# per run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -135,16 +131,8 @@ python scripts/service_smoke.py
 echo "== crash-recovery smoke (SIGKILL mid-trace -> WAL restart, bit-identical) =="
 python scripts/recovery_smoke.py
 
-BACKENDS="numpy"
-if python -c "import numba" 2>/dev/null; then
-    BACKENDS="numpy compiled"
-fi
-for backend in $BACKENDS; do
-    echo "== reduced-budget cross-engine equivalence sweep [backend=$backend, native=off] =="
-    python scripts/check_equivalence.py --draws 60 --driver-trials 8 \
-        --backend "$backend" --native off
-done
-echo "== reduced-budget cross-engine equivalence sweep [auto, native=on] =="
-python scripts/check_equivalence.py --draws 60 --driver-trials 8 --native on
+echo "== reduced-budget equivalence sweep (kernels, drivers, every tier forced) =="
+python scripts/check_equivalence.py --draws 60 --driver-trials 8 \
+    --skip-experiments
 
 echo "ci.sh: all checks passed"

@@ -18,9 +18,8 @@ Commands
     (``DIR``, else ``$REPRO_STORE``, else ``./.repro-store``): a repeated
     request is a cache hit doing zero simulation work, and an interrupted
     ensemble run resumes from its block checkpoints.
-    The kernel tier has no flag: ``REPRO_BACKEND`` and
-    ``REPRO_WAVEFRONT`` pin it (:mod:`repro.core.policy`), and no tier
-    changes a number.
+    The kernel tier has no flag or setting: the run's shape picks it
+    (:func:`repro.core.policy.dispatch`), and no tier changes a number.
 ``repro sweep <ids|all> [--scales S1,S2] [--seeds N1,N2] [--engines E1,E2] ...``
     Run a grid of run requests (ids × scales × seeds × engines) through the
     store and print a hit/miss/resume summary table (with an
@@ -110,7 +109,7 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .experiments.base import EngineNotSupportedError, PrecisionNotSupportedError
+    from .experiments.base import PrecisionNotSupportedError
     from .experiments.runner import as_run_request, execute_request
 
     progress = ProgressReporter() if args.progress else None
@@ -127,7 +126,7 @@ def _cmd_run(args) -> int:
         outcome = execute_request(
             request, progress=progress, out_dir=args.out, store=args.store
         )
-    except (EngineNotSupportedError, PrecisionNotSupportedError) as exc:
+    except PrecisionNotSupportedError as exc:
         raise SystemExit(str(exc)) from None
     result = outcome.result
     if args.store is not None:
@@ -215,7 +214,6 @@ def _cmd_sweep(args) -> int:
 
     from .experiments.base import (
         ENGINES,
-        EngineNotSupportedError,
         PrecisionNotSupportedError,
         get_experiment,
     )
@@ -283,7 +281,7 @@ def _cmd_sweep(args) -> int:
                     request, progress=progress, out_dir=out_dir, store=store,
                     fabric=fabric,
                 )
-            except (EngineNotSupportedError, PrecisionNotSupportedError) as exc:
+            except PrecisionNotSupportedError as exc:
                 # A request the registry can never satisfy is a usage error:
                 # abort the whole sweep with the message, like before.
                 raise SystemExit(str(exc)) from None

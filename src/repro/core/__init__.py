@@ -29,14 +29,7 @@ from .migration import (
     migration_cost_from_scratch,
     rebalance_waterfill,
 )
-from .policy import (
-    HAVE_NUMBA,
-    KernelPolicy,
-    current_policy,
-    forced_policy,
-    set_policy,
-    use_wavefront,
-)
+from .policy import HAVE_NUMBA, TIERS, forced_tier, use_wavefront
 from .protocol import TIE_BREAKS, allocate_ball, select_bin
 from .rounds import simulate_batched, simulate_batched_ensemble
 from .simulation import SimulationResult, Snapshot, simulate
@@ -62,10 +55,8 @@ __all__ = [
     "WavefrontWorkspace",
     "run_batch_compiled",
     "HAVE_NUMBA",
-    "KernelPolicy",
-    "current_policy",
-    "set_policy",
-    "forced_policy",
+    "TIERS",
+    "forced_tier",
     "select_bin",
     "allocate_ball",
     "TIE_BREAKS",

@@ -13,7 +13,7 @@ NumPy kernels also cover:
 
 Each kernel source is compiled once, through :func:`_jit`.  Without
 Numba the module stays importable and runs the sources through the
-interpreter: identical arithmetic, interpreter speed.  ``auto`` selects
+interpreter: identical arithmetic, interpreter speed.  Dispatch selects
 this tier only when Numba is present, so a Numba-less install never
 slows down; the equivalence suite still forces it at tiny scale, pinning
 the fallback to the same bit-identity contract.  Compilation is cached on
@@ -25,16 +25,15 @@ overhead across conflict-free tiles, and a compiled loop has none, so its
 tiling would degenerate to the sequential commit order these loops
 already execute.
 
-Which tier runs is the kernel policy's call (:mod:`repro.core.policy`:
-``REPRO_BACKEND``).  The getters below are read-only views of it, kept
-for the benchmark's environment stamp.
+Which tier runs is :func:`repro.core.policy.dispatch`'s call; tests
+pin this one with ``forced_tier("compiled")``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .policy import HAVE_NUMBA, current_policy
+from .policy import HAVE_NUMBA
 from .wavefront import validate_lockstep_batch
 
 if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
@@ -55,21 +54,19 @@ else:  # pragma: no cover - the only path on numba-less CI
 
 __all__ = [
     "HAVE_NUMBA",
-    "get_backend",
-    "use_compiled",
     "warmup",
     "run_batch_compiled",
 ]
 
 
+# Only perfbench's stamp reads this; it goes with ROADMAP item 8.
 def get_backend() -> str:
-    """The backend setting of the current kernel policy."""
-    return current_policy().backend
+    return "auto"
 
 
+# Only perfbench's stamp reads this; it goes with ROADMAP item 8.
 def use_compiled() -> bool:
-    """Whether the current kernel policy runs the compiled tier."""
-    return current_policy().compiled
+    return HAVE_NUMBA
 
 
 # Only perfbench's stamp reads this; it goes with ROADMAP item 8.

@@ -59,28 +59,26 @@ Five kernel tiers implement the identical decision sequence, and
 :func:`simulate_ensemble` asks :func:`repro.core.policy.dispatch` once
 per run which one takes its chunks, in priority order **native >
 compiled > wavefront > rows > lockstep**: the C row loops of
-:mod:`repro.native` whenever the policy is left on ``auto``, the
-library loads and the run fits int64 (:func:`repro.native.fits`) —
-``fused_rows``, which draws each chunk from the PCG64 stream as NumPy
-would, selects and places it in one pass, for an alias sampler over
-PCG64 generators (:func:`repro.native.fused_chunks`), else NumPy's draws
-and ``run_rows``, every row of a chunk in one call; else
-:func:`repro.core.compiled.run_batch_compiled`
-when the compiled backend is in force (``REPRO_BACKEND``; ``auto``
-selects it exactly when Numba is available), else the conflict-free
-wavefront kernels of :mod:`repro.core.wavefront` when the expected
-conflict rate is low enough and the shape clears the floor of the
-per-ball tier it would replace (``REPRO_WAVEFRONT``, with a
-realised-free-fraction runtime fallback to that tier), else
-:func:`repro.core.fast.run_batch` once per row while ``R`` is below the
-row/lockstep crossover, else the lockstep loops below.  An explicit
-``REPRO_BACKEND`` or ``REPRO_WAVEFRONT`` runs the tier it names, never
-the native one — except that a run that does not fit int64 (or, with
-heights, float64) runs the rows tier in Python ints whatever is forced:
-exactness outranks tier choice.  All tiers are *bit-identical* — every kernel consumes
-the same pre-drawn choices and tie uniforms, drawn by the same generator
-calls, so dispatch can never change a number; the equivalence suite
-forces each path and compares exactly.
+:mod:`repro.native` whenever the library loads and the run fits int64
+(:func:`repro.native.fits`) — ``fused_rows``, which draws each chunk
+from the PCG64 stream as NumPy would, selects and places it in one
+pass, for an alias sampler over PCG64 generators
+(:func:`repro.native.fused_chunks`), else NumPy's draws and
+``run_rows``, every row of a chunk in one call; else
+:func:`repro.core.compiled.run_batch_compiled` when Numba is
+importable; else the conflict-free wavefront kernels of
+:mod:`repro.core.wavefront` when the expected conflict rate is low
+enough and the shape clears the floor of the per-ball tier it would
+replace (with a realised-free-fraction runtime fallback to that tier);
+else :func:`repro.core.fast.run_batch` once per row while ``R`` is below
+the row/lockstep crossover, else the lockstep loops below.  A tier
+pinned with :func:`repro.core.policy.forced_tier` runs every chunk,
+except that a run that does not fit int64 (or, with heights, float64)
+runs the rows tier in Python ints whatever is forced: exactness
+outranks tier choice.  All tiers are *bit-identical* — every kernel
+consumes the same pre-drawn choices and tie uniforms, drawn by the same
+generator calls, so dispatch can never change a number; the equivalence
+suite forces each tier and compares exactly.
 
 Shared parameters per block
 ---------------------------
@@ -129,9 +127,9 @@ from .compiled import run_batch_compiled
 from .fast import run_batch
 from .policy import (
     RUNTIME_MIN_FREE_FRACTION,
-    current_policy,
     dispatch,
     effective_bins,
+    forced,
     use_rows,
 )
 from .wavefront import (
@@ -615,12 +613,13 @@ def simulate_ensemble(
         take_snapshot(0)
         pending.pop(0)
 
-    # The kernel policy picks the tier once per run: native (the C row
-    # loops, whenever the library loads and the run fits int64), compiled,
-    # the conflict-free wavefront (keyed on the collision-equivalent bin
-    # count of the selection distribution, with a fall back to the
-    # per-ball tier for the rest of the run if the realised free fraction
-    # disappoints), rows (the list row kernel once per row) or lockstep.
+    # Dispatch picks the tier once per run: native (the C row loops,
+    # whenever the library loads and the run fits int64), compiled, the
+    # conflict-free wavefront (keyed on the collision-equivalent bin count
+    # of the selection distribution, with a fall back to the per-ball tier
+    # for the rest of the run if the realised free fraction disappoints,
+    # unless a tier is forced), rows (the list row kernel once per row) or
+    # lockstep.
     # Every tier consumes the identical pre-drawn randomness, so no
     # dispatch decision can change the results.  The kernels are called
     # through this module's globals, where a tracer can wrap them.
@@ -628,9 +627,9 @@ def simulate_ensemble(
     wf_stats = WavefrontStats()
     p = getattr(sampler, "probabilities", None)
     n_eff = effective_bins(p) if p is not None else float(n)
-    policy = current_policy()
     fits = native.fits(m, caps_arr.max(), track_heights)
-    tier = dispatch(policy, n_eff, R, d, native_fits=fits, exact=fits)
+    tier = dispatch(n_eff, R, d, native_fits=fits, exact=fits)
+    guard = forced() is None
     # The native tier draws, selects and places each chunk in C where it
     # can make NumPy's draws itself (an alias sampler over PCG64
     # generators); otherwise it takes NumPy's draws and `run_rows`.
@@ -673,8 +672,7 @@ def simulate_ensemble(
                     workspace=workspace,
                     stats=wf_stats,
                 )
-                if (policy.wavefront == "auto"
-                        and wf_stats.free_fraction < RUNTIME_MIN_FREE_FRACTION):
+                if guard and wf_stats.free_fraction < RUNTIME_MIN_FREE_FRACTION:
                     tier = "rows" if use_rows(R, d) else "lockstep"
             elif tier == "rows":
                 if rows is None:

@@ -23,13 +23,13 @@ This module has three layers:
   (:func:`check_native_equivalence`) and the service's window kernel
   against a window-by-window ``stale_choice`` loop
   (:func:`check_window_equivalence`);
-* the *dispatch-identity matrix*: each dispatch axis
-  (:data:`DISPATCH_AXES` — wavefront on/off, rows on/off, backend
-  compiled/numpy, native on/off) forced through every value
-  (:func:`forced_axis`), on randomised driver
-  runs (:func:`check_driver_dispatch_identity`) and on every registered
-  experiment on both engines (:func:`check_dispatch_identity`), with
-  bit-identical results required;
+* the *dispatch-identity matrix*: each kernel tier
+  (:data:`~repro.core.policy.TIERS`) forced by name
+  (:func:`~repro.core.policy.forced_tier`) against the unforced run, on
+  randomised driver runs (:func:`check_driver_dispatch_identity`) and on
+  every registered experiment on both engines
+  (:func:`check_dispatch_identity`), with bit-identical results
+  required;
 * a *per-experiment* cross-engine matrix (:data:`EXPERIMENT_CASES`,
   :func:`check_experiment_equivalence`): every registered experiment runs on
   both engines at a pinned tiny configuration and the resulting figures must
@@ -44,7 +44,6 @@ and the larger-budget smoke script (``scripts/check_equivalence.py``).
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -53,11 +52,10 @@ import numpy as np
 from .. import native
 from ..bins.arrays import BinArray
 from ..sampling.rngutils import spawn_seed_sequences
-from . import policy
 from .compiled import run_batch_compiled
 from .ensemble import run_batch_ensemble, simulate_ensemble
 from .fast import run_batch
-from .policy import forced_policy
+from .policy import TIERS, forced_tier
 from .protocol import TIE_BREAKS, reference_run
 from .rounds import simulate_batched_ensemble, stale_choice, stale_windows
 from .simulation import simulate
@@ -68,9 +66,7 @@ __all__ = [
     "SweepBudget",
     "check_kernel_equivalence",
     "check_lockstep_kernel_equivalence",
-    "DISPATCH_AXES",
     "forced_native",
-    "forced_axis",
     "check_native_equivalence",
     "check_driver_dispatch_identity",
     "ROW_DRIVERS",
@@ -246,7 +242,8 @@ def check_native_equivalence(
     heights stay exact in double).  Driver level: *trials* runs of
     :func:`~repro.core.ensemble.simulate_ensemble`, alternating seed modes
     and including near-guard capacities, native on equal native off
-    (counts, heights, kept choices, snapshots).  Where the fused draws run
+    (counts, heights, kept choices, snapshots), the native tier forced
+    against the library switched off.  Where the fused draws run
     (:func:`repro.native.draws_available`), every native-on trial must
     have drawn, selected and placed its chunks in C, across at least one
     chunk boundary.
@@ -295,37 +292,21 @@ def check_native_equivalence(
             track_heights=True, keep_choices=True,
             snapshot_at=[0, m // 3, m], chunk_size=int(rng.integers(50, 700)),
         )
-        runs = []
-        for value in DISPATCH_AXES["native"]:
-            with forced_axis("native", value), _fused_chunks() as chunks:
-                runs.append(simulate_ensemble(BinArray(caps), **kwargs))
-            if value == "on":
-                fused = len(chunks)
+        with forced_tier("native"), _fused_chunks() as chunks:
+            on = simulate_ensemble(BinArray(caps), **kwargs)
+        with forced_native(False):
+            off = simulate_ensemble(BinArray(caps), **kwargs)
+        fused = len(chunks)
         label = (f"native driver trial={trial} n={n} m={m} d={d} R={R} "
                  f"{kwargs['tie_break']} {kwargs['seed_mode']}")
         assert fused >= 2 or not native.draws_available(), \
             f"{label}: {fused} fused chunks"
-        on, off = runs
         assert np.array_equal(on.counts, off.counts), f"{label}: counts"
         np.testing.assert_array_equal(on.heights, off.heights, err_msg=f"{label}: heights")
         np.testing.assert_array_equal(on.choices, off.choices, err_msg=f"{label}: choices")
         for a, b in zip(on.snapshots, off.snapshots):
             np.testing.assert_array_equal(a.max_loads, b.max_loads, err_msg=label)
     return budget.draws
-
-
-#: Every dispatch axis with the values the dispatch-identity matrix
-#: forces; the first value is the baseline the others must reproduce.
-#: ``rows`` is not a policy field: ``"on"`` runs the rows tier at every
-#: ``R``, ``"off"`` the lockstep kernels at every ``R > 1``.  ``native``
-#: is not one either: ``"on"`` runs the C tier wherever it loads and the
-#: run fits, ``"off"`` today's auto dispatch without it.
-DISPATCH_AXES = {
-    "wavefront": ("on", "off"),
-    "rows": ("on", "off"),
-    "backend": ("compiled", "numpy"),
-    "native": ("on", "off"),
-}
 
 
 def _window_loop(rows, tie_u, frozen, live, caps, first, every):
@@ -408,53 +389,20 @@ def forced_native(enabled: bool):
         native.ENABLED = saved
 
 
-@contextmanager
-def forced_axis(axis: str, value):
-    """Force one :data:`DISPATCH_AXES` *axis* to *value* for a block.
-
-    Policy fields go through :func:`~repro.core.policy.forced_policy`.
-    The rows axis patches the row/lockstep crossovers
-    (:data:`~repro.core.policy.ROWS_CROSSOVER`,
-    :data:`~repro.core.policy.WEIGHTED_ROWS_CROSSOVER`) to plus or minus
-    infinity, with the NumPy backend and the wavefront off so that the
-    per-ball tier is what runs.  The native axis switches the C tier with
-    the policy on ``auto``; every other axis runs with it off, so each
-    axis tests the tier it names.  Everything is restored on exit.
-    """
-    if axis == "native":
-        with forced_native(value == "on"), forced_policy(
-            backend="auto", wavefront="auto"
-        ):
-            yield
-        return
-    if axis != "rows":
-        with forced_native(False), forced_policy(**{axis: value}):
-            yield
-        return
-    crossover = math.inf if value == "on" else -math.inf
-    saved = policy.ROWS_CROSSOVER, policy.WEIGHTED_ROWS_CROSSOVER
-    policy.ROWS_CROSSOVER = policy.WEIGHTED_ROWS_CROSSOVER = crossover
-    try:
-        with forced_native(False), forced_policy(backend="numpy", wavefront="off"):
-            yield
-    finally:
-        policy.ROWS_CROSSOVER, policy.WEIGHTED_ROWS_CROSSOVER = saved
-
-
 def check_driver_dispatch_identity(
-    axis: str, values, master_seed: int, trials: int = 6
+    tiers, master_seed: int, trials: int = 6
 ) -> int:
-    """Driver-level bit-identity sweep along one dispatch axis.
+    """Driver-level bit-identity sweep over forced kernel tiers.
 
     Each trial runs :func:`~repro.core.ensemble.simulate_ensemble` (both
-    seed modes) and :func:`~repro.core.simulation.simulate` with the
-    *axis* forced to each of *values* (:func:`forced_axis`) on the same
-    configuration — cycling all three tie-break modes — and requires
-    every value to reproduce the first one's counts, heights and
-    snapshots exactly.  This is the
-    guarantee dispatch relies on: every tier consumes identical pre-drawn
-    randomness, so no dispatch decision can leak into the numbers.
-    Returns the number of trials checked.
+    seed modes) and :func:`~repro.core.simulation.simulate` unforced and
+    with each of *tiers* forced (:func:`~repro.core.policy.forced_tier`)
+    on the same configuration — cycling all three tie-break modes — and
+    requires every forced run to reproduce the unforced one's counts,
+    heights and snapshots exactly.  This is the guarantee dispatch
+    relies on: every tier consumes identical pre-drawn randomness, so no
+    dispatch decision can leak into the numbers.  Returns the number of
+    trials checked.
     """
     rng = np.random.default_rng(master_seed)
     for trial in range(trials):
@@ -468,24 +416,25 @@ def check_driver_dispatch_identity(
         master = int(rng.integers(0, 2**31))
         snap = sorted({0, m // 3, m})
 
-        runs = []
-        for value in values:
-            with forced_axis(axis, value):
-                runs.append((
-                    simulate_ensemble(
-                        bins, repetitions=R, m=m, d=d, seed=master,
-                        tie_break=tie_break, seed_mode=seed_mode,
-                        track_heights=True, snapshot_at=snap,
-                    ),
-                    simulate(
-                        bins, m=m, d=d, seed=master, tie_break=tie_break,
-                        track_heights=True, snapshot_at=snap,
-                    ),
-                ))
-        base_ens, base_sc = runs[0]
-        for value, (ens, sc) in zip(values[1:], runs[1:]):
+        def run():
+            return (
+                simulate_ensemble(
+                    bins, repetitions=R, m=m, d=d, seed=master,
+                    tie_break=tie_break, seed_mode=seed_mode,
+                    track_heights=True, snapshot_at=snap,
+                ),
+                simulate(
+                    bins, m=m, d=d, seed=master, tie_break=tie_break,
+                    track_heights=True, snapshot_at=snap,
+                ),
+            )
+
+        base_ens, base_sc = run()
+        for tier in tiers:
+            with forced_tier(tier):
+                ens, sc = run()
             label = (f"trial={trial} n={n} m={m} d={d} R={R} tie={tie_break} "
-                     f"{seed_mode} {axis} {value} vs {values[0]}")
+                     f"{seed_mode} {tier} vs unforced")
             assert np.array_equal(ens.counts, base_ens.counts), f"{label}: ensemble counts"
             np.testing.assert_array_equal(
                 ens.heights, base_ens.heights, err_msg=f"{label}: ensemble heights"
@@ -584,7 +533,7 @@ def check_row_parity(
     Each trial draws a random configuration and requires row ``r`` of the
     R-row run (``seed=master``, spawn mode) — once forced onto the
     lockstep kernels and once onto the rows tier
-    (``forced_axis("rows", "off")`` / ``"on"``) — to equal the ``R = 1``
+    (``forced_tier("lockstep")`` / ``"rows"``) — to equal the ``R = 1``
     run on ``seeds=[child_r]``, which runs the driver's row kernel, bit
     for bit: counts, plus heights, every snapshot and the float masses
     wherever the driver reports them.  Returns the number of trials
@@ -596,8 +545,8 @@ def check_row_parity(
         run, config = case(rng)
         master = int(rng.integers(0, 2**31))
         wide = {}
-        for value, tier in (("off", "lockstep"), ("on", "rows")):
-            with forced_axis("rows", value):
+        for tier in ("lockstep", "rows"):
+            with forced_tier(tier):
                 wide[tier] = run(repetitions=repetitions, seed=master)
         for r, child in enumerate(spawn_seed_sequences(master, repetitions)):
             single = run(seeds=[child])
@@ -643,7 +592,7 @@ class ExperimentCase:
     ``wavefront_kwargs``, when set, replaces ``kwargs`` for the bit-identity
     checks (the dispatch matrix and fabric == serial) — used to shrink
     workloads (fig05's ``m = 1000 C``) that are pathological with the
-    wavefront *forced* on at a tiny ``n`` (the auto dispatch would never
+    wavefront forced at a tiny ``n`` (unforced dispatch would never
     enter them) or with the compiled source run through the interpreter.
     """
 
@@ -797,38 +746,47 @@ def check_experiment_equivalence(
     return worst
 
 
-def check_dispatch_identity(experiment_id: str, axis: str, values) -> int:
-    """Run one experiment with a dispatch *axis* forced to each of
-    *values* (:func:`forced_axis`), on both engines, and require every value to reproduce the
-    first one's figures *bit-identically*.
+def check_dispatch_identity(
+    experiment_id: str, tiers: tuple[str, ...] = TIERS, *, unforced=None
+) -> int:
+    """Run one experiment unforced and with each of *tiers* (default
+    :data:`~repro.core.policy.TIERS`) forced
+    (:func:`~repro.core.policy.forced_tier`), on both engines, and
+    require every forced run to reproduce the unforced figures
+    *bit-identically*.
 
     Unlike the cross-engine comparison (bounded deviation between
     independent streams), this is exact: every tier consumes the same
-    pre-drawn randomness, so no wavefront mode, row/lockstep choice,
-    or backend may change a series value — heights and snapshot series
-    included, since the cases' series are computed from them.  Uses the
-    pinned :data:`EXPERIMENT_CASES` configuration at the trimmed
-    ``wavefront_kwargs`` scale when present.  Returns the number of
-    comparisons: ``2 * (len(values) - 1)``.
+    pre-drawn randomness, so no tier may change a series value — heights
+    and snapshot series included, since the cases' series are computed
+    from them.  Uses the pinned :data:`EXPERIMENT_CASES` configuration at
+    the trimmed ``wavefront_kwargs`` scale when present.  *unforced*, a
+    dict the caller keeps, holds the unforced runs by
+    ``(experiment_id, engine)`` so that checks split over several calls
+    run each one once.  Returns the number of comparisons:
+    ``2 * len(tiers)``.
     """
     from ..experiments import run_experiment
 
     case = _case(experiment_id)
     kwargs = case.wavefront_kwargs if case.wavefront_kwargs is not None else case.kwargs
+    unforced = {} if unforced is None else unforced
     checked = 0
     for engine in ("scalar", "ensemble"):
-        base = None
-        for value in values:
-            with forced_axis(axis, value):
-                result = run_experiment(
-                    experiment_id, seed=case.seed, engine=engine, **kwargs
-                )
-            if base is None:
-                base = result
-                continue
+        def run():
+            return run_experiment(
+                experiment_id, seed=case.seed, engine=engine, **kwargs
+            )
+
+        key = (experiment_id, engine)
+        if key not in unforced:
+            unforced[key] = run()
+        base = unforced[key]
+        for tier in tiers:
+            with forced_tier(tier):
+                result = run()
             _assert_same_series(
-                result, base,
-                f"{experiment_id} [{engine}] {axis} {value} vs {values[0]}",
+                result, base, f"{experiment_id} [{engine}] {tier} vs unforced"
             )
             checked += 1
     return checked

@@ -1,36 +1,25 @@
 """Kernel policy: which tier decides Algorithm 1.
 
-Five kernel tiers implement the identical decision sequence — the
-native C row loops (:mod:`repro.native`, built with the system compiler
-on first use), the compiled loops (:mod:`repro.core.compiled`), the
-conflict-free wavefront
-kernels (:mod:`repro.core.wavefront`), the *rows* tier (a driver's list
-row kernel, e.g. :func:`repro.core.fast.run_batch`, called once per row)
-and the *lockstep* tier (:func:`repro.core.ensemble.run_batch_ensemble`
-over all ``R`` lanes at once).  Every tier consumes the same pre-drawn
-choices and tie uniforms, so no setting here can change a number; the
-equivalence suite runs each axis both ways and compares bit for bit
+Five kernel tiers implement the identical decision sequence (:data:`TIERS`)
+— the native C row loops (:mod:`repro.native`, built with the system
+compiler on first use), the compiled loops (:mod:`repro.core.compiled`),
+the conflict-free wavefront kernels (:mod:`repro.core.wavefront`), the
+*rows* tier (a driver's list row kernel, e.g.
+:func:`repro.core.fast.run_batch`, called once per row) and the
+*lockstep* tier (:func:`repro.core.ensemble.run_batch_ensemble` over all
+``R`` lanes at once).  Every tier consumes the same pre-drawn choices and
+tie uniforms, so which one runs changes only the speed; the equivalence
+suite forces each tier and compares bit for bit
 (:func:`repro.core.equivalence.check_dispatch_identity`).
 
-One frozen :class:`KernelPolicy` carries the two settings:
-
-* ``backend`` — ``"auto"`` (the compiled tier exactly when Numba is
-  importable), ``"numpy"`` or ``"compiled"`` (jitted with Numba, the same
-  source through the interpreter without it);
-* ``wavefront`` — ``"auto"`` (the cost model below, plus a runtime guard
-  on the realised free fraction), ``"on"`` or ``"off"``; NumPy tier only.
-
-:func:`current_policy` reads ``REPRO_BACKEND`` and ``REPRO_WAVEFRONT`` —
-an unparseable value falls back to ``"auto"``, so a knob degrades and
-never crashes a run — with the process override of :func:`set_policy` /
-:func:`forced_policy` on top.  :func:`dispatch` turns a policy and a
-run's shape into a tier, in priority order native > compiled >
-wavefront > rows > lockstep; the drivers call it once per run and then
-call the kernel themselves.  The native tier has no setting of its own:
-it runs when both ``backend`` and ``wavefront`` are ``"auto"``, the
-library loads and the run fits int64 (:func:`use_native`); an explicit
-setting runs the tier it names, and without a compiler every run takes
-the tier it took before.
+:func:`dispatch` turns a run's shape into a tier, in priority order
+native > compiled > wavefront > rows > lockstep; the drivers call it once
+per run and then call the kernel themselves.  Nothing configures it: the
+native tier runs wherever the library loads and the run fits int64
+(:func:`use_native`), the compiled tier exactly when Numba is importable,
+and the cost models below choose among the NumPy tiers.  Without a
+compiler every run takes the tier it would take without the native one.
+Tests and benchmarks pin a tier by naming it (:func:`forced_tier`).
 
 Rows or lockstep
 ----------------
@@ -39,9 +28,8 @@ kernel pays one round of NumPy calls per ball for all ``R`` lanes; the
 rows tier pays one list-loop decision per ball *per row*.  One lockstep
 step costs about as much as 25–50 list-loop decisions, so rows win at
 small ``R`` and the lockstep kernel once its call overhead is spread over
-enough lanes.  :func:`use_rows` holds the measured crossovers; there is
-no policy field for it, because the choice is pure cost, and ``R = 1`` is
-always rows.
+enough lanes.  :func:`use_rows` holds the measured crossovers, and
+``R = 1`` is always rows.
 
 Wavefront cost model
 --------------------
@@ -49,7 +37,7 @@ The wavefront commits a tile of ``W`` balls at once, deferring the balls
 that share a bin with an earlier tile ball; the deferred fraction is
 about ``d^2 * W / (2 * n_eff)``, where ``n_eff`` is the
 collision-equivalent bin count of the selection distribution
-(:func:`effective_bins`).  ``"auto"`` enters the wavefront when most
+(:func:`effective_bins`).  Dispatch enters the wavefront when most
 balls commit in the first wave *and* the shape clears a floor set by the
 per-ball tier it replaces.  The lockstep kernel amortises its call
 overhead over ``R`` lanes, so against it the floor is on
@@ -62,9 +50,7 @@ with ``W ~ sqrt(n_eff / R) / d``, so against rows the floor is on
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,12 +65,9 @@ except ImportError:  # pragma: no cover - the only path on numba-less CI
 
 __all__ = [
     "HAVE_NUMBA",
-    "CHOICES",
-    "ENV_VARS",
-    "KernelPolicy",
-    "current_policy",
-    "set_policy",
-    "forced_policy",
+    "TIERS",
+    "forced_tier",
+    "forced",
     "dispatch",
     "use_native",
     "use_rows",
@@ -94,89 +77,44 @@ __all__ = [
     "use_wavefront",
 ]
 
-#: Settable values per field.
-CHOICES = {
-    "backend": ("auto", "numpy", "compiled"),
-    "wavefront": ("auto", "on", "off"),
-}
+#: The kernel tiers, in dispatch priority order.
+TIERS = ("native", "compiled", "wavefront", "rows", "lockstep")
 
-#: The environment variable behind each field.
-ENV_VARS = {
-    "backend": "REPRO_BACKEND",
-    "wavefront": "REPRO_WAVEFRONT",
-}
-
-
-def _parse(name: str, value):
-    """Validate one field's value."""
-    if value in CHOICES[name]:
-        return value
-    raise ValueError(f"unknown {name} {value!r}; expected one of {CHOICES[name]}")
-
-
-@dataclass(frozen=True)
-class KernelPolicy:
-    """The two dispatch settings; validated on construction."""
-
-    backend: str = "auto"
-    wavefront: str = "auto"
-
-    def __post_init__(self) -> None:
-        for name in ENV_VARS:
-            object.__setattr__(self, name, _parse(name, getattr(self, name)))
-
-    @classmethod
-    def from_env(cls) -> "KernelPolicy":
-        """The policy the environment asks for; invalid values read as
-        ``"auto"``."""
-        fields = {}
-        for name, var in ENV_VARS.items():
-            try:
-                fields[name] = _parse(name, os.environ.get(var, "auto"))
-            except ValueError:
-                pass
-        return cls(**fields)
-
-    @property
-    def compiled(self) -> bool:
-        """Whether the compiled tier runs.  No size heuristic: with
-        compilation disk-cached, the compiled loop wins from the first
-        chunk at every scale the engines run."""
-        return self.backend == "compiled" or (self.backend == "auto" and HAVE_NUMBA)
-
-
-#: Process override: the fields :func:`set_policy` pinned, over the env.
-_override: dict = {}
-
-
-def current_policy() -> KernelPolicy:
-    """The environment's policy with the process override on top."""
-    policy = KernelPolicy.from_env()
-    return replace(policy, **_override) if _override else policy
-
-
-def set_policy(**fields) -> None:
-    """Pin policy fields for this process; a field set to ``None`` goes
-    back to its environment variable."""
-    global _override
-    unknown = set(fields) - set(ENV_VARS)
-    if unknown:
-        raise TypeError(f"unknown policy fields {sorted(unknown)}")
-    merged = {**_override, **fields}
-    _override = {k: _parse(k, v) for k, v in merged.items() if v is not None}
+#: The tier :func:`forced_tier` pinned, or ``None``: dispatch decides.
+_forced: str | None = None
 
 
 @contextmanager
-def forced_policy(**fields):
-    """Pin policy fields for a block; the previous override comes back
-    when the block exits, raising or not.  Yields the policy in force."""
-    global _override
-    previous = _override
-    set_policy(**fields)
+def forced_tier(tier: str):
+    """Run every driver in the block on *tier*, one of :data:`TIERS`; the
+    previous pin comes back when the block exits, raising or not.
+
+    A hook for tests and benchmarks, read by :func:`dispatch`,
+    :func:`use_native` and :func:`use_rows` in this process only (pool
+    and fabric workers run unforced).  Three rules hold:
+
+    * exactness outranks it: a run that does not fit int64 takes the
+      rows tier (and a one-row run is always rows, even forced onto
+      ``"lockstep"``);
+    * a driver without *tier* runs its own choice with the native tier
+      off (a forced ``"native"`` where the library does not load runs the
+      choice without it);
+    * the wavefront's runtime guard stays off, so the named tier runs
+      every chunk.
+    """
+    global _forced
+    if tier not in TIERS:
+        raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
+    previous, _forced = _forced, tier
     try:
-        yield current_policy()
+        yield
     finally:
-        _override = previous
+        _forced = previous
+
+
+def forced() -> str | None:
+    """The tier :func:`forced_tier` pinned, or ``None``."""
+    return _forced
 
 
 # --------------------------------------------------------------------------
@@ -204,11 +142,14 @@ WEIGHTED_ROWS_CROSSOVER = 48
 def use_rows(repetitions: int, d: int, *, weighted: bool = False) -> bool:
     """Whether a driver runs its list row kernel once per row (the rows
     tier) rather than the lockstep kernel over all ``repetitions`` lanes.
-    ``R = 1`` is always rows; otherwise the measured crossover decides
+    ``R = 1`` is always rows; otherwise a forced ``"rows"`` or
+    ``"lockstep"`` decides, else the measured crossover
     (:data:`ROWS_CROSSOVER`, or :data:`WEIGHTED_ROWS_CROSSOVER` for the
     weighted driver)."""
-    if repetitions == 1:
+    if repetitions == 1 or _forced == "rows":
         return True
+    if _forced == "lockstep":
+        return False
     if weighted:
         return repetitions < WEIGHTED_ROWS_CROSSOVER
     return repetitions < ROWS_CROSSOVER + 2 * d
@@ -218,7 +159,7 @@ def use_rows(repetitions: int, d: int, *, weighted: bool = False) -> bool:
 # Wavefront cost model.
 # --------------------------------------------------------------------------
 
-#: ``"auto"`` requires at least this expected free fraction at the
+#: The cost model requires at least this expected free fraction at the
 #: heuristic tile width; below it, deferred waves dominate.
 MIN_FREE_FRACTION = 0.5
 
@@ -244,8 +185,7 @@ MIN_ROW_BINS = 2000.0
 
 #: Runtime guard threshold: a driver that observes a realised free
 #: fraction below this after a chunk falls back, for the rest of the run,
-#: to the per-ball tier :func:`use_rows` picks (auto mode only — forcing
-#: "on" stays on).
+#: to the per-ball tier :func:`use_rows` picks (unless a tier is forced).
 RUNTIME_MIN_FREE_FRACTION = 0.4
 
 #: Tile-width scale: ``W ~ TILE_SCALE * sqrt(n_eff / R) / d`` balances
@@ -269,9 +209,7 @@ def effective_bins(probabilities) -> float:
     return 1.0 / s if s > 0.0 else float(p.size)
 
 
-def expected_free_fraction(
-    n_eff: float, repetitions: int, d: int, width: int
-) -> float:
+def expected_free_fraction(n_eff: float, d: int, width: int) -> float:
     """Expected fraction of a tile's balls that commit in the first wave.
 
     Ball ``j`` of a tile is deferred when one of its ``d`` candidates
@@ -279,10 +217,8 @@ def expected_free_fraction(
     (same replication), each pair colliding with probability
     ``1 / n_eff``; averaging the linearised ``1 - j * d^2 / n_eff`` over
     ``j < width`` gives the estimate below.  The engine is ragged (per
-    replication), so ``repetitions`` does not enter the fraction — it is
-    accepted for signature symmetry with :func:`use_wavefront`.
+    replication), so the replication count does not enter the fraction.
     """
-    del repetitions
     return max(0.0, 1.0 - d * d * width / (2.0 * n_eff))
 
 
@@ -295,21 +231,13 @@ def tile_width(n_eff: float, repetitions: int, d: int) -> int:
     return 1 << (w.bit_length() - 1)
 
 
-def use_wavefront(
-    n_eff: float, repetitions: int, d: int, *, mode: str | None = None
-) -> bool:
-    """Wavefront predicate of :func:`dispatch`.
-
-    ``"on"``/``"off"`` force the decision (*mode* defaults to the current
-    policy's); ``"auto"`` requires both a high expected free fraction at
-    the heuristic tile width and a shape past the floor of the per-ball
-    tier being replaced — ``n_eff * R / d^2 >= MIN_ROW_BINS`` against the
-    rows tier, ``n_eff / (R * d^2) >= MIN_BINS_PER_LANE`` against
-    lockstep (:func:`use_rows` names that tier).
+def use_wavefront(n_eff: float, repetitions: int, d: int) -> bool:
+    """Wavefront predicate of :func:`dispatch`: both a high expected free
+    fraction at the heuristic tile width and a shape past the floor of
+    the per-ball tier being replaced — ``n_eff * R / d^2 >= MIN_ROW_BINS``
+    against the rows tier, ``n_eff / (R * d^2) >= MIN_BINS_PER_LANE``
+    against lockstep (:func:`use_rows` names that tier).
     """
-    mode = current_policy().wavefront if mode is None else mode
-    if mode != "auto":
-        return mode == "on"
     R = max(1, repetitions)
     if use_rows(R, d):
         clears_floor = n_eff * R / (d * d) >= MIN_ROW_BINS
@@ -318,32 +246,28 @@ def use_wavefront(
     if not clears_floor:
         return False
     width = tile_width(n_eff, repetitions, d)
-    return (
-        expected_free_fraction(n_eff, repetitions, d, width)
-        >= MIN_FREE_FRACTION
-    )
+    return expected_free_fraction(n_eff, d, width) >= MIN_FREE_FRACTION
 
 
-def use_native(policy: KernelPolicy, fits: bool) -> bool:
+def use_native(fits: bool) -> bool:
     """Whether a driver runs the native tier (:mod:`repro.native`): the
-    run *fits* int64 (:func:`repro.native.fits`), the policy leaves both
-    the backend and the wavefront on ``"auto"`` (an explicit setting runs
-    the tier it names) and the library loads.  The load happens here, at
-    the first run that may use it."""
-    return (fits and policy.backend == "auto" and policy.wavefront == "auto"
-            and native.available())
+    run *fits* int64 (:func:`repro.native.fits`), no other tier is forced
+    and the library loads.  The load happens here, at the first run that
+    may use it."""
+    return fits and _forced in (None, "native") and native.available()
 
 
 def dispatch(
-    policy: KernelPolicy, n_eff: float, repetitions: int, d: int,
+    n_eff: float, repetitions: int, d: int,
     *, native_fits: bool = False, exact: bool = True,
 ) -> str:
-    """The tier for one driver run of ``repetitions`` rows.
-
-    The tier is ``"native"``, ``"compiled"``, ``"wavefront"``, ``"rows"``
-    or ``"lockstep"``, in that priority order.  *native_fits* says whether the run is exact in int64; a driver
-    without a native kernel leaves it ``False``.  A scalar run is the
-    ``R = 1`` ensemble.  The caller runs the kernel.
+    """The tier for one driver run of ``repetitions`` rows: one of
+    :data:`TIERS`, the forced one if any (:func:`forced_tier`; a forced
+    ``"lockstep"`` still runs rows at ``R = 1``), else the first that
+    applies in priority order.  *native_fits* says whether
+    the run is exact in int64; a driver without a native kernel leaves it
+    ``False``.  A scalar run is the ``R = 1`` ensemble.  The caller runs
+    the kernel.
 
     Exactness outranks tier choice: a run with *exact* ``False`` (the
     plain driver passes :func:`repro.native.fits`) is one the int64 and
@@ -355,10 +279,13 @@ def dispatch(
     """
     if not exact:
         return "rows"
-    if use_native(policy, native_fits):
+    if use_native(native_fits):
         return "native"
-    if policy.compiled:
-        return "compiled"
-    if use_wavefront(n_eff, repetitions, d, mode=policy.wavefront):
-        return "wavefront"
+    if _forced in ("compiled", "wavefront"):
+        return _forced
+    if _forced in (None, "native"):
+        if HAVE_NUMBA:
+            return "compiled"
+        if use_wavefront(n_eff, repetitions, d):
+            return "wavefront"
     return "rows" if use_rows(repetitions, d) else "lockstep"

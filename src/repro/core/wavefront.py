@@ -61,11 +61,10 @@ selection distribution ``p``), which is why the tile width is chosen
 ``~ sqrt(n_eff / R) / d`` and why the scheme only pays off when
 ``n_eff / (R * d * d)`` is large — see the cost model in
 :mod:`repro.core.policy`, whose :func:`~repro.core.policy.dispatch`
-decides when the engine drivers run these kernels (``REPRO_WAVEFRONT``
-``auto``/``on``/``off``).  They are the top of the *NumPy* tier only: a
-compiled loop has no per-ball call overhead to amortise, so under the
-compiled backend the conflict-free tiling would degenerate to the plain
-sequential commit order, and dispatch skips it.
+decides when the engine drivers run these kernels.  They are the top of
+the *NumPy* tier only: a compiled loop has no per-ball call overhead to
+amortise, so under the compiled backend the conflict-free tiling would
+degenerate to the plain sequential commit order, and dispatch skips it.
 """
 
 from __future__ import annotations
@@ -75,10 +74,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fast import _MODES
-from .policy import current_policy, tile_width
+from .policy import tile_width
 
 __all__ = [
-    "get_mode",
     "WavefrontStats",
     "WavefrontWorkspace",
     "validate_lockstep_batch",
@@ -88,14 +86,14 @@ __all__ = [
 
 #: Wave-splitting budget: conflict chains deeper than this (only seen on
 #: degenerate instances with very few effective bins, i.e. with the
-#: dispatch forced on) stop being split into vectorised waves and commit
+#: wavefront tier forced) stop being split into vectorised waves and commit
 #: ball-by-ball instead, bounding the worst case at per-ball-kernel cost.
 _MAX_EVENT_ROUNDS = 8
 
 
+# Only perfbench's stamp reads this; it goes with ROADMAP item 8.
 def get_mode() -> str:
-    """The wavefront setting of the current kernel policy."""
-    return current_policy().wavefront
+    return "auto"
 
 
 @dataclass

@@ -39,15 +39,10 @@ __all__ = [
     "list_experiments",
     "scaled_reps",
     "ENGINES",
-    "EngineNotSupportedError",
     "PrecisionNotSupportedError",
     "resolve_engine",
     "one_repetition_per_block",
 ]
-
-
-class EngineNotSupportedError(ValueError):
-    """An experiment was asked for an engine it has not been migrated to."""
 
 
 class PrecisionNotSupportedError(ValueError):
@@ -216,11 +211,8 @@ class ExperimentSpec:
     ``version`` feeds :meth:`repro.experiments.request.RunRequest.cache_key`
     — bump it in :func:`register` whenever the experiment's semantics change
     (the same events that move golden tests), so stale store entries can
-    never be mistaken for the new behaviour.  ``engines`` declares which
-    repetition engines the experiment supports; the full registry supports
-    both (enforced by the cross-engine suite), and a future not-yet-migrated
-    experiment registering ``engines=("scalar",)`` gets the documented
-    :class:`EngineNotSupportedError` instead of a silent fallback.
+    never be mistaken for the new behaviour.  Every experiment runs on
+    both repetition engines (:func:`one_repetition_per_block`).
     ``adaptive`` declares that the runner honors a ``precision=`` target
     (CI-driven early stopping over its ensemble block stream); requests
     carrying a target for a non-adaptive experiment raise the documented
@@ -234,17 +226,11 @@ class ExperimentSpec:
     description: str
     run: Callable[..., ExperimentResult]
     version: int = 1
-    engines: tuple = ENGINES
     adaptive: bool = False
 
     def request_kwargs(self, request: RunRequest) -> dict:
-        """Translate a :class:`RunRequest` into ``run()`` keyword arguments.
-
-        Raises :class:`EngineNotSupportedError` when the request targets an
-        engine this experiment does not declare — the only remaining guard
-        for a future unmigrated experiment, replacing the retired
-        ``inspect.signature`` sniffing.
-        """
+        """Translate a :class:`RunRequest` into ``run()`` keyword arguments
+        (an unknown engine name raises ``ValueError``)."""
         if request.experiment_id != self.experiment_id:
             raise ValueError(
                 f"request for {request.experiment_id!r} handed to spec "
@@ -256,13 +242,7 @@ class ExperimentSpec:
         if request.seed is not None:
             kwargs["seed"] = request.seed
         if request.engine is not None:
-            engine = resolve_engine(request.engine)
-            if engine not in self.engines:
-                raise EngineNotSupportedError(
-                    f"experiment {self.experiment_id!r} only supports engines "
-                    f"{self.engines}; engine={engine!r} is not available for it"
-                )
-            kwargs["engine"] = engine
+            kwargs["engine"] = resolve_engine(request.engine)
         if request.block_size is not None:
             kwargs["block_size"] = request.block_size
         if request.precision is not None:
@@ -320,14 +300,12 @@ def register(
     description: str,
     *,
     version: int = 1,
-    engines: tuple = ENGINES,
     adaptive: bool = False,
 ):
     """Decorator registering a ``run``-style function under *experiment_id*.
 
     ``version`` is the cache-key bump field (see :class:`ExperimentSpec`);
-    ``engines`` declares the supported repetition engines; ``adaptive``
-    declares that the runner honors a ``precision=`` early-stop target.
+    ``adaptive`` declares that the runner honors a ``precision=`` early-stop target.
     The registered (and returned) function is *func* wrapped by
     :func:`one_repetition_per_block`.
     """
@@ -343,7 +321,6 @@ def register(
             description=description,
             run=func,
             version=version,
-            engines=tuple(engines),
             adaptive=adaptive,
         )
         return func

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -155,10 +155,6 @@ class RunRequest:
     def effective_engine(self) -> str:
         """The engine the run will actually use (``None`` → scalar)."""
         return self.engine if self.engine is not None else DEFAULT_ENGINE
-
-    def with_engine(self, engine: str | None) -> "RunRequest":
-        """A copy of this request targeting a different engine."""
-        return replace(self, engine=engine)
 
     def precision_target(self) -> PrecisionTarget | None:
         """The adaptive early-stop target this request asks for (or None)."""

@@ -12,11 +12,8 @@ This module is the execution stage of the run pipeline:
    store, so an interrupted ensemble run restarts from its last completed
    block slab instead of from scratch.
 
-Engine selection is first-class on every registered spec
-(``ExperimentSpec.engines``): the old ``inspect.signature`` sniffing is
-retired, and the only remaining guard is the declarative
-:class:`~repro.experiments.base.EngineNotSupportedError` raise for a future
-experiment registered with a reduced engine set.
+Every registered experiment runs on both repetition engines; an unknown
+engine name is an error, never a silent fallback.
 """
 
 from __future__ import annotations
@@ -175,9 +172,7 @@ def run_experiment(
     ``repetitions=50``, ``n=1000``) and must be JSON-canonicalizable.
     ``engine`` selects the repetition engine
     (:data:`repro.experiments.base.ENGINES`); every registered experiment
-    declares both engines, and an unsupported request raises the documented
-    :class:`~repro.experiments.base.EngineNotSupportedError` from the spec
-    itself — never a silent fallback.  ``store`` (``ResultStore`` | path |
+    runs on both, and an unknown name raises ``ValueError``.  ``store`` (``ResultStore`` | path |
     ``True`` for the ``REPRO_STORE`` knob) makes the call
     cache-hit-or-compute with resume checkpoints.  ``precision`` (a
     :class:`~repro.analysis.precision.PrecisionTarget` or its payload)
@@ -214,12 +209,8 @@ def run_all(
 ) -> dict[str, ExperimentResult]:
     """Run every registered experiment (or the ids in *only*).
 
-    ``engine`` is applied where the spec declares it — today that is the
-    whole registry; a future not-yet-migrated experiment (one whose
-    ``engines`` excludes the request) runs on its scalar default instead of
-    aborting the whole sweep.  An engine name outside
-    :data:`~repro.experiments.base.ENGINES` is an error, never a silent
-    scalar fallback.
+    ``engine`` applies to every experiment; a name outside
+    :data:`~repro.experiments.base.ENGINES` is an error before any runs.
     """
     from .base import resolve_engine
 
@@ -230,12 +221,11 @@ def run_all(
     for spec in list_experiments():
         if wanted is not None and spec.experiment_id not in wanted:
             continue
-        spec_engine = engine if engine is None or engine in spec.engines else None
         request = RunRequest(
             experiment_id=spec.experiment_id,
             scale=scale,
             seed=seed,
-            engine=spec_engine,
+            engine=engine,
             workers=workers,
             block_size=block_size,
         )

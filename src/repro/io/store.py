@@ -436,7 +436,7 @@ class ResultStore:
 def _environment_provenance() -> dict:
     """What produced a store entry (for audits, not for the cache key).
     ``native`` is ``"on"`` when the C kernels are loaded in this process
-    (auto dispatch runs them), else the reason they fell back; the
+    (unforced dispatch runs them), else the reason they fell back; the
     numbers are the same either way."""
     try:
         from .. import __version__ as repro_version

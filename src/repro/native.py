@@ -87,8 +87,8 @@ __all__ = ["ENABLED", "library", "available", "draws_available", "status",
            "fits"]
 
 #: Test-only switch: ``False`` keeps the library unloaded, so every caller
-#: runs its Python or NumPy path (``equivalence.forced_axis("native", ...)``
-#: sets it).
+#: runs its Python or NumPy path, as where the build fails
+#: (``equivalence.forced_native`` sets it).
 ENABLED = True
 
 #: The C source, shipped as package data.

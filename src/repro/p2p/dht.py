@@ -95,10 +95,6 @@ class DHT:
                     break
         return tuple(owners)
 
-    def owners_of(self, key: str) -> tuple[str, ...]:
-        """The replication set a key *should* live on right now."""
-        return self._successors(hash_to_unit(key), self.replication)
-
     # -- storage ---------------------------------------------------------------
 
     def store(self, key: str) -> tuple[str, ...]:

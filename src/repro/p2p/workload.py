@@ -25,7 +25,7 @@ import numpy as np
 from .. import native
 from ..core.ensemble import lockstep_streams, run_batch_ensemble
 from ..core.fast import run_batch
-from ..core.policy import current_policy, use_native, use_rows
+from ..core.policy import use_native, use_rows
 from .ring import ConsistentHashRing
 
 __all__ = [
@@ -177,7 +177,7 @@ def allocate_requests_ensemble(
     owners = ring.lookup_batch(points).astype(np.int64)
 
     counts = np.zeros((R, ring.n_peers), dtype=np.int64)
-    if use_native(current_policy(), native.fits(m, caps.max())):
+    if use_native(native.fits(m, caps.max())):
         # The native tier takes the same (R, m, d) owner chunk.
         native.run_rows(counts, caps, owners, tie_u, "max_capacity")
     elif use_rows(R, d):

@@ -6,7 +6,7 @@ the driver process) and N worker subprocesses.  While a session is
 :func:`~repro.runtime.executor.run_ensemble_reduced` routes every
 fixed-budget block batch through :meth:`FabricSession.run_blocks` instead
 of its local serial/pool paths — no experiment signature changes, the
-dispatch is ambient, exactly like ``forced_policy``.
+dispatch is ambient, exactly like ``forced_tier``.
 
 Bit-identity argument (the fabric clause of the seed contract): block
 boundaries and child seeds are pure functions of ``(seed, repetitions,
@@ -44,7 +44,7 @@ from .protocol import park_fingerprint, park_path, spec_path, work_token
 
 __all__ = ["FabricSession", "current_fabric"]
 
-#: Activation stack (module-level, like ``forced_policy``'s): the executor
+#: Activation stack (module-level, like ``forced_tier``'s pin): the executor
 #: asks :func:`current_fabric` before every fixed-budget reduced run.
 _ACTIVE: list["FabricSession"] = []
 

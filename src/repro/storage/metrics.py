@@ -49,11 +49,6 @@ class PlacementReport:
         return float(self.fill.max() / mean) if mean > 0 else 0.0
 
     @property
-    def max_read_load(self) -> float:
-        """Maximum popularity-weighted traffic per unit bandwidth."""
-        return float(self.read_load.max())
-
-    @property
     def read_imbalance(self) -> float:
         """Max read load over the bandwidth-weighted ideal share.
 

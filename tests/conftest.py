@@ -18,6 +18,14 @@ import numpy as np
 import pytest
 
 
+@pytest.fixture(scope="session")
+def unforced_runs():
+    """Unforced experiment runs shared by the per-tier identity checks, so
+    that each experiment runs unforced once per engine however many
+    classes force a tier against it (see ``check_dispatch_identity``)."""
+    return {}
+
+
 @pytest.fixture
 def rng():
     """A deterministic generator for tests that need ad-hoc randomness."""

@@ -1,12 +1,12 @@
-"""Compiled backend suite: bit-identity, dispatch knob, and the fallback.
+"""Compiled tier suite: bit-identity, dispatch, and the fallback.
 
 The contract under test (see :mod:`repro.core.compiled`):
 ``run_batch_compiled`` is a drop-in replacement for
 ``run_batch_ensemble`` / ``run_batch_wavefront`` — identical counts *and*
 heights for every replication, every tie-break mode, shared or
 per-replication capacities — and the engine drivers may therefore dispatch
-between the tiers freely (``forced_policy(backend="compiled")`` and
-``forced_policy(backend="numpy")`` runs must be bit-identical end to end).
+between the tiers freely (a ``forced_tier("compiled")`` run must be
+bit-identical to the unforced one end to end).
 Without Numba the same kernel source runs through the interpreter, so the
 whole suite doubles as the graceful-fallback check: nothing here skips
 when :data:`repro.core.compiled.HAVE_NUMBA` is ``False``.
@@ -16,13 +16,8 @@ import numpy as np
 import pytest
 
 from repro.bins import BinArray
-from repro.core.compiled import (
-    HAVE_NUMBA,
-    get_backend,
-    run_batch_compiled,
-    use_compiled,
-    warmup,
-)
+from repro.core import policy
+from repro.core.compiled import HAVE_NUMBA, run_batch_compiled, warmup
 from repro.core.ensemble import simulate_ensemble
 from repro.core.equivalence import (
     EXPERIMENT_CASES,
@@ -30,9 +25,10 @@ from repro.core.equivalence import (
     check_dispatch_identity,
     check_driver_dispatch_identity,
     check_lockstep_kernel_equivalence,
+    forced_native,
 )
 from repro.core.fast import run_batch
-from repro.core.policy import CHOICES, KernelPolicy, forced_policy
+from repro.core.policy import dispatch, forced_tier
 from repro.core.protocol import TIE_BREAKS
 from repro.core.simulation import simulate
 
@@ -134,11 +130,9 @@ class TestKernelBitIdentity:
 
 class TestDriverIdentity:
     def test_randomised_driver_sweep(self):
-        """simulate / simulate_ensemble forced compiled == forced numpy,
+        """simulate / simulate_ensemble forced compiled == unforced,
         counts, heights and snapshots, across tie modes and seed modes."""
-        assert check_driver_dispatch_identity(
-            "backend", ("compiled", "numpy"), 0xBACC, trials=8
-        ) == 8
+        assert check_driver_dispatch_identity(("compiled",), 0xBACC, trials=8) == 8
 
     def test_compiled_skips_wavefront_dispatch(self, monkeypatch):
         """When the compiled tier is in force the wavefront kernels must not
@@ -151,53 +145,54 @@ class TestDriverIdentity:
 
         monkeypatch.setattr(ens, "run_batch_wavefront", boom)
         bins = BinArray([1] * 10_000)  # auto would take the wavefront here
-        with forced_policy(backend="compiled"):
+        with forced_tier("compiled"):
             simulate(bins, m=500, d=2, seed=1)
             simulate_ensemble(bins, repetitions=2, m=500, d=2, seed=1)
 
 
 class TestBackendKnobs:
     def test_mode_knobs(self):
-        assert get_backend() in CHOICES["backend"]
-        with forced_policy(backend="compiled"):
-            assert get_backend() == "compiled"
-            assert use_compiled()
-            with forced_policy(backend="numpy"):
-                assert not use_compiled()
-            assert get_backend() == "compiled"
+        """Forcing the compiled tier runs it at every shape, native off."""
+        with forced_tier("compiled"):
+            for shape in [(2.0, 1, 2), (1e6, 20, 2), (32.0, 100, 2)]:
+                assert dispatch(*shape, native_fits=True) == "compiled"
 
-    def test_auto_follows_numba_availability(self):
-        """"auto" means "compiled iff numba importable" — so a numba-less
-        install never changes behaviour, and a numba install always gets the
-        fast tier without configuration."""
-        assert KernelPolicy(backend="auto").compiled is HAVE_NUMBA
-        assert KernelPolicy(backend="compiled").compiled is True
-        assert KernelPolicy(backend="numpy").compiled is False
+    def test_auto_follows_numba_availability(self, monkeypatch):
+        """Unforced, the compiled tier runs exactly when numba is
+        importable — so a numba-less install never changes behaviour, and
+        a numba install always gets the fast tier without configuration."""
+        with forced_native(False):
+            for have in (False, True):
+                monkeypatch.setattr(policy, "HAVE_NUMBA", have)
+                assert (dispatch(2.0, 5, 2) == "compiled") is have
 
     def test_fallback_is_usable_without_numba(self):
         """Forcing "compiled" must work (interpreter speed) even when numba
         is absent: correctness never depends on the jit."""
         bins = BinArray([2, 1, 3, 1])
-        with forced_policy(backend="compiled"):
+        with forced_tier("compiled"):
             res = simulate(bins, m=50, d=2, seed=4, track_heights=True)
-        with forced_policy(backend="numpy"):
+        with forced_tier("lockstep"):
             ref = simulate(bins, m=50, d=2, seed=4, track_heights=True)
         np.testing.assert_array_equal(res.counts, ref.counts)
         np.testing.assert_array_equal(res.heights, ref.heights)
 
 
 class TestBackendExperimentIdentity:
-    """Backend compiled vs numpy over the full experiment registry.
+    """The compiled tier forced against the unforced run over the full
+    experiment registry.
 
     The compiled kernels consume the identical pre-drawn randomness as the
-    NumPy tiers, so every series must agree *bit for bit* on both engines,
+    other tiers, so every series must agree *bit for bit* on both engines,
     for every registered experiment — with or without numba (the fallback
     runs the same source).  A future experiment whose runner leaks the
-    backend decision into its numbers fails here.
+    dispatch decision into its numbers fails here.  With the wavefront,
+    rows, lockstep and native classes this forces every tier against the
+    same unforced run.
     """
 
     @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENT_CASES))
-    def test_compiled_equals_numpy(self, experiment_id):
+    def test_compiled_equals_numpy(self, experiment_id, unforced_runs):
         assert check_dispatch_identity(
-            experiment_id, "backend", ("compiled", "numpy")
+            experiment_id, ("compiled",), unforced=unforced_runs
         ) == 2

@@ -33,6 +33,7 @@ import pytest
 
 import repro.core.ensemble as ens_module
 from repro.bins import BinArray
+from repro.core import policy
 from repro.core.ensemble import SEED_MODES, run_batch_ensemble, simulate_ensemble
 from repro.core.equivalence import (
     EXPERIMENT_CASES,
@@ -41,11 +42,10 @@ from repro.core.equivalence import (
     check_driver_dispatch_identity,
     check_experiment_equivalence,
     check_row_parity,
-    forced_axis,
     forced_native,
 )
 from repro.core.fast import run_batch
-from repro.core.policy import ROWS_CROSSOVER, forced_policy, use_rows
+from repro.core.policy import ROWS_CROSSOVER, TIERS, forced_tier, use_rows
 from repro.core.protocol import TIE_BREAKS, reference_run
 from repro.sampling.distributions import probability_model
 from repro.sampling.rngutils import make_rng, spawn_seed_sequences
@@ -242,9 +242,10 @@ def _driver_cases():
     }
 
 
-def _kernel_calls(driver, R, monkeypatch, *, rows=None):
+def _kernel_calls(driver, R, monkeypatch, *, tier=None):
     """``(row kernel, lockstep kernel, calls)`` after one *driver* run of
-    *R* rows on the per-ball tiers; *rows* forces the rows axis."""
+    *R* rows on the per-ball tiers; *tier* forces ``"rows"`` or
+    ``"lockstep"``, else the crossover picks."""
     module, row_kernel, lockstep_kernel, run = _driver_cases()[driver]
     calls = {row_kernel: 0, lockstep_kernel: 0}
     for name in calls:
@@ -255,32 +256,62 @@ def _kernel_calls(driver, R, monkeypatch, *, rows=None):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
-    # The per-ball tiers, where the row and lockstep kernels live.
-    with forced_native(False), forced_policy(wavefront="off", backend="numpy"):
-        if rows is None:
-            run(R)
-        else:
-            with forced_axis("rows", rows):
-                run(R)
+    # The per-ball tiers, where the row and lockstep kernels live; a
+    # forced tier turns the native one off by itself.
+    monkeypatch.setattr(policy, "HAVE_NUMBA", False)
+    with forced_native(False) if tier is None else forced_tier(tier):
+        run(R)
     return row_kernel, lockstep_kernel, calls
 
 
 class TestOneDriveLoop:
     """Each process has one drive loop with a row kernel and a lockstep
-    kernel: at R = 1 it runs the row kernel and never the lockstep kernel;
-    at R = 2 with the rows tier switched off the reverse holds."""
+    kernel: at R = 1 it runs the row kernel and never the lockstep kernel,
+    even with lockstep forced; at R = 2 forced lockstep the reverse
+    holds."""
 
     @pytest.mark.parametrize("R", [1, 2])
     @pytest.mark.parametrize("driver", ["plain", "batched", "weighted", "ring"])
     def test_row_kernel_exactly_at_one_row(self, driver, R, monkeypatch):
         row_kernel, lockstep_kernel, calls = _kernel_calls(
-            driver, R, monkeypatch, rows=None if R == 1 else "off"
+            driver, R, monkeypatch, tier="lockstep"
         )
         used, unused = (
             (row_kernel, lockstep_kernel) if R == 1 else (lockstep_kernel, row_kernel)
         )
         assert calls[used] > 0, f"{driver} R={R} never called {used}"
         assert calls[unused] == 0, f"{driver} R={R} called {unused}"
+
+    @pytest.mark.parametrize("tier, R", [("rows", 64), ("lockstep", 2)])
+    @pytest.mark.parametrize("driver", ["plain", "weighted", "ring"])
+    def test_forced_tier_beats_the_crossover(self, driver, tier, R, monkeypatch):
+        """Forcing rows or lockstep runs that tier where the crossover
+        picks the other one, native off; every other forced tier leaves
+        the ring and weighted drivers on their own choice."""
+        row_kernel, lockstep_kernel, calls = _kernel_calls(
+            driver, R, monkeypatch, tier=tier
+        )
+        assert use_rows(R, 2, weighted=driver == "weighted") == (tier == "lockstep")
+        used, unused = ((row_kernel, lockstep_kernel) if tier == "rows"
+                        else (lockstep_kernel, row_kernel))
+        assert calls[used] > 0 and calls[unused] == 0, f"{driver} {tier}: {calls}"
+        if tier == "rows":
+            assert calls[used] == R, f"{driver} rows R={R}: {calls}"
+
+    @pytest.mark.parametrize("driver, tier", [
+        ("ring", "compiled"), ("ring", "wavefront"), ("weighted", "native"),
+        ("weighted", "compiled"), ("weighted", "wavefront"),
+    ])
+    def test_driver_without_the_tier_keeps_its_choice(self, driver, tier,
+                                                      monkeypatch):
+        """A driver without the forced tier runs the one its crossover
+        picks — rows at R = 5 — with the native tier off."""
+        from repro import native
+
+        monkeypatch.setattr(native, "run_rows",
+                            lambda *a, **k: pytest.fail("native ran"))
+        row_kernel, _, calls = _kernel_calls(driver, 5, monkeypatch, tier=tier)
+        assert calls == {**dict.fromkeys(calls, 0), row_kernel: 5}
 
     @pytest.mark.parametrize("R", [2, 5, 64])
     @pytest.mark.parametrize("driver", ["plain", "batched", "weighted", "ring"])
@@ -322,8 +353,7 @@ def _assert_same_run(a, b, label):
 class TestRowsTier:
     """The rows tier (the list row kernel once per row on the drawn
     ``(R, k, d)`` chunk) is bit-identical to the lockstep kernels: on
-    either side of the crossover, the tier auto picks equals the one
-    forced the other way."""
+    either side of the crossover, the two forced tiers agree."""
 
     @pytest.mark.parametrize("side", ["below", "above"])
     @pytest.mark.parametrize("profile", sorted(_ROW_CAPACITIES))
@@ -341,26 +371,29 @@ class TestRowsTier:
                     track_heights=True, keep_choices=True,
                     snapshot_at=[0, 50, 120, m], chunk_size=40,
                 )
-                with forced_policy(wavefront="off", backend="numpy"):
-                    auto = simulate_ensemble(bins, **kwargs)
-                with forced_axis("rows", "off" if side == "below" else "on"):
-                    forced = simulate_ensemble(bins, **kwargs)
+                with forced_tier("rows"):
+                    rows = simulate_ensemble(bins, **kwargs)
+                with forced_tier("lockstep"):
+                    lockstep = simulate_ensemble(bins, **kwargs)
                 _assert_same_run(
-                    auto, forced, f"d={d} {profile} R={R} {tie_break} {seed_mode}"
+                    rows, lockstep, f"d={d} {profile} R={R} {tie_break} {seed_mode}"
                 )
 
     def test_randomised_driver_sweep(self):
-        """simulate / simulate_ensemble with rows forced on == forced off,
-        counts, heights and snapshots, across tie modes and seed modes."""
+        """simulate / simulate_ensemble with rows forced == lockstep forced
+        == unforced, counts, heights and snapshots, across tie modes and
+        seed modes."""
         assert check_driver_dispatch_identity(
-            "rows", ("on", "off"), 0x2055, trials=8
+            ("rows", "lockstep"), 0x2055, trials=8
         ) == 8
 
     @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENT_CASES))
-    def test_experiment_rows_equal_lockstep(self, experiment_id):
-        """Every registered experiment, both engines: rows forced on and
-        forced off give bit-identical series."""
-        assert check_dispatch_identity(experiment_id, "rows", ("on", "off")) == 2
+    def test_experiment_rows_equal_lockstep(self, experiment_id, unforced_runs):
+        """Every registered experiment, both engines: rows forced and
+        lockstep forced each give the unforced run's series bit for bit."""
+        assert check_dispatch_identity(
+            experiment_id, ("rows", "lockstep"), unforced=unforced_runs
+        ) == 4
 
     def test_runtime_fallback_lands_on_rows(self, monkeypatch):
         """At R = 5 the wavefront's runtime guard hands the rest of the run
@@ -369,7 +402,7 @@ class TestRowsTier:
         kwargs = dict(repetitions=5, m=2000, d=2, seed=13, seed_mode="blocked",
                       track_heights=True, keep_choices=True,
                       snapshot_at=[500, 1500, 2000], chunk_size=500)
-        with forced_axis("rows", "off"):
+        with forced_tier("lockstep"):
             reference = simulate_ensemble(bins, **kwargs)
         calls = {"run_batch_wavefront": 0, "run_batch": 0, "run_batch_ensemble": 0}
         for name in calls:
@@ -383,7 +416,8 @@ class TestRowsTier:
         # An impossible threshold trips the guard right after the first
         # chunk, so chunk 1 runs the wavefront and chunks 2-4 the rows.
         monkeypatch.setattr(ens_module, "RUNTIME_MIN_FREE_FRACTION", 2.0)
-        with forced_native(False), forced_policy(wavefront="auto", backend="numpy"):
+        monkeypatch.setattr(policy, "HAVE_NUMBA", False)
+        with forced_native(False):
             res = simulate_ensemble(bins, **kwargs)
         assert calls == {"run_batch_wavefront": 1, "run_batch": 5 * 3,
                          "run_batch_ensemble": 0}
@@ -403,13 +437,11 @@ class TestExactnessOutranksTier:
         # capacities past 2^53: float64 heights round differently.
         ([2**53 + 1, 2**53 + 3, 3], True),
     ])
-    @pytest.mark.parametrize("axis, value", [
-        ("rows", "on"), ("rows", "off"), ("wavefront", "on"), ("wavefront", "off"),
-    ])
-    def test_rows_equal_the_reference(self, caps, heights, axis, value):
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_rows_equal_the_reference(self, caps, heights, tier):
         m, d, R, seed = 40, 2, 2, 5
         bins = BinArray(caps)
-        with forced_axis(axis, value):
+        with forced_tier(tier):
             res = simulate_ensemble(bins, R, m, d, seed=seed,
                                     track_heights=heights, keep_choices=True)
         sampler = probability_model("proportional").sampler(bins.capacities)
@@ -426,7 +458,8 @@ class TestExactnessOutranksTier:
 
 
 class TestWavefrontExperimentIdentity:
-    """Wavefront forced on vs forced off over the full experiment registry.
+    """The wavefront forced against the unforced run over the full
+    experiment registry.
 
     The wavefront kernels consume the identical pre-drawn randomness as
     the per-ball loops, so — unlike the tolerance-bounded cross-engine
@@ -436,8 +469,10 @@ class TestWavefrontExperimentIdentity:
     """
 
     @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENT_CASES))
-    def test_forced_on_equals_forced_off(self, experiment_id):
-        assert check_dispatch_identity(experiment_id, "wavefront", ("on", "off")) == 2
+    def test_forced_on_equals_forced_off(self, experiment_id, unforced_runs):
+        assert check_dispatch_identity(
+            experiment_id, ("wavefront",), unforced=unforced_runs
+        ) == 2
 
 
 class TestKernelSubBatching:
@@ -454,7 +489,7 @@ class TestKernelSubBatching:
                       track_heights=True, snapshot_at=[0, 40, 83])
         # Force the per-ball path so the sub-batch loop actually runs, and
         # compare degenerate kernel_block values against the default.
-        with forced_policy(wavefront="off"):
+        with forced_tier("lockstep"):
             reference = simulate_ensemble(bins, **kwargs)
             monkeypatch.setattr(ens, "_KERNEL_TARGET", target)
             split = simulate_ensemble(bins, **kwargs)

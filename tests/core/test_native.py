@@ -22,20 +22,17 @@ import pytest
 
 from repro import native
 from repro.bins import BinArray
-from repro.core import policy
 from repro.core.ensemble import simulate_ensemble
 from repro.core.equivalence import (
-    DISPATCH_AXES,
     EXPERIMENT_CASES,
     SweepBudget,
     check_dispatch_identity,
     check_driver_dispatch_identity,
     check_native_equivalence,
     check_window_equivalence,
-    forced_axis,
     forced_native,
 )
-from repro.core.policy import KernelPolicy, dispatch, forced_policy
+from repro.core.policy import dispatch, forced_tier
 from repro.core.rounds import stale_choice, stale_windows
 from repro.experiments import run_experiment
 from repro.sampling.alias import AliasSampler, _vose
@@ -602,26 +599,9 @@ class TestVoseTables:
 
 class TestDispatch:
     def test_auto_resolves_to_native(self):
-        tier = dispatch(KernelPolicy(), 100.0, 5, 2, native_fits=True)
+        tier = dispatch(100.0, 5, 2, native_fits=True)
         assert tier == ("native" if native.available() else tier)
-        assert dispatch(KernelPolicy(), 100.0, 5, 2) != "native"
-
-    @pytest.mark.parametrize("fields", [
-        {"backend": "numpy"}, {"backend": "compiled"},
-        {"wavefront": "on"}, {"wavefront": "off"},
-    ])
-    def test_explicit_setting_runs_its_tier(self, fields):
-        assert dispatch(KernelPolicy(**fields), 100.0, 5, 2,
-                        native_fits=True) != "native"
-
-    @pytest.mark.parametrize("fields", [
-        {}, {"backend": "numpy"}, {"backend": "compiled"},
-        {"wavefront": "on"}, {"wavefront": "off"},
-    ])
-    @pytest.mark.parametrize("R", [1, 5, 100])
-    def test_inexact_run_takes_rows_whatever_is_forced(self, fields, R):
-        assert dispatch(KernelPolicy(**fields), 1e6, R, 2,
-                        exact=False) == "rows"
+        assert dispatch(100.0, 5, 2) != "native"
 
     @needs_native
     @pytest.mark.parametrize("driver", ["plain", "ring"])
@@ -642,7 +622,7 @@ class TestDispatch:
 
         monkeypatch.setattr(native, "run_rows", spy_rows)
         monkeypatch.setattr(native.FusedChunks, "run", spy_fused)
-        with forced_policy(backend="auto", wavefront="auto"):
+        with forced_tier("native"):
             if driver == "plain":
                 simulate_ensemble(BinArray([1, 2, 3, 4]), repetitions=3, m=90,
                                   seed=1, chunk_size=40)
@@ -654,16 +634,6 @@ class TestDispatch:
                 allocate_requests_ensemble(ring, 50, repetitions=4, seed=1)
                 assert calls == [(4, 50, 2)]
 
-    def test_other_axes_force_native_off(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(policy, "use_native",
-                            lambda p, fits: seen.append(native.ENABLED) or False)
-        for axis, values in DISPATCH_AXES.items():
-            if axis != "native":
-                with forced_axis(axis, values[0]):
-                    simulate_ensemble(BinArray([1, 2]), repetitions=2, m=4, seed=1)
-        assert seen and not any(seen)
-
 
 class TestIdentity:
     @needs_native
@@ -672,12 +642,16 @@ class TestIdentity:
         assert check_native_equivalence(0x7A7E, budget, trials=4) == 60
 
     def test_driver_sweep(self):
-        assert check_driver_dispatch_identity(
-            "native", DISPATCH_AXES["native"], 0x7A7E, trials=8
-        ) == 8
+        """Unforced runs take the native tier wherever it loads; forced
+        lockstep must reproduce them."""
+        assert check_driver_dispatch_identity(("lockstep",), 0x7A7E, trials=8) == 8
 
     @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENT_CASES))
-    def test_experiment_native_equals_numpy_tiers(self, experiment_id):
+    def test_experiment_native_equals_numpy_tiers(self, experiment_id,
+                                                  unforced_runs):
+        """The native tier forced against the unforced run, which the
+        compiled, wavefront, rows and lockstep classes force too, so native
+        equals every NumPy tier by transitivity."""
         assert check_dispatch_identity(
-            experiment_id, "native", DISPATCH_AXES["native"]
+            experiment_id, ("native",), unforced=unforced_runs
         ) == 2

@@ -5,27 +5,29 @@ The contract under test (see :mod:`repro.core.wavefront`):
 ``run_batch_ensemble`` — identical counts *and* heights for every
 replication, every tie-break mode, shared or per-replication capacities,
 any tile width — and the engine drivers may therefore dispatch between
-the two paths freely (``forced_policy(wavefront="on")`` / ``"off"`` runs
-must be bit-identical end to end).
+the two paths freely (a ``forced_tier("wavefront")`` run must be
+bit-identical to the unforced one end to end).
 """
 
 import numpy as np
 import pytest
 
 from repro.bins import BinArray
+from repro.core import policy
 from repro.core.ensemble import run_batch_ensemble, simulate_ensemble
 from repro.core.equivalence import (
     SweepBudget,
     check_driver_dispatch_identity,
     check_lockstep_kernel_equivalence,
+    forced_native,
 )
 from repro.core.fast import run_batch
 from repro.core.policy import (
-    CHOICES,
     MIN_BINS_PER_LANE,
+    dispatch,
     effective_bins,
     expected_free_fraction,
-    forced_policy,
+    forced_tier,
     tile_width,
     use_wavefront,
 )
@@ -33,7 +35,6 @@ from repro.core.simulation import simulate
 from repro.core.wavefront import (
     WavefrontStats,
     WavefrontWorkspace,
-    get_mode,
     run_batch_wavefront,
 )
 from repro.core.protocol import TIE_BREAKS
@@ -144,10 +145,10 @@ class TestKernelBitIdentity:
 
 class TestDriverIdentity:
     def test_randomised_driver_sweep(self):
-        """simulate / simulate_ensemble forced on == forced off, counts,
+        """simulate / simulate_ensemble wavefront forced == unforced, counts,
         heights and snapshots, across tie modes and seed modes."""
         assert check_driver_dispatch_identity(
-            "wavefront", ("on", "off"), 0xD1D0, trials=8
+            ("wavefront",), 0xD1D0, trials=8
         ) == 8
 
     def test_scalar_runtime_fallback_is_invisible(self, monkeypatch):
@@ -157,16 +158,18 @@ class TestDriverIdentity:
         there would corrupt the tail (counts, heights or snapshots)."""
         import repro.core.ensemble as ens
 
-        n = 10_000  # past the R = 1 floor, so auto enters the wavefront
+        n = 10_000  # past the R = 1 floor, so dispatch enters the wavefront
         bins = BinArray([1] * n)
         kwargs = dict(m=2000, d=2, seed=9, track_heights=True,
                       snapshot_at=[500, 2000], chunk_size=500)
-        with forced_policy(wavefront="off"):
+        with forced_tier("rows"):
             ref = simulate(bins, **kwargs)
         # An impossible threshold trips the guard right after the first
         # chunk, so chunk 1 runs the wavefront and chunks 2-4 the loop.
         monkeypatch.setattr(ens, "RUNTIME_MIN_FREE_FRACTION", 2.0)
-        res = simulate(bins, **kwargs)
+        monkeypatch.setattr(policy, "HAVE_NUMBA", False)
+        with forced_native(False):
+            res = simulate(bins, **kwargs)
         np.testing.assert_array_equal(res.counts, ref.counts)
         np.testing.assert_array_equal(res.heights, ref.heights)
         assert [s.max_load for s in res.snapshots] == [
@@ -182,41 +185,41 @@ class TestDriverIdentity:
         bins = BinArray([1] * 3000)
         kwargs = dict(repetitions=3, m=2000, d=2, seed=11,
                       seed_mode="blocked", track_heights=True, chunk_size=500)
-        with forced_policy(wavefront="off"):
+        with forced_tier("lockstep"):
             ref = simulate_ensemble(bins, **kwargs)
         monkeypatch.setattr(ens, "RUNTIME_MIN_FREE_FRACTION", 2.0)
-        res = simulate_ensemble(bins, **kwargs)
+        monkeypatch.setattr(policy, "HAVE_NUMBA", False)
+        with forced_native(False):
+            res = simulate_ensemble(bins, **kwargs)
         np.testing.assert_array_equal(res.counts, ref.counts)
         np.testing.assert_array_equal(res.heights, ref.heights)
 
 
 class TestDispatch:
     def test_mode_knobs(self):
-        assert get_mode() in CHOICES["wavefront"]
-        with forced_policy(wavefront="on"):
-            assert get_mode() == "on"
-            assert use_wavefront(2.0, 256, 5)
-            with forced_policy(wavefront="off"):
-                assert not use_wavefront(1e9, 1, 2)
-            assert get_mode() == "on"
+        """Forced, the wavefront runs at shapes the cost model rejects."""
+        assert not use_wavefront(2.0, 256, 5)
+        with forced_tier("wavefront"):
+            assert dispatch(2.0, 256, 5, native_fits=True) == "wavefront"
+            assert dispatch(1e9, 1, 2) == "wavefront"
 
     def test_auto_keys_on_bins_per_lane(self):
         # large n, scalar: on; same n, very wide ensemble: off
-        assert use_wavefront(10_000, 1, 2, mode="auto")
-        assert use_wavefront(10_000, 64, 2, mode="auto")
-        assert not use_wavefront(10_000, 128, 2, mode="auto")
+        assert use_wavefront(10_000, 1, 2)
+        assert use_wavefront(10_000, 64, 2)
+        assert not use_wavefront(10_000, 128, 2)
         # small instances never dispatch (fig02-sized)
-        assert not use_wavefront(32, 64, 2, mode="auto")
-        assert not use_wavefront(100, 1, 2, mode="auto")
+        assert not use_wavefront(32, 64, 2)
+        assert not use_wavefront(100, 1, 2)
         # the ratio is keyed on n / (R * d * d)
-        assert not use_wavefront(10_000, 1, 25, mode="auto")
+        assert not use_wavefront(10_000, 1, 25)
 
     def test_scalar_floor_is_set_by_the_list_loop(self):
         """At R = 1 the per-ball tier is the ~20x faster list loop."""
-        assert not use_wavefront(2000.0, 1, 2, mode="auto")
-        assert not use_wavefront(4000.0, 1, 3, mode="auto")
-        assert use_wavefront(10_000.0, 1, 2, mode="auto")  # bench floor config
-        assert use_wavefront(2000.0, 5, 2, mode="auto")  # n_eff * R / d^2 = 2500
+        assert not use_wavefront(2000.0, 1, 2)
+        assert not use_wavefront(4000.0, 1, 3)
+        assert use_wavefront(10_000.0, 1, 2)  # bench floor config
+        assert use_wavefront(2000.0, 5, 2)  # n_eff * R / d^2 = 2500
 
     def test_effective_bins(self):
         assert effective_bins(np.full(100, 0.01)) == pytest.approx(100.0)
@@ -225,10 +228,10 @@ class TestDispatch:
         assert effective_bins(skew) == pytest.approx(1.0)
 
     def test_expected_free_fraction_and_tile_width(self):
-        assert expected_free_fraction(10_000, 64, 2, 64) == pytest.approx(
+        assert expected_free_fraction(10_000, 2, 64) == pytest.approx(
             1.0 - 4 * 64 / 20_000
         )
-        assert expected_free_fraction(10, 1, 4, 64) == 0.0
+        assert expected_free_fraction(10, 4, 64) == 0.0
         w = tile_width(10_000, 1, 2)
         assert w & (w - 1) == 0 and 16 <= w <= 4096
         assert tile_width(10_000, 64, 2) < w
@@ -293,10 +296,12 @@ class TestEnsembleDriverDispatch:
         """At a dispatch-eligible size the auto path must take the
         wavefront and still reproduce the per-ball numbers exactly."""
         bins = BinArray([1] * 3000)
-        with forced_policy(wavefront="off"):
+        with forced_tier("lockstep"):
             off = simulate_ensemble(bins, repetitions=3, m=1500, seed=4,
                                     seed_mode="blocked", track_heights=True)
-        auto = simulate_ensemble(bins, repetitions=3, m=1500, seed=4,
-                                 seed_mode="blocked", track_heights=True)
+        with forced_native(False):
+            assert dispatch(3000.0, 3, 2) in ("wavefront", "compiled")
+            auto = simulate_ensemble(bins, repetitions=3, m=1500, seed=4,
+                                     seed_mode="blocked", track_heights=True)
         np.testing.assert_array_equal(auto.counts, off.counts)
         np.testing.assert_array_equal(auto.heights, off.heights)

@@ -6,10 +6,10 @@ import pytest
 from repro.experiments import RunRequest
 from repro.experiments.base import (
     ENGINES,
-    EngineNotSupportedError,
     ExperimentResult,
     ExperimentSpec,
     get_experiment,
+    list_experiments,
 )
 from repro.experiments.request import OverrideError
 
@@ -186,10 +186,12 @@ class TestPrecisionField:
 
 
 class TestSpecIntegration:
-    def test_every_spec_declares_both_engines(self):
-        spec = get_experiment("fig02")
-        assert spec.engines == ENGINES
-        assert spec.version == 1
+    def test_every_spec_takes_both_engines(self):
+        for spec in list_experiments():
+            for engine in ENGINES:
+                request = RunRequest(spec.experiment_id, engine=engine)
+                assert spec.request_kwargs(request)["engine"] == engine
+        assert get_experiment("fig02").version == 1
 
     def test_request_kwargs_builds_run_arguments(self):
         spec = get_experiment("fig02")
@@ -207,20 +209,7 @@ class TestSpecIntegration:
         with pytest.raises(ValueError, match="handed to spec"):
             get_experiment("fig02").request_kwargs(RunRequest("fig03"))
 
-    def test_unsupported_engine_raises_declaratively(self):
-        """The engine guard is the spec's own ``engines`` declaration — no
-        ``inspect.signature`` sniffing anywhere in the path."""
-        def fake_run(**kwargs):
-            raise AssertionError("must not execute")
-
-        spec = ExperimentSpec(
-            experiment_id="future_exp", title="t", figure="f", description="d",
-            run=fake_run, engines=("scalar",),
-        )
-        with pytest.raises(EngineNotSupportedError, match="future_exp"):
-            spec.request_kwargs(RunRequest("future_exp", engine="ensemble"))
-
-    def test_scalar_request_on_reduced_spec_passes(self):
+    def test_scalar_request_passes_through(self):
         captured = {}
 
         def fake_run(*, progress=None, checkpoint=None, **kwargs):
@@ -232,7 +221,7 @@ class TestSpecIntegration:
 
         spec = ExperimentSpec(
             experiment_id="future_exp", title="t", figure="f", description="d",
-            run=fake_run, engines=("scalar",),
+            run=fake_run,
         )
         spec.execute(RunRequest("future_exp", engine="scalar", seed=1))
         assert captured["engine"] == "scalar"
